@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .material import tensor_to_matrix
-from .mesh import perp
+from .mesh import loop_groups, perp
 from .quadrature import edge_rule, mesh_polygon_quadrature, polygon_rule
 
 __all__ = [
@@ -68,9 +68,9 @@ class CellGroup:
 
     def __init__(self, mesh, cell_ids):
         cells = np.asarray(cell_ids, dtype=int)
-        n = len(mesh.cell_edges[cells[0]])
-        eid = np.stack([mesh.cell_edges[c] for c in cells])
-        sg = np.stack([mesh.cell_signs[c] for c in cells])
+        n = int(np.diff(mesh.cell_offsets)[cells[0]])
+        slots = mesh.cell_offsets[cells][:, None] + np.arange(n)
+        eid, sg = mesh.cell_edge_ids[slots], mesh.cell_edge_signs[slots]
         L = mesh.edge_lengths[eid]
         N = mesh.edge_normals[eid]
         T = mesh.edge_tangents[eid]
@@ -185,10 +185,8 @@ def cell_groups(mesh):
     """Cells grouped by edge count; cached on the mesh (meshes are immutable)."""
     cached = getattr(mesh, "_cell_groups", None)
     if cached is None:
-        by_n = {}
-        for c in range(mesh.n_cells):
-            by_n.setdefault(len(mesh.cell_edges[c]), []).append(c)
-        cached = [CellGroup(mesh, ids) for _, ids in sorted(by_n.items())]
+        cached = [CellGroup(mesh, cells)
+                  for _, cells, _ in loop_groups(mesh.cell_offsets)]
         mesh._cell_groups = cached
     return cached
 
@@ -218,7 +216,7 @@ def div_reconstruction(mesh, cell, dofs) -> RigidMotion:
                        mesh.centroids[cell])
 
 
-def mean_stress(mesh, cell, dofs, div=None):
+def mean_stress(mesh, cell, dofs):
     """Projection of the virtual stress onto constant symmetric tensors,
     returned as a (s11, s22, s12) triple."""
     g = _single(mesh, cell)

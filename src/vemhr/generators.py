@@ -4,7 +4,9 @@ Seven kinds are provided.  Structured and jittered kinds interpret
 ``resolution`` as the number of subdivisions per direction of the reference
 square; Voronoi kinds interpret it as the number of seeds.  All randomized
 generators are deterministic given the seed, which is recorded in the mesh
-metadata together with generator diagnostics.
+metadata together with the kind, the resolution and the Lloyd iteration
+record.  Shape-regularity is not checked here: call
+:func:`vemhr.mesh.check_assumptions` on the mesh for that report.
 
 The hexagonal kind is realized as the Voronoi diagram of a regular
 triangular lattice clipped to the domain: hexagons in the interior, quads
@@ -12,9 +14,14 @@ and pentagons along the boundary.
 """
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .mesh import MeshError, _clip, build_topology, check_assumptions
+from .mesh import (MeshError, _clip, _flatten, _next_slot, build_topology,
+                   shoelace)
+# Re-exported: perfbench/tracing.py wraps the shape report under this name.
+from .mesh import check_assumptions  # noqa: F401
 
 __all__ = ["MESH_KINDS", "UNIT_SQUARE", "generate_mesh", "voronoi_cells", "lloyd"]
 
@@ -71,16 +78,12 @@ def generate_mesh(kind, resolution, domain=None, seed=0, lloyd_iters=_LLOYD_ITER
                              lloyd_iters if kind == "poly_voronoi_cvt" else 0)
 
     mesh.metadata.update(kind=kind, resolution=int(resolution), seed=int(seed))
-    report = check_assumptions(mesh)
-    mesh.metadata["min_vertex_ratio"] = report.min_vertex_ratio
-    mesh.metadata["min_star_ratio"] = report.min_star_ratio
     _check_partition(mesh, domain)
     return mesh
 
 
 def _check_partition(mesh, domain):
-    dnxt = np.roll(domain, -1, axis=0)
-    target = 0.5 * (domain[:, 0] * dnxt[:, 1] - dnxt[:, 0] * domain[:, 1]).sum()
+    target = shoelace(domain)[0][0]
     if abs(mesh.areas.sum() - target) > 1e-10 * target:
         raise MeshError("generated cells do not tile the domain")
 
@@ -135,20 +138,8 @@ def _tri_area(verts, tri):
     return 0.5 * ((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
 
 
-def _polygon_area(coords):
-    nxt = np.roll(coords, -1, axis=0)
-    return 0.5 * (coords[:, 0] * nxt[:, 1] - nxt[:, 0] * coords[:, 1]).sum()
-
-
-def _shoelace_centroid(coords):
-    nxt = np.roll(coords, -1, axis=0)
-    cross = coords[:, 0] * nxt[:, 1] - nxt[:, 0] * coords[:, 1]
-    area = 0.5 * cross.sum()
-    return area, (coords + nxt).T @ cross / (6.0 * area)
-
-
 def _honeycomb_mesh(domain, n):
-    area = _polygon_area(domain)
+    area = shoelace(domain)[0][0]
     spacing = np.sqrt(2.0 * area / (np.sqrt(3.0) * n * n))
     lo = domain.min(axis=0) - 1.5 * spacing
     hi = domain.max(axis=0) + 1.5 * spacing
@@ -160,13 +151,15 @@ def _honeycomb_mesh(domain, n):
         off = 0.5 * spacing if r % 2 else 0.0
         for c in range(cols):
             seeds.append((lo[0] + off + c * spacing, y))
-    cells = voronoi_cells(np.array(seeds), domain)
+    cells = [c for c in voronoi_cells(np.array(seeds), domain)
+             if c is not None]
     # Lattice seeds mirrored across a boundary line make zero-width sliver
     # cells (pure roundoff of an empty region); drop them by area.
+    offsets, points = _flatten(cells)
+    areas = shoelace(points, offsets)[0]
     hex_area = area / (n * n)
     return _mesh_from_cells(
-        [c for c in cells
-         if c is not None and _polygon_area(c) > 1e-6 * hex_area], domain)
+        [c for c, a in zip(cells, areas) if a > 1e-6 * hex_area], domain)
 
 
 def _sample_seeds(domain, count, rng):
@@ -253,10 +246,10 @@ def lloyd(seeds, domain, iterations, tol=1e-12):
     done = 0
     for it in range(iterations):
         cells = voronoi_cells(seeds, domain)
+        found = [i for i, poly in enumerate(cells) if poly is not None]
+        offsets, points = _flatten([cells[i] for i in found])
         new = seeds.copy()
-        for i, poly in enumerate(cells):
-            if poly is not None:
-                _, new[i] = _shoelace_centroid(poly)
+        new[found] = shoelace(points, offsets)[1]
         move = np.abs(new - seeds).max()
         seeds = new
         done = it + 1
@@ -274,42 +267,19 @@ def _mesh_from_cells(cell_polys, domain):
         raise MeshError("no cells to mesh")
     scale = np.linalg.norm(domain.max(axis=0) - domain.min(axis=0))
     tol = 1e-9 * scale
-    pts = np.vstack(cell_polys)
-    tree = cKDTree(pts)
-    pairs = tree.query_pairs(tol, output_type="ndarray")
-
-    parent = np.arange(len(pts))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    roots = np.array([find(a) for a in range(len(pts))])
-    uniq, inverse = np.unique(roots, return_inverse=True)
-    verts = np.zeros((len(uniq), 2))
-    counts = np.bincount(inverse)
+    offsets, pts = _flatten(cell_polys)
+    # Points closer than tol are one vertex, numbered by their lowest index.
+    pairs = cKDTree(pts).query_pairs(tol, output_type="ndarray")
+    n_verts, inverse = connected_components(coo_matrix(
+        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+        shape=(len(pts), len(pts))), directed=False)
+    verts = np.zeros((n_verts, 2))
     np.add.at(verts, inverse, pts)
-    verts /= counts[:, None]
-
-    loops = []
-    pos = 0
-    for poly in cell_polys:
-        ids = inverse[pos:pos + len(poly)]
-        pos += len(poly)
-        loop = [ids[0]]
-        for v in ids[1:]:
-            if v != loop[-1]:
-                loop.append(v)
-        if loop[0] == loop[-1]:
-            loop.pop()
-        if len(loop) < 3:
-            raise MeshError("degenerate Voronoi cell after clipping")
-        loops.append(np.array(loop, dtype=int))
+    verts /= np.bincount(inverse)[:, None]
+    # Drop repeats of a vertex along a loop (cyclically), keeping the first.
+    keep = inverse != inverse[_next_slot(offsets)]
+    counts = np.add.reduceat(keep.astype(int), offsets[:-1])
+    if np.any(counts < 3):
+        raise MeshError("degenerate Voronoi cell after clipping")
+    loops = np.split(inverse[keep], np.cumsum(counts)[:-1])
     return build_topology(verts, loops)

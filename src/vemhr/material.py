@@ -14,7 +14,6 @@ __all__ = [
     "CONTRACTION_WEIGHTS",
     "sym_dot",
     "tensor_to_matrix",
-    "matrix_to_tensor",
     "IsotropicMaterial",
     "from_lame",
     "from_young_poisson_plane_strain",
@@ -40,12 +39,6 @@ def tensor_to_matrix(t):
     out[..., 0, 1] = t[..., 2]
     out[..., 1, 0] = t[..., 2]
     return out
-
-
-def matrix_to_tensor(m):
-    m = np.asarray(m, dtype=float)
-    return np.stack([m[..., 0, 0], m[..., 1, 1],
-                     0.5 * (m[..., 0, 1] + m[..., 1, 0])], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -7,18 +7,23 @@ canonical direction on its CCW boundary walk sees n as its outward normal
 and gets sign +1; the neighbour on the other side gets -1.  Traction degrees
 of freedom attached to an edge are therefore shared verbatim by both cells,
 which is what makes the stress space H(div)-conforming.
+
+Cells are stored flat (CSR): cell c owns positions ``cell_offsets[c]`` to
+``cell_offsets[c + 1]`` of ``cell_vertex_ids``, ``cell_edge_ids`` and
+``cell_edge_signs``; position k holds the edge from vertex k to the next.
 """
 
 import hashlib
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .quadrature import polygon_rule
-
 __all__ = [
     "perp",
+    "shoelace",
+    "loop_groups",
     "polygon_metrics",
     "PolyMesh",
     "build_topology",
@@ -48,34 +53,82 @@ def perp(v):
     return out
 
 
+def _reject(bad, message):
+    """Raise MeshError naming the first cell flagged in ``bad``."""
+    if np.any(bad):
+        raise MeshError(message.format(int(np.argmax(bad))))
+
+
+def _flatten(loops):
+    """CSR offsets and the concatenation of a sequence of per-cell arrays."""
+    offsets = np.zeros(len(loops) + 1, dtype=int)
+    np.cumsum([len(loop) for loop in loops], out=offsets[1:])
+    return offsets, np.concatenate(loops)
+
+
+def _slot_cells(offsets):
+    """Owning cell of every CSR position."""
+    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+
+
+def _next_slot(offsets):
+    """CSR position of the next loop entry, wrapping within each cell."""
+    nxt = np.arange(1, offsets[-1] + 1)
+    nxt[offsets[1:] - 1] = offsets[:-1]
+    return nxt
+
+
+def loop_groups(offsets):
+    """Yield ``(k, cells, slots)`` per loop length k, shortest first: the
+    cells with k entries (increasing) and their (len(cells), k) positions."""
+    counts = np.diff(offsets)
+    for k in np.unique(counts):
+        cells = np.nonzero(counts == k)[0]
+        yield int(k), cells, offsets[cells][:, None] + np.arange(k)
+
+
+def shoelace(points, offsets=None):
+    """Signed areas (m,) and centroids (m, 2) of the polygons
+    ``points[offsets[c]:offsets[c + 1]]`` (one polygon if ``offsets`` is
+    None); CCW is positive, zero-area centroids are not finite."""
+    points = np.asarray(points, dtype=float)
+    offsets = np.array([0, len(points)]) if offsets is None else offsets
+    nxt = points[_next_slot(offsets)]
+    cross = points[:, 0] * nxt[:, 1] - nxt[:, 0] * points[:, 1]
+    areas = 0.5 * np.add.reduceat(cross, offsets[:-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return areas, (np.add.reduceat((points + nxt) * cross[:, None],
+                                       offsets[:-1]) / (6.0 * areas[:, None]))
+
+
+def _cell_geometry(points, offsets):
+    """Areas, centroids, diameters and centered second-moment tensors of
+    CCW polygons laid out as in :func:`shoelace`; the tensors are exact
+    Green's-theorem edge sums about the centroid (no star-shape needed)."""
+    areas, centroids = shoelace(points, offsets)
+    _reject(areas <= 0.0, "degenerate polygon {}: signed area <= 0")
+    r = points - centroids[_slot_cells(offsets)]
+    s = r[_next_slot(offsets)]
+    t = r + s
+    terms = (t[:, :, None] * t[:, None, :] + r[:, :, None] * r[:, None, :]
+             + s[:, :, None] * s[:, None, :])
+    cross = r[:, 0] * s[:, 1] - s[:, 0] * r[:, 1]
+    tensors = np.add.reduceat(terms * cross[:, None, None] / 24.0,
+                              offsets[:-1])
+    diameters = np.empty(len(areas))
+    for _, cells, slots in loop_groups(offsets):
+        p = points[slots]
+        diffs = p[:, :, None, :] - p[:, None, :, :]
+        diameters[cells] = np.sqrt((diffs**2).sum(-1).max(axis=(1, 2)))
+    return areas, centroids, diameters, tensors
+
+
 def polygon_metrics(coords):
-    """Area, centroid, diameter and second moment of a simple CCW polygon.
-
-    Area and centroid come from the shoelace formulas.  The centered second
-    moment m_E = integral of |x - x_C|^2 is evaluated with a degree-2 Gauss
-    rule on the centroid fan, which is exact for the quadratic integrand.
-    """
-    area, centroid, diameter, q = _cell_metrics(np.asarray(coords, dtype=float))
-    return area, centroid, diameter, float(np.trace(q))
-
-
-def _cell_metrics(coords):
-    nxt = np.roll(coords, -1, axis=0)
-    cross = coords[:, 0] * nxt[:, 1] - nxt[:, 0] * coords[:, 1]
-    area = 0.5 * cross.sum()
-    if area <= 0.0:
-        raise MeshError("degenerate polygon: signed area <= 0")
-    centroid = (coords + nxt).T @ cross / (6.0 * area)
-    diffs = coords[:, None, :] - coords[None, :, :]
-    diameter = np.sqrt((diffs**2).sum(-1).max())
-    return area, centroid, diameter, _second_moment_tensor(coords, centroid)
-
-
-def _second_moment_tensor(coords, centroid):
-    """Integral of (x - x_C) outer (x - x_C) by degree-2 fan quadrature."""
-    rule = polygon_rule(coords, 2, centroid=np.asarray(centroid, dtype=float))
-    xi = rule.points - centroid
-    return np.einsum("q,qa,qb->ab", rule.weights, xi, xi)
+    """Area, centroid, diameter and second moment of a simple CCW polygon:
+    the one-cell case of the mesh geometry, exact for any simple polygon."""
+    coords = np.asarray(coords, dtype=float)
+    a, c, h, q = _cell_geometry(coords, np.array([0, len(coords)]))
+    return float(a[0]), c[0], float(h[0]), float(np.trace(q[0]))
 
 
 class PolyMesh:
@@ -83,15 +136,17 @@ class PolyMesh:
 
     Construction is done by :func:`build_topology`; all derived geometric
     quantities (areas, centroids, diameters, second moments, edge frames)
-    are precomputed there.
+    are precomputed here from the flat cell arrays.  ``cell_vertices``,
+    ``cell_edges`` and ``cell_signs`` give per-cell views into them.
     """
 
-    def __init__(self, vertices, cell_vertices, cell_edges, cell_signs,
-                 edge_nodes, edge_cells, metadata=None):
+    def __init__(self, vertices, cell_offsets, cell_vertex_ids, cell_edge_ids,
+                 cell_edge_signs, edge_nodes, edge_cells, metadata=None):
         self.vertices = np.asarray(vertices, dtype=float)
-        self.cell_vertices = [np.asarray(v, dtype=int) for v in cell_vertices]
-        self.cell_edges = [np.asarray(e, dtype=int) for e in cell_edges]
-        self.cell_signs = [np.asarray(s, dtype=float) for s in cell_signs]
+        self.cell_offsets = np.asarray(cell_offsets, dtype=int)
+        self.cell_vertex_ids = np.asarray(cell_vertex_ids, dtype=int)
+        self.cell_edge_ids = np.asarray(cell_edge_ids, dtype=int)
+        self.cell_edge_signs = np.asarray(cell_edge_signs, dtype=float)
         self.edge_nodes = np.asarray(edge_nodes, dtype=int)
         self.edge_cells = np.asarray(edge_cells, dtype=int)
         self.metadata = dict(metadata or {})
@@ -106,19 +161,25 @@ class PolyMesh:
         self.edge_normals = perp(self.edge_tangents)
         self.edge_midpoints = 0.5 * (p + q)
 
-        n_cells = len(self.cell_vertices)
-        self.areas = np.empty(n_cells)
-        self.centroids = np.empty((n_cells, 2))
-        self.diameters = np.empty(n_cells)
-        self.second_moments = np.empty(n_cells)
-        self.moment_tensors = np.empty((n_cells, 2, 2))
-        for c, loop in enumerate(self.cell_vertices):
-            a, xc, h, q = _cell_metrics(self.vertices[loop])
-            self.areas[c] = a
-            self.centroids[c] = xc
-            self.diameters[c] = h
-            self.second_moments[c] = float(np.trace(q))
-            self.moment_tensors[c] = q
+        (self.areas, self.centroids, self.diameters,
+         self.moment_tensors) = _cell_geometry(
+            self.vertices[self.cell_vertex_ids], self.cell_offsets)
+        self.second_moments = np.trace(self.moment_tensors, axis1=1, axis2=2)
+
+    @cached_property
+    def cell_vertices(self):
+        """Per-cell CCW vertex loops (views into ``cell_vertex_ids``)."""
+        return np.split(self.cell_vertex_ids, self.cell_offsets[1:-1])
+
+    @cached_property
+    def cell_edges(self):
+        """Per-cell edge ids in loop order (views into ``cell_edge_ids``)."""
+        return np.split(self.cell_edge_ids, self.cell_offsets[1:-1])
+
+    @cached_property
+    def cell_signs(self):
+        """Per-cell edge signs (views into ``cell_edge_signs``)."""
+        return np.split(self.cell_edge_signs, self.cell_offsets[1:-1])
 
     @property
     def n_vertices(self):
@@ -126,7 +187,7 @@ class PolyMesh:
 
     @property
     def n_cells(self):
-        return len(self.cell_vertices)
+        return len(self.cell_offsets) - 1
 
     @property
     def n_edges(self):
@@ -145,7 +206,8 @@ class PolyMesh:
         return float(self.edge_lengths.mean())
 
     def cell_coords(self, c):
-        return self.vertices[self.cell_vertices[c]]
+        o = self.cell_offsets
+        return self.vertices[self.cell_vertex_ids[o[c]:o[c + 1]]]
 
     def boundary_sign(self, e):
         """Outward sign of the single cell incident to a boundary edge."""
@@ -159,27 +221,25 @@ class PolyMesh:
                 f"edges={self.n_edges})")
 
 
-def _is_simple(coords):
-    """Reject self-intersecting vertex loops (O(k^2) segment test)."""
-    k = len(coords)
-    seg_a = coords
-    seg_b = np.roll(coords, -1, axis=0)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if j == i + 1 or (i == 0 and j == k - 1):
-                continue  # adjacent segments share a vertex
-            if _segments_cross(seg_a[i], seg_b[i], seg_a[j], seg_b[j]):
-                return False
-    return True
+def _orient(p, q, r):
+    return ((q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1])
+            - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0]))
 
 
-def _segments_cross(a, b, c, d):
-    def orient(p, q, r):
-        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-    o1, o2 = orient(a, b, c), orient(a, b, d)
-    o3, o4 = orient(c, d, a), orient(c, d, b)
-    return (o1 * o2 < 0) and (o3 * o4 < 0)
+def _self_intersecting(points, offsets):
+    """Flag cells whose loop has two properly crossing non-adjacent sides."""
+    bad = np.zeros(len(offsets) - 1, dtype=bool)
+    for k, cells, slots in loop_groups(offsets):
+        i, j = np.triu_indices(k, 2)
+        keep = j - i < k - 1  # sides k-1 and 0 share a vertex
+        i, j = i[keep], j[keep]
+        a = points[slots]
+        b = np.roll(a, -1, axis=1)
+        a_i, b_i, a_j, b_j = a[:, i], b[:, i], a[:, j], b[:, j]
+        bad[cells] = ((_orient(a_i, b_i, a_j) * _orient(a_i, b_i, b_j) < 0)
+                      & (_orient(a_j, b_j, a_i) * _orient(a_j, b_j, b_i) < 0)
+                      ).any(axis=1)
+    return bad
 
 
 def build_topology(vertices, cell_vertex_loops, metadata=None,
@@ -187,74 +247,60 @@ def build_topology(vertices, cell_vertex_loops, metadata=None,
     """Build a :class:`PolyMesh` from vertex coordinates and CCW cell loops.
 
     Edges are deduplicated with canonical lower-index-first orientation and
-    cell-side signs are assigned from the traversal direction.  Raises
-    :class:`MeshError` on non-manifold edges (three or more incident cells),
-    cells wound clockwise, degenerate edges, or inconsistent orientation of
-    two neighbouring cells.
+    numbered in order of first appearance along the loops (solution files
+    rely on it); cell-side signs follow the traversal direction.  Raises
+    :class:`MeshError` on cells with fewer than 3, out-of-range or repeated
+    vertices, cells wound clockwise or (if ``check_simple``) self-crossing,
+    non-manifold edges or inconsistently oriented neighbours, zero-length
+    edges, and open cell boundaries.
     """
     vertices = np.asarray(vertices, dtype=float)
     if not np.all(np.isfinite(vertices)):
         raise MeshError("non-finite vertex coordinates")
+    loops = list(cell_vertex_loops)
+    if not loops:
+        raise MeshError("mesh has no cells")
+    offsets, ids = _flatten(loops)
+    ids = ids.astype(int)
+    nv = len(vertices)
+    cell = _slot_cells(offsets)
+    _reject(np.diff(offsets) < 3, "cell {} has fewer than 3 vertices")
+    _reject(np.logical_or.reduceat((ids < 0) | (ids >= nv), offsets[:-1]),
+            f"cell {{}} has a vertex id outside [0, {nv})")
+    keys = np.sort(cell * nv + ids)  # stays grouped by cell
+    _reject(np.logical_or.reduceat(np.diff(keys, prepend=-1) == 0,
+                                   offsets[:-1]), "cell {} repeats a vertex")
+    points = vertices[ids]
+    _reject(shoelace(points, offsets)[0] <= 0.0,
+            "cell {} is not counterclockwise")
+    if check_simple:
+        _reject(_self_intersecting(points, offsets),
+                "cell {} is self-intersecting")
 
-    edge_index = {}
-    edge_nodes = []
-    edge_cells = []
-    cell_edges = []
-    cell_signs = []
-    loops = []
-
-    for c, loop in enumerate(cell_vertex_loops):
-        loop = np.asarray(loop, dtype=int)
-        if len(loop) < 3:
-            raise MeshError(f"cell {c} has fewer than 3 vertices")
-        if len(np.unique(loop)) != len(loop):
-            raise MeshError(f"cell {c} repeats a vertex")
-        coords = vertices[loop]
-        nxt = np.roll(coords, -1, axis=0)
-        area2 = (coords[:, 0] * nxt[:, 1] - nxt[:, 0] * coords[:, 1]).sum()
-        if area2 <= 0.0:
-            raise MeshError(f"cell {c} is not counterclockwise")
-        if check_simple and not _is_simple(coords):
-            raise MeshError(f"cell {c} is self-intersecting")
-        loops.append(loop)
-
-        eids = np.empty(len(loop), dtype=int)
-        sgns = np.empty(len(loop))
-        for k in range(len(loop)):
-            a, b = int(loop[k]), int(loop[(k + 1) % len(loop)])
-            if a == b:
-                raise MeshError(f"cell {c} contains a degenerate edge")
-            key = (a, b) if a < b else (b, a)
-            e = edge_index.get(key)
-            if e is None:
-                e = len(edge_nodes)
-                edge_index[key] = e
-                edge_nodes.append(key)
-                edge_cells.append([-1, -1])
-            sign = 1.0 if a < b else -1.0
-            side = 0 if sign > 0 else 1
-            if edge_cells[e][side] != -1:
-                raise MeshError(
-                    f"edge {key} has inconsistent orientation or more than "
-                    f"two incident cells")
-            edge_cells[e][side] = c
-            eids[k] = e
-            sgns[k] = sign
-        cell_edges.append(eids)
-        cell_signs.append(sgns)
-
-    mesh = PolyMesh(vertices, loops, cell_edges, cell_signs,
-                    np.array(edge_nodes, dtype=int),
-                    np.array(edge_cells, dtype=int), metadata)
+    a, b = ids, ids[_next_slot(offsets)]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    _, first, inverse = np.unique(lo * nv + hi, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)  # unique edges in order of first appearance
+    edge_ids = np.argsort(order)[inverse]
+    edge_nodes = np.column_stack([lo[first[order]], hi[first[order]]])
+    side = (a > b).astype(int)  # 0 where traversed canonically (sign +1)
+    uses = np.bincount(2 * edge_ids + side, minlength=2 * len(order))
+    if np.any(uses > 1):
+        e = edge_nodes[int(np.argmax(uses > 1)) // 2]
+        raise MeshError(f"edge {tuple(e.tolist())} has inconsistent "
+                        f"orientation or more than two incident cells")
+    edge_cells = np.full((len(order), 2), -1)
+    edge_cells[edge_ids, side] = cell
+    mesh = PolyMesh(vertices, offsets, ids, edge_ids, 1.0 - 2.0 * side,
+                    edge_nodes, edge_cells, metadata)
 
     # Discrete divergence theorem for constants: closed signed boundary.
-    for c in range(mesh.n_cells):
-        e = mesh.cell_edges[c]
-        s = mesh.cell_signs[c]
-        flux = (s[:, None] * mesh.edge_lengths[e, None]
-                * mesh.edge_normals[e]).sum(0)
-        if np.abs(flux).max() > 1e-10 * max(mesh.diameters[c], 1.0):
-            raise MeshError(f"cell {c} boundary is not closed")
+    flux = np.add.reduceat(
+        (mesh.cell_edge_signs * mesh.edge_lengths[edge_ids])[:, None]
+        * mesh.edge_normals[edge_ids], offsets[:-1])
+    _reject(np.abs(flux).max(axis=1) > 1e-10 * np.maximum(mesh.diameters, 1.0),
+            "cell {} boundary is not closed")
     return mesh
 
 
@@ -389,18 +435,23 @@ def save_mesh(path, mesh):
 
 
 def load_mesh(path):
-    """Load a mesh file and rebuild the full topology."""
+    """Load a mesh file and rebuild the full topology (MeshError if the
+    file is truncated, overlong or non-numeric)."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != MESH_FORMAT_HEADER:
         raise MeshError(f"not a '{MESH_FORMAT_HEADER}' file: {path}")
-    nv = int(lines[1])
-    verts = np.array([[float(t) for t in ln.split()] for ln in lines[2:2 + nv]])
-    nc = int(lines[2 + nv])
-    loops = [np.array([int(t) for t in ln.split()], dtype=int)
-             for ln in lines[3 + nv:3 + nv + nc]]
-    if len(loops) != nc:
-        raise MeshError("truncated mesh file")
+    try:
+        nv = int(lines[1])
+        verts = np.array([[float(t) for t in ln.split()]
+                          for ln in lines[2:2 + nv]])
+        nc = int(lines[2 + nv])
+        loops = [np.array([int(t) for t in ln.split()], dtype=int)
+                 for ln in lines[3 + nv:3 + nv + nc]]
+    except (IndexError, ValueError) as exc:
+        raise MeshError(f"malformed mesh file {path}: {exc}") from exc
+    if verts.shape != (nv, 2) or len(lines) != 3 + nv + nc:
+        raise MeshError(f"truncated or overlong mesh file: {path}")
     return build_topology(verts, loops)
 
 

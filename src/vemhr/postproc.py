@@ -13,13 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .element import divergence_field, projection_field
+from .element import body_load_vector, divergence_field, projection_field
 from .material import tensor_to_matrix, von_mises_plane_strain
 from .mesh import perp
 from .quadrature import edge_rule, mesh_polygon_quadrature
 
 __all__ = [
-    "ErrorReport",
     "RateTable",
     "error_sigma",
     "error_div",
@@ -32,15 +31,6 @@ __all__ = [
     "write_convergence_csv",
     "write_vtk_polydata",
 ]
-
-
-@dataclass
-class ErrorReport:
-    e_sigma: float
-    e_sigma_div: float
-    e_u: float
-    h_bar: float
-    n_dof: int
 
 
 def _edge_dof_table(solution):
@@ -99,12 +89,7 @@ def equilibrium_residuals(mesh, solution, f=None, degree=6):
     dv = divergence_field(mesh, _edge_dof_table(solution))
     target = np.zeros((mesh.n_cells, 3))
     if f is not None:
-        pts, wts, owner = mesh_polygon_quadrature(mesh, degree)
-        fv = np.asarray(f(pts))
-        np.add.at(target[:, 0], owner, wts * fv[:, 0])
-        np.add.at(target[:, 1], owner, wts * fv[:, 1])
-        np.add.at(target[:, 2], owner,
-                  wts * np.einsum("qa,qa->q", fv, perp(pts - mesh.centroids[owner])))
+        target = body_load_vector(mesh, f, degree)
         target[:, :2] /= mesh.areas[:, None]
         target[:, 2] /= mesh.second_moments
     delta = dv + target

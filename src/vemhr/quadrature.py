@@ -4,13 +4,17 @@ Edges use a dimensionless arc coordinate s in [-1/2, 1/2] with s = 0 at the
 midpoint, so edge weights sum to 1 and physical integrals carry an extra
 factor |e|.  Polygons are integrated by fanning triangles out of the centroid
 and applying a symmetric Gauss rule on each triangle; this requires the
-polygon to be star-shaped with respect to its centroid.
+polygon to be star-shaped with respect to its centroid.  Meshes may contain
+cells that are not (their geometry is exact without quadrature); the rules
+here raise ``ValueError`` on such cells.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .mesh import _next_slot, _slot_cells, shoelace
 
 __all__ = [
     "EdgeRule",
@@ -117,37 +121,42 @@ def triangle_rule(degree: int):
     return bary, 2.0 * ww.ravel()
 
 
-def polygon_rule(coords, degree: int, centroid=None) -> PolygonRule:
-    """Fan-triangulation rule on a polygon given by CCW vertex coordinates.
-
-    Fan triangles with signed area below 1e-14 times the polygon area are
-    skipped; a negative fan triangle means the polygon is not star-shaped
-    with respect to the fan point and is reported as an error.
+def _fan_rule(points, offsets, centroids, degree):
+    """Centroid-fan rule for polygons laid out as in :func:`shoelace`, as
+    ``(points, weights, cell_ids)`` ordered by cell, fan triangle, rule point.
+    Fan triangles below 1e-14 of the polygon area are skipped; a negative
+    one means the polygon is not star-shaped with respect to its centroid.
     """
+    bary, tw = triangle_rule(degree)
+    cell = _slot_cells(offsets)
+    fan = centroids[cell]
+    nxt = points[_next_slot(offsets)]
+    d1, d2 = points - fan, nxt - fan
+    tri_areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    total = np.bincount(cell, tri_areas, len(offsets) - 1)
+    if np.any(total <= 0.0):
+        raise ValueError("degenerate polygon: non-positive area")
+    tol = 1e-14 * total[cell]
+    if np.any(tri_areas < -tol):
+        raise ValueError("polygon is not star-shaped w.r.t. the fan point")
+    keep = tri_areas >= tol
+    pts = (
+        bary[None, :, 0, None] * fan[keep][:, None, :]
+        + bary[None, :, 1, None] * points[keep][:, None, :]
+        + bary[None, :, 2, None] * nxt[keep][:, None, :]
+    ).reshape(-1, 2)
+    wts = (tri_areas[keep][:, None] * tw[None, :]).reshape(-1)
+    return pts, wts, np.repeat(cell[keep], len(tw))
+
+
+def polygon_rule(coords, degree: int, centroid=None) -> PolygonRule:
+    """Fan-triangulation rule on a polygon given by CCW vertex coordinates
+    (the one-cell case of :func:`mesh_polygon_quadrature`)."""
     coords = np.asarray(coords, dtype=float)
     if centroid is None:
-        centroid = _shoelace_centroid(coords)
-    bary, tw = triangle_rule(degree)
-    nxt = np.roll(coords, -1, axis=0)
-    # Signed areas of the fan triangles (centroid, v_i, v_{i+1}).
-    d1 = coords - centroid
-    d2 = nxt - centroid
-    tri_areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    total = tri_areas.sum()
-    if total <= 0.0:
-        raise ValueError("degenerate polygon: non-positive area")
-    if np.any(tri_areas < -1e-14 * total):
-        raise ValueError("polygon is not star-shaped w.r.t. the fan point")
-    keep = tri_areas >= 1e-14 * total
-    a = coords[keep]
-    b = nxt[keep]
-    areas = tri_areas[keep]
-    pts = (
-        bary[None, :, 0, None] * centroid[None, None, :]
-        + bary[None, :, 1, None] * a[:, None, :]
-        + bary[None, :, 2, None] * b[:, None, :]
-    ).reshape(-1, 2)
-    wts = (areas[:, None] * tw[None, :]).reshape(-1)
+        centroid = shoelace(coords)[1][0]
+    pts, wts, _ = _fan_rule(coords, np.array([0, len(coords)]),
+                            np.asarray(centroid, dtype=float)[None], degree)
     return PolygonRule(degree=degree, points=pts, weights=wts)
 
 
@@ -158,19 +167,5 @@ def mesh_polygon_quadrature(mesh, degree: int):
     integrands can be evaluated in a single vectorized call; per-cell sums
     are recovered by grouping on ``cell_ids`` (the ids are nondecreasing).
     """
-    bary, tw = triangle_rule(degree)
-    pts, wts, owner = [], [], []
-    for c in range(mesh.n_cells):
-        coords = mesh.cell_coords(c)
-        rule = polygon_rule(coords, degree, centroid=mesh.centroids[c])
-        pts.append(rule.points)
-        wts.append(rule.weights)
-        owner.append(np.full(len(rule.weights), c, dtype=int))
-    return np.vstack(pts), np.concatenate(wts), np.concatenate(owner)
-
-
-def _shoelace_centroid(coords):
-    nxt = np.roll(coords, -1, axis=0)
-    cross = coords[:, 0] * nxt[:, 1] - nxt[:, 0] * coords[:, 1]
-    area = 0.5 * cross.sum()
-    return (coords + nxt).T @ cross / (6.0 * area)
+    return _fan_rule(mesh.vertices[mesh.cell_vertex_ids], mesh.cell_offsets,
+                     mesh.centroids, degree)

@@ -11,6 +11,7 @@ from vemhr.generators import generate_mesh
 from vemhr.material import from_lame
 from vemhr.mesh import build_topology, cook_domain
 from vemhr.postproc import equilibrium_residuals
+from vemhr.quadrature import mesh_polygon_quadrature
 from vemhr.problems import ProblemSpec, problem_cook, problem_test_a, \
     problem_test_b
 
@@ -233,6 +234,30 @@ class TestSolutionIO:
         assert np.array_equal(back.cell_motions, solution.cell_motions)
         assert back.report.residual == solution.report.residual
 
+    @pytest.mark.parametrize("cut", ["header_only", "rows", "non_numeric",
+                                     "count_vs_rows", "count_vs_mesh"])
+    def test_malformed_rejected(self, tmp_path, cut):
+        mesh = generate_mesh("quad_structured", 3)
+        solution = solve(assemble(mesh, problem_test_a()))
+        path = tmp_path / "sol.txt"
+        save_solution(path, solution)
+        lines = path.read_text().splitlines()
+        ne = mesh.n_edges
+        if cut == "header_only":
+            lines = lines[:2]
+        elif cut == "rows":
+            lines = lines[:10]
+        elif cut == "non_numeric":
+            lines[7] = "1.0 x 2.0"
+        elif cut == "count_vs_rows":
+            lines[4] = str(ne - 1)
+        else:  # consistent file, one edge short of the mesh
+            lines = (lines[:4] + [str(ne - 1)] + lines[5:4 + ne]
+                     + lines[5 + ne:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
+            load_solution(path, mesh)
+
     def test_checksum_mismatch_rejected(self, tmp_path):
         problem = problem_test_a()
         mesh = generate_mesh("quad_structured", 3)
@@ -242,3 +267,36 @@ class TestSolutionIO:
         other = generate_mesh("quad_structured", 4)
         with pytest.raises(ValueError, match="does not match"):
             load_solution(path, other)
+
+
+class TestNonStarCell:
+    """A U-shaped cell (not star-shaped about its centroid) plus the cell
+    filling its notch."""
+
+    VERTS = [[0, 0], [3, 0], [3, 2], [2, 2], [2, 1], [1, 1], [1, 2], [0, 2]]
+    CELLS = [list(range(8)), [5, 4, 3, 6]]
+
+    def test_exact_geometry(self):
+        mesh = build_topology(self.VERTS, self.CELLS)
+        assert_allclose(mesh.areas, [5.0, 1.0], rtol=1e-15)
+        assert_allclose(mesh.centroids[0], [1.5, 0.9], rtol=1e-15)
+        assert_allclose(mesh.moment_tensors[0],
+                        np.diag([53.0 / 12.0, 97.0 / 60.0]), rtol=1e-14,
+                        atol=1e-15)
+
+    def test_linear_displacement_patch(self):
+        mesh = build_topology(self.VERTS, self.CELLS)
+        grad = np.array([[1.0, 2.0], [0.5, -0.7]])
+        problem, _ = patch_problem(lambda p: np.array([0.3, -0.2])
+                                   + p @ grad.T)
+        solution = solve(assemble(mesh, problem))
+        eps = np.array([grad[0, 0], grad[1, 1],
+                        0.5 * (grad[0, 1] + grad[1, 0])])
+        assert_allclose(solution.edge_dofs, constant_stress_dofs(
+            mesh, problem.material.stress(eps)), rtol=0, atol=1e-12)
+        assert equilibrium_residuals(mesh, solution).max() < 1e-13
+
+    def test_fan_quadrature_rejects_it(self):
+        mesh = build_topology(self.VERTS, self.CELLS)
+        with pytest.raises(ValueError, match="star-shaped"):
+            mesh_polygon_quadrature(mesh, 2)

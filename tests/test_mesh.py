@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from vemhr.generators import MESH_KINDS, generate_mesh
 from vemhr.mesh import (MeshError, build_topology, check_assumptions,
                         cook_domain, load_mesh, mesh_checksum, perp,
                         polygon_metrics, save_mesh)
+from vemhr.quadrature import polygon_rule
 
 SQUARE_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -32,6 +34,24 @@ class TestPolygonMetrics:
         with pytest.raises(MeshError):
             polygon_metrics(SQUARE_VERTS[::-1])
 
+    @pytest.mark.parametrize("kind", MESH_KINDS)
+    def test_mesh_geometry_matches_fan_quadrature(self, kind):
+        # reference: degree-2 centroid-fan rule, exact for these integrands
+        mesh = generate_mesh(kind, 16 if kind.startswith("poly") else 4,
+                             seed=2)
+        for c in range(mesh.n_cells):
+            rule = polygon_rule(mesh.cell_coords(c), 2)
+            area = rule.weights.sum()
+            xi = rule.points - mesh.centroids[c]
+            q = np.einsum("q,qa,qb->ab", rule.weights, xi, xi)
+            h = mesh.diameters[c]
+            assert_allclose(mesh.areas[c], area, rtol=1e-13)
+            assert_allclose(mesh.centroids[c],
+                            rule.weights @ rule.points / area,
+                            rtol=0, atol=1e-13 * h)
+            assert_allclose(mesh.moment_tensors[c], q, rtol=0,
+                            atol=1e-13 * np.trace(q))
+
 
 class TestBuildTopology:
     def test_single_square(self):
@@ -45,6 +65,13 @@ class TestBuildTopology:
         verts = [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
         mesh = build_topology(verts, [[0, 1, 4, 3], [1, 2, 5, 4]])
         assert mesh.n_edges == 7
+        # edges are numbered in order of first appearance along the loops
+        # (solution files depend on it)
+        assert mesh.edge_nodes.tolist() == [[0, 1], [1, 4], [3, 4], [0, 3],
+                                             [1, 2], [2, 5], [4, 5]]
+        assert mesh.edge_cells.tolist() == [[0, -1], [0, 1], [-1, 0],
+                                            [-1, 0], [1, -1], [1, -1],
+                                            [-1, 1]]
         interior = mesh.interior_edges
         assert len(interior) == 1
         e = interior[0]
@@ -66,6 +93,11 @@ class TestBuildTopology:
         with pytest.raises(MeshError):
             build_topology(verts, [[0, 1, 2], [1, 3, 2], [0, 2, 4], [0, 1, 2]])
 
+    @pytest.mark.parametrize("bad", [7, -1])
+    def test_vertex_id_out_of_range_rejected(self, bad):
+        with pytest.raises(MeshError, match="outside"):
+            build_topology(SQUARE_VERTS, [[0, 1, 2, bad]])
+
     def test_clockwise_cell_rejected(self):
         with pytest.raises(MeshError, match="counterclockwise"):
             build_topology(SQUARE_VERTS, [[0, 3, 2, 1]])
@@ -82,7 +114,6 @@ class TestBuildTopology:
 
     def test_discrete_divergence_theorem(self):
         # sum of sign * |e| * n over each cell boundary vanishes
-        from vemhr.generators import generate_mesh
         mesh = generate_mesh("poly_voronoi_random", 25, seed=3)
         for c in range(mesh.n_cells):
             e = mesh.cell_edges[c]
@@ -117,7 +148,6 @@ class TestQuality:
         assert_allclose(report.star_ratio[0], np.sqrt(3.0) / 4.0, rtol=1e-6)
 
     def test_convex_cells_positive_ratio(self):
-        from vemhr.generators import generate_mesh
         mesh = generate_mesh("poly_voronoi_cvt", 16, seed=1)
         report = check_assumptions(mesh)
         assert report.min_star_ratio > 0.0
@@ -143,7 +173,6 @@ class TestCookDomain:
 
 class TestMeshIO:
     def test_roundtrip_bit_exact(self, tmp_path):
-        from vemhr.generators import generate_mesh
         mesh = generate_mesh("quad_unstructured", 3, seed=11)
         path = tmp_path / "m.msh"
         save_mesh(path, mesh)

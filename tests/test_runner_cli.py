@@ -110,9 +110,22 @@ class TestCli:
         assert main(["mesh", "gen", "--kind", "quad_structured",
                      "--n", "2"]) == 2
 
-    def test_bad_mesh_file(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        pytest.param("garbage\n", id="garbage"),
+        pytest.param("vemhr-mesh v1\n", id="header_only"),
+        pytest.param("vemhr-mesh v1\n4\n0 0\n1 0\n", id="cut_vertices"),
+        pytest.param("vemhr-mesh v1\n4\n0 0\n1 0\n1 1\n0 1\n",
+                     id="no_cell_count"),
+        pytest.param("vemhr-mesh v1\n4\n0 0\n1 0\n1 1\n0 1\n1\n",
+                     id="cut_cells"),
+        pytest.param("vemhr-mesh v1\n4\n0 0\n1 0\n1 x\n0 1\n1\n0 1 2 3\n",
+                     id="non_numeric"),
+        pytest.param("vemhr-mesh v1\n4\n0 0\n1 0\n1 1\n0 1\n1\n0 1 2 7\n",
+                     id="vertex_id_range"),
+    ])
+    def test_bad_mesh_file(self, tmp_path, text):
         bad = tmp_path / "bad.msh"
-        bad.write_text("garbage\n")
+        bad.write_text(text)
         assert main(["solve", "--problem", "test-a", "--mesh", str(bad),
                      "--out", str(tmp_path / "o.txt")]) == 2
 
