@@ -12,10 +12,9 @@ from .assembly import (DisplacementBC, DofMap, GlobalSystem, Solution,
                        SolverError, TractionBC, apply_essential_traction,
                        assemble, inf_sup_constant, load_solution,
                        save_solution, solve)
-from .element import (RigidMotion, constant_stress_dofs, div_reconstruction,
-                      dirichlet_boundary_term, edge_traction_moments,
-                      interpolate_global, interpolate_local, local_a_h,
-                      local_b, local_load, mean_stress, rm_basis)
+from .element import (STABILIZATIONS, CellGroup, body_load_vector,
+                      cell_groups, constant_stress_dofs, divergence_field,
+                      interpolate_global, projection_field)
 from .generators import MESH_KINDS, UNIT_SQUARE, generate_mesh
 from .material import (IsotropicMaterial, from_lame,
                        from_young_poisson_plane_strain, sym_dot,
@@ -30,7 +29,8 @@ from .postproc import (convergence_rates, equilibrium_residuals, error_div,
 from .problems import (ProblemSpec, problem_cook, problem_test_a,
                        problem_test_b, problem_test_incompressible,
                        verify_exact_bundle)
-from .quadrature import EdgeRule, PolygonRule, edge_rule, polygon_rule
+from .quadrature import (QUADRATURE_DEGREE, EdgeRule, PolygonRule, edge_rule,
+                         mesh_polygon_quadrature, polygon_rule)
 from .runner import RunConfig, cook_reference, run_convergence, run_cook
 
 __version__ = "0.1.0"

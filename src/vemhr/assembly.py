@@ -16,8 +16,7 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from . import element
-from .element import RigidMotion, cell_groups, dirichlet_boundary_term, \
-    edge_traction_moments
+from .element import _edge_moments, _sample, cell_groups
 from .mesh import mesh_checksum
 
 __all__ = [
@@ -135,21 +134,17 @@ class Solution:
     cell_motions: np.ndarray
     report: SolveReport = None
 
-    def rigid_motion(self, c) -> RigidMotion:
-        a = self.cell_motions[c, :2]
-        return RigidMotion(a, float(self.cell_motions[c, 2]),
-                           self.mesh.centroids[c])
 
-
-def assemble(mesh, problem, stabilization="stab1", load_degree=6,
-             kappa=None) -> GlobalSystem:
+def assemble(mesh, problem, stabilization="stab1", kappa=None) -> GlobalSystem:
     """Assemble the saddle-point system of a problem on a mesh.
 
     ``problem`` provides ``material``, ``body_force`` (vectorized field or
     None) and ``boundary(mesh, edge) -> DisplacementBC | TractionBC`` for
     boundary edges.  Local matrices are computed group-wise and scattered
-    with the cell-side signs already folded in.  ``kappa`` overrides the
-    stabilization scale (default: material compliance trace).
+    with the cell-side signs already folded in; boundary edges are grouped
+    by their (hashable) condition and each field is evaluated once over its
+    group.  ``kappa`` overrides the stabilization scale (default: material
+    compliance trace).
     """
     dm = DofMap(mesh.n_edges, mesh.n_cells)
     rows, cols, vals = [], [], []
@@ -181,7 +176,7 @@ def assemble(mesh, problem, stabilization="stab1", load_degree=6,
 
     rhs = np.zeros(dm.size)
     if problem.body_force is not None:
-        loads = element.body_load_vector(mesh, problem.body_force, load_degree)
+        loads = element.body_load_vector(mesh, problem.body_force)
         rhs[dm.n_stress:] = -loads.reshape(-1)
 
     system = GlobalSystem(mesh=mesh, dofmap=dm, matrix=matrix, rhs=rhs,
@@ -190,42 +185,52 @@ def assemble(mesh, problem, stabilization="stab1", load_degree=6,
                           meta={"stabilization": stabilization,
                                 "problem": getattr(problem, "name", "")})
 
+    groups = {}
     for e in mesh.boundary_edges:
         bc = problem.boundary(mesh, int(e))
-        if isinstance(bc, DisplacementBC):
-            if bc.g is not None:
-                rhs[dm.edge_dofs(e)] += dirichlet_boundary_term(
-                    mesh, int(e), bc.g, load_degree)
-        elif isinstance(bc, TractionBC):
-            apply_essential_traction(system, int(e), bc.traction, load_degree)
-        else:
+        if not isinstance(bc, (DisplacementBC, TractionBC)):
             raise TypeError(f"unsupported boundary condition {bc!r}")
+        groups.setdefault(bc, []).append(e)
+    for bc, edges in groups.items():
+        edges = np.array(edges)
+        if isinstance(bc, TractionBC):
+            apply_essential_traction(system, edges, bc.traction)
+        elif bc.g is not None:
+            # int_e g . (chi_k n_out) for the three DOF basis fields:
+            # |e| times the mean of g and |e| times int s g.n = d / 12
+            scale = mesh.boundary_sign(edges) * mesh.edge_lengths[edges]
+            moments = _edge_moments(mesh, edges, lambda p: _sample(bc.g, p))
+            moments[:, 2] /= 12.0
+            rhs[:dm.n_stress].reshape(-1, 3)[edges] = scale[:, None] * moments
     return system
 
 
-def apply_essential_traction(system, edge, traction, degree=6):
-    """Fix the three DOFs of a boundary edge to the moments of a prescribed
-    outward traction (None means traction-free).
+def apply_essential_traction(system, edges, traction):
+    """Fix the three DOFs of each given boundary edge to the moments of a
+    prescribed outward traction (None means traction-free).
 
     The field gives sigma n against the domain's outward normal; the stored
-    DOFs live in the canonical edge frame, so the cell-side sign of the
-    single incident cell is folded in.
+    DOFs live in the canonical edge frame, so the cell-side sign of each
+    edge's single incident cell is folded in.  An interior edge raises
+    ``MeshError``, an edge constrained twice ``ValueError``.
     """
     mesh = system.mesh
-    sign = mesh.boundary_sign(edge)  # raises on interior edges
+    edges = np.asarray(edges, dtype=int).reshape(-1)
+    sign = mesh.boundary_sign(edges)
+    ids, counts = np.unique(np.concatenate(
+        [np.unique(system.constrained_dofs // 3), edges]), return_counts=True)
+    if np.any(counts > 1):
+        raise ValueError(f"edge {ids[np.argmax(counts > 1)]} already "
+                         "constrained")
     if traction is None:
-        values = np.zeros(3)
+        values = np.zeros((len(edges), 3))
     else:
-        c, d = edge_traction_moments(
-            mesh, edge, lambda p: sign * np.asarray(traction(p), dtype=float),
-            degree)
-        values = np.array([c[0], c[1], d])
-    dofs = system.dofmap.edge_dofs(edge)
-    if np.isin(dofs, system.constrained_dofs).any():
-        raise ValueError(f"edge {edge} already constrained")
-    system.constrained_dofs = np.concatenate([system.constrained_dofs, dofs])
+        values = _edge_moments(mesh, edges, lambda p: sign[:, None, None]
+                               * _sample(traction, p))
+    system.constrained_dofs = np.concatenate(
+        [system.constrained_dofs, (3 * edges[:, None] + np.arange(3)).ravel()])
     system.constrained_values = np.concatenate(
-        [system.constrained_values, values])
+        [system.constrained_values, values.ravel()])
     return system
 
 

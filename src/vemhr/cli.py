@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from .assembly import SolverError, assemble, save_solution, solve
+from .element import STABILIZATIONS
 from .generators import MESH_KINDS, generate_mesh
 from .mesh import MeshError, cook_domain, load_mesh, save_mesh
 from .runner import PROBLEM_IDS, RunConfig, run_convergence, run_cook
@@ -67,7 +68,7 @@ def _build_parser():
     sol.add_argument("--problem", choices=PROBLEM_IDS)
     sol.add_argument("--nu", type=float, default=1.0 / 3.0)
     sol.add_argument("--mesh")
-    sol.add_argument("--stab", choices=("stab1", "stab1bis"), default="stab1")
+    sol.add_argument("--stab", choices=STABILIZATIONS, default="stab1")
     sol.add_argument("--out")
 
     conv = sub.add_parser("convergence", help="manufactured-solution study")
@@ -75,7 +76,7 @@ def _build_parser():
     conv.add_argument("--problem", choices=("test-a", "test-b", "test-inc"))
     conv.add_argument("--kind", choices=MESH_KINDS)
     conv.add_argument("--levels", default="8,16,32,64")
-    conv.add_argument("--stab", choices=("stab1", "stab1bis"), default="stab1")
+    conv.add_argument("--stab", choices=STABILIZATIONS, default="stab1")
     conv.add_argument("--seed", type=int, default=0)
     conv.add_argument("--csv")
 
@@ -84,7 +85,7 @@ def _build_parser():
     cook.add_argument("--kinds", default="quad,cvor,rvor")
     cook.add_argument("--levels", default="8,16,32,64")
     cook.add_argument("--nus", default="0.333333333333333333,0.499995")
-    cook.add_argument("--stab", choices=("stab1", "stab1bis"), default="stab1")
+    cook.add_argument("--stab", choices=STABILIZATIONS, default="stab1")
     cook.add_argument("--seed", type=int, default=0)
     cook.add_argument("--csv")
     cook.add_argument("--vtk")

@@ -11,32 +11,22 @@ Everything the scheme needs is a linear map of these DOFs:
 * the stabilized energy matrix A_E and the divergence coupling B_E.
 
 The maps are assembled for groups of cells sharing an edge count, so the
-whole-mesh computation is a handful of einsums per group.
+whole-mesh computation is a handful of einsums per group.  Edge data (the
+interpolation of a stress field, prescribed tractions, displacement data)
+goes through one edge-moment kernel over arrays of edges.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .material import tensor_to_matrix
 from .mesh import loop_groups, perp
-from .quadrature import edge_rule, mesh_polygon_quadrature, polygon_rule
+from .quadrature import QUADRATURE_DEGREE, edge_rule, mesh_polygon_quadrature
 
 __all__ = [
-    "RigidMotion",
+    "STABILIZATIONS",
     "CellGroup",
     "cell_groups",
-    "rm_basis",
-    "div_reconstruction",
-    "mean_stress",
-    "local_a_h",
-    "local_b",
-    "local_load",
-    "dirichlet_boundary_term",
-    "edge_traction_moments",
-    "interpolate_local",
     "interpolate_global",
-    "cell_dof_values",
     "constant_stress_dofs",
     "divergence_field",
     "projection_field",
@@ -44,23 +34,6 @@ __all__ = [
 ]
 
 STABILIZATIONS = ("stab1", "stab1bis")
-
-
-@dataclass(frozen=True)
-class RigidMotion:
-    """Displacement a + b * perp(x - center) with perp(c1, c2) = (c2, -c1)."""
-
-    a: np.ndarray
-    b: float
-    center: np.ndarray
-
-    def __call__(self, points):
-        points = np.asarray(points, dtype=float)
-        return self.a + self.b * perp(points - self.center)
-
-    @property
-    def coefficients(self):
-        return np.array([self.a[0], self.a[1], self.b])
 
 
 class CellGroup:
@@ -191,59 +164,6 @@ def cell_groups(mesh):
     return cached
 
 
-def _single(mesh, cell):
-    return CellGroup(mesh, [cell])
-
-
-def rm_basis(mesh, cell):
-    """The three rigid motions (1,0), (0,1), perp(x - x_C) anchored at the
-    centroid, hence mutually L2-orthogonal on the cell."""
-    xc = mesh.centroids[cell]
-    return (RigidMotion(np.array([1.0, 0.0]), 0.0, xc),
-            RigidMotion(np.array([0.0, 1.0]), 0.0, xc),
-            RigidMotion(np.array([0.0, 0.0]), 1.0, xc))
-
-
-def div_reconstruction(mesh, cell, dofs) -> RigidMotion:
-    """Divergence of the virtual stress with the given cell-local DOFs.
-
-    ``dofs`` is the length-3n vector in the cell's CCW edge order, global
-    frame; the cell-side signs are applied internally.
-    """
-    g = _single(mesh, cell)
-    dofs = np.asarray(dofs, dtype=float)
-    return RigidMotion(g.alpha_map[0] @ dofs, float(g.beta_map[0] @ dofs),
-                       mesh.centroids[cell])
-
-
-def mean_stress(mesh, cell, dofs):
-    """Projection of the virtual stress onto constant symmetric tensors,
-    returned as a (s11, s22, s12) triple."""
-    g = _single(mesh, cell)
-    return g.projection_map[0] @ np.asarray(dofs, dtype=float)
-
-
-def local_a_h(mesh, cell, material, stabilization="stab1", kappa=None):
-    return _single(mesh, cell).a_matrices(material, stabilization, kappa)[0]
-
-
-def local_b(mesh, cell):
-    return _single(mesh, cell).b_matrices()[0]
-
-
-def local_load(mesh, cell, f, degree=6):
-    """Load vector against the rigid-motion basis by polygon quadrature."""
-    rule = polygon_rule(mesh.cell_coords(cell), degree,
-                        centroid=mesh.centroids[cell])
-    fv = np.asarray(f(rule.points), dtype=float)
-    xi = rule.points - mesh.centroids[cell]
-    return np.array([
-        rule.weights @ fv[:, 0],
-        rule.weights @ fv[:, 1],
-        rule.weights @ np.einsum("qa,qa->q", fv, perp(xi)),
-    ])
-
-
 def _edge_points(mesh, edges, nodes):
     delta = (mesh.vertices[mesh.edge_nodes[edges, 1]]
              - mesh.vertices[mesh.edge_nodes[edges, 0]])
@@ -251,72 +171,38 @@ def _edge_points(mesh, edges, nodes):
             + nodes[:, None] * delta[..., None, :])
 
 
-def dirichlet_boundary_term(mesh, edge, g, degree=6):
-    """Weak displacement data on a boundary edge: int_e g . (chi_k n_out)
-    for the edge's three DOF basis fields, in global DOF order."""
-    sign = mesh.boundary_sign(edge)
-    rule = edge_rule(degree)
-    pts = _edge_points(mesh, edge, rule.nodes)
-    gv = np.asarray(g(pts), dtype=float)
-    L = mesh.edge_lengths[edge]
-    n = mesh.edge_normals[edge]
-    gn = gv @ n
-    return sign * L * np.array([
-        rule.weights @ gv[:, 0],
-        rule.weights @ gv[:, 1],
-        rule.weights @ (rule.nodes * gn),
-    ])
+def _edge_moments(mesh, edges, field):
+    """Moments (c_x, c_y, d) of vector profiles along edges, (len(edges), 3):
+    the DOFs of their best representatives with constant tangential and
+    affine normal part.
 
-
-def edge_traction_moments(mesh, edge, traction, degree=6):
-    """Moments (c, d) of a traction profile along an edge, i.e. the DOFs of
-    its best representative with constant tangential and affine normal part.
-
-    ``traction`` maps points to the global-frame traction tau n_e.  The mean
-    gives c; the first moment against perp(x - midpoint) gives d through the
-    coefficient |e|^2/12 (n . perp(t) = 1 for straight edges).
+    ``field`` maps the (len(edges), q, 2) edge-rule points to values of the
+    same shape.  The mean gives c; the first moment against
+    perp(x - midpoint) gives d through the coefficient |e|^2/12
+    (n . perp(t) = 1 for straight edges).
     """
-    rule = edge_rule(degree)
-    pts = _edge_points(mesh, edge, rule.nodes)
-    tv = np.asarray(traction(pts), dtype=float)
-    c = rule.weights @ tv
-    arm = perp(pts - mesh.edge_midpoints[edge])
-    d = 12.0 / mesh.edge_lengths[edge] * (
-        rule.weights @ np.einsum("qa,qa->q", tv - c, arm))
-    return c, float(d)
-
-
-def interpolate_local(mesh, cell, tau, degree=6):
-    """Edge-moment interpolation of an analytic symmetric tensor field
-    (triple-valued) onto the cell's DOFs, in cell-local order."""
-    out = np.empty(3 * len(mesh.cell_edges[cell]))
-    for k, e in enumerate(mesh.cell_edges[cell]):
-        n = mesh.edge_normals[e]
-        c, d = edge_traction_moments(
-            mesh, e, lambda p: tensor_to_matrix(tau(p)) @ n, degree)
-        out[3 * k:3 * k + 2] = c
-        out[3 * k + 2] = d
-    return out
-
-
-def interpolate_global(mesh, tau, degree=6):
-    """Edge-moment interpolation on every edge at once; returns (n_edges, 3)."""
-    rule = edge_rule(degree)
-    edges = np.arange(mesh.n_edges)
+    rule = edge_rule(QUADRATURE_DEGREE)
     pts = _edge_points(mesh, edges, rule.nodes)
-    tv = tensor_to_matrix(tau(pts.reshape(-1, 2)).reshape(mesh.n_edges,
-                                                          len(rule.nodes), 3))
-    tn = np.einsum("eqab,eb->eqa", tv, mesh.edge_normals)
-    c = np.einsum("q,eqa->ea", rule.weights, tn)
-    arm = perp(pts - mesh.edge_midpoints[:, None, :])
-    d = 12.0 / mesh.edge_lengths * np.einsum(
-        "q,eqa->e", rule.weights, (tn - c[:, None, :]) * arm)
+    tv = field(pts)
+    c = np.einsum("q,eqa->ea", rule.weights, tv)
+    arm = perp(pts - mesh.edge_midpoints[edges][:, None, :])
+    d = 12.0 / mesh.edge_lengths[edges] * np.einsum(
+        "q,eqa->e", rule.weights, (tv - c[:, None, :]) * arm)
     return np.column_stack([c, d])
 
 
-def cell_dof_values(mesh, cell, edge_dof_table):
-    """Cell-local DOF vector gathered from a global (n_edges, 3) table."""
-    return np.asarray(edge_dof_table)[mesh.cell_edges[cell]].reshape(-1)
+def _sample(field, points):
+    """A vectorized field evaluated on an (..., 2) point array in one flat
+    call; returns (..., k)."""
+    values = np.asarray(field(points.reshape(-1, 2)), dtype=float)
+    return values.reshape(points.shape[:-1] + values.shape[-1:])
+
+
+def interpolate_global(mesh, tau):
+    """Edge-moment interpolation of an analytic symmetric tensor field
+    (triple-valued) on every edge at once; returns (n_edges, 3)."""
+    return _edge_moments(mesh, np.arange(mesh.n_edges), lambda p: np.einsum(
+        "eqab,eb->eqa", tensor_to_matrix(_sample(tau, p)), mesh.edge_normals))
 
 
 def constant_stress_dofs(mesh, sigma):
@@ -346,9 +232,9 @@ def projection_field(mesh, edge_dof_table):
     return out
 
 
-def body_load_vector(mesh, f, degree=6):
+def body_load_vector(mesh, f):
     """Loads of all cells against their rigid-motion bases, (n_cells, 3)."""
-    pts, wts, owner = mesh_polygon_quadrature(mesh, degree)
+    pts, wts, owner = mesh_polygon_quadrature(mesh, QUADRATURE_DEGREE)
     fv = np.asarray(f(pts), dtype=float)
     xi = perp(pts - mesh.centroids[owner])
     out = np.zeros((mesh.n_cells, 3))

@@ -210,11 +210,14 @@ class PolyMesh:
         return self.vertices[self.cell_vertex_ids[o[c]:o[c + 1]]]
 
     def boundary_sign(self, e):
-        """Outward sign of the single cell incident to a boundary edge."""
-        plus, minus = self.edge_cells[e]
-        if plus >= 0 and minus >= 0:
-            raise MeshError(f"edge {e} is interior")
-        return 1.0 if plus >= 0 else -1.0
+        """Outward sign of the single cell incident to a boundary edge (or
+        to each of an array of them); MeshError names an interior edge."""
+        cells = self.edge_cells[e]
+        interior = (cells >= 0).all(axis=-1)
+        if np.any(interior):
+            raise MeshError(f"edge {np.asarray(e)[interior].flat[0]} is "
+                            "interior")
+        return np.where(cells[..., 0] >= 0, 1.0, -1.0)
 
     def __repr__(self):
         return (f"PolyMesh(vertices={self.n_vertices}, cells={self.n_cells}, "

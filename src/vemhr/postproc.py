@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .element import body_load_vector, divergence_field, projection_field
+from .element import (_edge_points, _sample, body_load_vector,
+                      divergence_field, projection_field)
 from .material import tensor_to_matrix, von_mises_plane_strain
 from .mesh import perp
-from .quadrature import edge_rule, mesh_polygon_quadrature
+from .quadrature import QUADRATURE_DEGREE, edge_rule, mesh_polygon_quadrature
 
 __all__ = [
     "RateTable",
@@ -37,7 +38,7 @@ def _edge_dof_table(solution):
     return solution if isinstance(solution, np.ndarray) else solution.edge_dofs
 
 
-def error_sigma(mesh, solution, sigma_exact, kappa, degree=6):
+def error_sigma(mesh, solution, sigma_exact, kappa):
     """Energy-scaled traction error over all mesh edges.
 
     ``sigma_exact`` maps points to stress triples; the discrete traction on
@@ -45,14 +46,9 @@ def error_sigma(mesh, solution, sigma_exact, kappa, degree=6):
     compliance scale used in the stabilization (homogeneous material).
     """
     table = _edge_dof_table(solution)
-    rule = edge_rule(degree)
-    delta = (mesh.vertices[mesh.edge_nodes[:, 1]]
-             - mesh.vertices[mesh.edge_nodes[:, 0]])
-    pts = (mesh.edge_midpoints[:, None, :]
-           + rule.nodes[None, :, None] * delta[:, None, :])
-    smat = tensor_to_matrix(
-        np.asarray(sigma_exact(pts.reshape(-1, 2)))
-        .reshape(mesh.n_edges, len(rule.nodes), 3))
+    rule = edge_rule(QUADRATURE_DEGREE)
+    pts = _edge_points(mesh, np.arange(mesh.n_edges), rule.nodes)
+    smat = tensor_to_matrix(_sample(sigma_exact, pts))
     t_exact = np.einsum("eqab,eb->eqa", smat, mesh.edge_normals)
     t_h = (table[:, None, :2]
            + table[:, 2, None, None] * rule.nodes[None, :, None]
@@ -61,26 +57,31 @@ def error_sigma(mesh, solution, sigma_exact, kappa, degree=6):
     return float(np.sqrt((kappa * mesh.edge_lengths**2 * misfit).sum()))
 
 
-def error_div(mesh, solution, div_sigma_exact=None, degree=6):
+def _rigid_motion_l2_error(mesh, motions, exact):
+    """L2 norm of ``exact`` (a vectorized field, None meaning zero) minus
+    the per-cell rigid motions a + b perp(x - x_C), rows (a_x, a_y, b)."""
+    pts, wts, owner = mesh_polygon_quadrature(mesh, QUADRATURE_DEGREE)
+    approx = (motions[owner, :2]
+              + motions[owner, 2, None] * perp(pts - mesh.centroids[owner]))
+    exact = 0.0 if exact is None else np.asarray(exact(pts))
+    return float(np.sqrt((wts * ((exact - approx) ** 2).sum(axis=1)).sum()))
+
+
+def error_div(mesh, solution, div_sigma_exact=None):
     """L2 norm of div(sigma - sigma_h); the discrete divergence is the exact
     per-cell rigid motion reconstructed from the stress DOFs."""
-    dv = divergence_field(mesh, _edge_dof_table(solution))
-    pts, wts, owner = mesh_polygon_quadrature(mesh, degree)
-    approx = dv[owner, :2] + dv[owner, 2, None] * perp(pts - mesh.centroids[owner])
-    exact = 0.0 if div_sigma_exact is None else np.asarray(div_sigma_exact(pts))
-    return float(np.sqrt((wts * ((exact - approx) ** 2).sum(axis=1)).sum()))
+    return _rigid_motion_l2_error(
+        mesh, divergence_field(mesh, _edge_dof_table(solution)),
+        div_sigma_exact)
 
 
-def error_u(mesh, solution, u_exact, degree=6):
+def error_u(mesh, solution, u_exact):
     """L2 displacement error against the per-cell rigid motions."""
     cm = solution if isinstance(solution, np.ndarray) else solution.cell_motions
-    pts, wts, owner = mesh_polygon_quadrature(mesh, degree)
-    approx = cm[owner, :2] + cm[owner, 2, None] * perp(pts - mesh.centroids[owner])
-    exact = np.asarray(u_exact(pts))
-    return float(np.sqrt((wts * ((exact - approx) ** 2).sum(axis=1)).sum()))
+    return _rigid_motion_l2_error(mesh, cm, u_exact)
 
 
-def equilibrium_residuals(mesh, solution, f=None, degree=6):
+def equilibrium_residuals(mesh, solution, f=None):
     """Per-cell L2 norms of div sigma_h + Pi_RM f (zero f allowed).
 
     By construction of the scheme these vanish up to the solver residual;
@@ -89,7 +90,7 @@ def equilibrium_residuals(mesh, solution, f=None, degree=6):
     dv = divergence_field(mesh, _edge_dof_table(solution))
     target = np.zeros((mesh.n_cells, 3))
     if f is not None:
-        target = body_load_vector(mesh, f, degree)
+        target = body_load_vector(mesh, f)
         target[:, :2] /= mesh.areas[:, None]
         target[:, 2] /= mesh.second_moments
     delta = dv + target

@@ -17,6 +17,7 @@ import numpy as np
 from .mesh import _next_slot, _slot_cells, shoelace
 
 __all__ = [
+    "QUADRATURE_DEGREE",
     "EdgeRule",
     "PolygonRule",
     "edge_rule",
@@ -24,6 +25,9 @@ __all__ = [
     "polygon_rule",
     "mesh_polygon_quadrature",
 ]
+
+# Degree of every load, boundary-data, interpolation and error-norm rule.
+QUADRATURE_DEGREE = 6
 
 
 @dataclass(frozen=True)
@@ -163,9 +167,18 @@ def polygon_rule(coords, degree: int, centroid=None) -> PolygonRule:
 def mesh_polygon_quadrature(mesh, degree: int):
     """Batched fan-triangulation rule over all cells of a mesh.
 
-    Returns ``(points, weights, cell_ids)`` with one flat array per field so
-    integrands can be evaluated in a single vectorized call; per-cell sums
-    are recovered by grouping on ``cell_ids`` (the ids are nondecreasing).
+    Returns ``(points, weights, cell_ids)`` with one flat read-only array
+    per field so integrands can be evaluated in a single vectorized call;
+    per-cell sums are recovered by grouping on ``cell_ids`` (the ids are
+    nondecreasing).  Cached on the mesh per degree (meshes are immutable).
     """
-    return _fan_rule(mesh.vertices[mesh.cell_vertex_ids], mesh.cell_offsets,
-                     mesh.centroids, degree)
+    cached = getattr(mesh, "_fan_rules", None)
+    if cached is None:
+        cached = mesh._fan_rules = {}
+    if degree not in cached:
+        rule = _fan_rule(mesh.vertices[mesh.cell_vertex_ids],
+                         mesh.cell_offsets, mesh.centroids, degree)
+        for array in rule:
+            array.setflags(write=False)
+        cached[degree] = rule
+    return cached[degree]

@@ -12,13 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import postproc
-from .assembly import assemble, solve
-from .element import projection_field
+from .assembly import SolverError, assemble, solve
+from .element import STABILIZATIONS, projection_field
 from .generators import MESH_KINDS, generate_mesh
 from .mesh import cook_domain
 from .postproc import von_mises_field, write_vtk_polydata
 from .problems import COOK_PROBE_POINT, problem_cook, problem_test_a, \
     problem_test_b, problem_test_incompressible, verify_exact_bundle
+from .quadrature import QUADRATURE_DEGREE, mesh_polygon_quadrature
 
 __all__ = [
     "RunConfig",
@@ -52,13 +53,10 @@ class RunConfig:
     cook_kinds: tuple = ("quad", "cvor", "rvor")
     cook_nus: tuple = (1.0 / 3.0, 0.499995)
     stabilization: str = "stab1"
-    load_degree: int = 6
-    error_degree: int = 6
     solver_tol: float = 1e-10
     seed: int = 0
     lloyd_iters: int = 50
     rate_window: int = 3
-    overkill_n: int = 128
     csv_path: str = None
     vtk_path: str = None
 
@@ -71,7 +69,7 @@ class RunConfig:
             raise ValueError("levels must be positive integers")
         if any(k not in COOK_KINDS for k in self.cook_kinds):
             raise ValueError(f"cook kinds must be among {tuple(COOK_KINDS)}")
-        if self.stabilization not in ("stab1", "stab1bis"):
+        if self.stabilization not in STABILIZATIONS:
             raise ValueError(f"unknown stabilization {self.stabilization!r}")
         return self
 
@@ -107,8 +105,7 @@ def mesh_for_level(kind, level, domain=None, seed=0, lloyd_iters=50):
 
 
 def solve_on_mesh(problem, mesh, config: RunConfig):
-    system = assemble(mesh, problem, stabilization=config.stabilization,
-                      load_degree=config.load_degree)
+    system = assemble(mesh, problem, stabilization=config.stabilization)
     return solve(system, tol=config.solver_tol)
 
 
@@ -119,8 +116,6 @@ def convergence_study(problem, kind, levels, config: RunConfig):
     the largest per-cell norm of div sigma_h + Pi_RM f and the L2 norm of
     the body load (for relative equilibrium checks).
     """
-    from .quadrature import mesh_polygon_quadrature
-
     kappa = problem.material.kappa
     rows = []
     failures = []
@@ -130,12 +125,13 @@ def convergence_study(problem, kind, levels, config: RunConfig):
                                   seed=config.seed,
                                   lloyd_iters=config.lloyd_iters)
             solution = solve_on_mesh(problem, mesh, config)
-        except Exception as exc:  # record and continue with the other levels
+        except (ValueError, SolverError) as exc:
+            # a bad mesh or a singular system fails this level only
             failures.append((level, f"{type(exc).__name__}: {exc}"))
             continue
         f_l2 = 0.0
         if problem.body_force is not None:
-            pts, wts, _ = mesh_polygon_quadrature(mesh, config.load_degree)
+            pts, wts, _ = mesh_polygon_quadrature(mesh, QUADRATURE_DEGREE)
             fv = problem.body_force(pts)
             f_l2 = float(np.sqrt(wts @ (fv**2).sum(axis=1)))
         row = {
@@ -143,19 +139,16 @@ def convergence_study(problem, kind, levels, config: RunConfig):
             "h_bar": mesh.mean_edge_length,
             "n_dof": solution.report.n_dof,
             "equilibrium_max": float(postproc.equilibrium_residuals(
-                mesh, solution, problem.body_force,
-                config.load_degree).max()),
+                mesh, solution, problem.body_force).max()),
             "f_l2": f_l2,
         }
         if problem.exact is not None:
             row["E_sigma"] = postproc.error_sigma(
-                mesh, solution, problem.exact.stress, kappa,
-                config.error_degree)
+                mesh, solution, problem.exact.stress, kappa)
             row["E_sigma_div"] = postproc.error_div(
-                mesh, solution, problem.exact.divergence, config.error_degree)
+                mesh, solution, problem.exact.divergence)
             row["E_u"] = postproc.error_u(
-                mesh, solution, problem.exact.displacement,
-                config.error_degree)
+                mesh, solution, problem.exact.displacement)
         rows.append(row)
     return rows, failures
 

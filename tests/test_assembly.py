@@ -9,7 +9,7 @@ from vemhr.assembly import (DisplacementBC, DofMap, SolverError, TractionBC,
 from vemhr.element import constant_stress_dofs
 from vemhr.generators import generate_mesh
 from vemhr.material import from_lame
-from vemhr.mesh import build_topology, cook_domain
+from vemhr.mesh import MeshError, build_topology, cook_domain
 from vemhr.postproc import equilibrium_residuals
 from vemhr.quadrature import mesh_polygon_quadrature
 from vemhr.problems import ProblemSpec, problem_cook, problem_test_a, \
@@ -178,8 +178,9 @@ class TestEssentialTraction:
         mesh = build_topology(verts, [[0, 1, 2], [1, 3, 2]])
         problem, _ = patch_problem()
         system = assemble(mesh, problem)
-        with pytest.raises(Exception):
-            apply_essential_traction(system, int(mesh.interior_edges[0]), None)
+        e = int(mesh.interior_edges[0])
+        with pytest.raises(MeshError, match=f"edge {e} is interior"):
+            apply_essential_traction(system, [0, e], None)
 
     def test_double_constraint_rejected(self):
         problem, _ = patch_problem()
@@ -187,8 +188,31 @@ class TestEssentialTraction:
         system.constrained_dofs = np.empty(0, dtype=int)
         system.constrained_values = np.empty(0)
         apply_essential_traction(system, 0, None)
-        with pytest.raises(ValueError, match="already constrained"):
-            apply_essential_traction(system, 0, None)
+        with pytest.raises(ValueError, match="edge 0 already constrained"):
+            apply_essential_traction(system, [1, 0], None)
+        with pytest.raises(ValueError, match="edge 2 already constrained"):
+            apply_essential_traction(system, [2, 3, 2], None)
+        assert_allclose(system.constrained_dofs, [0, 1, 2])
+
+    def test_equal_conditions_evaluated_once(self):
+        # a classifier returning a fresh but equal condition per edge still
+        # batches: one traction evaluation for all its edges
+        calls = []
+
+        def traction(p):
+            calls.append(p.shape)
+            return np.zeros(p.shape)
+
+        mesh = generate_mesh("quad_structured", 3)
+        problem = ProblemSpec(
+            name="t", domain=None, material=from_lame(1.0, 1.0),
+            body_force=None, exact=None,
+            boundary=lambda m, e: (TractionBC(traction=traction)
+                                   if m.edge_midpoints[e, 1] > 1 - 1e-12
+                                   else DisplacementBC()))
+        system = assemble(mesh, problem)
+        assert len(calls) == 1
+        assert len(system.constrained_dofs) == 3 * 3
 
 
 class TestSolve:

@@ -1,0 +1,56 @@
+"""The benchmark tracer wraps vemhr functions by module attribute name
+(``perfbench/tracing.py``, ``TARGETS``); a renamed or deleted name there
+makes every traced benchmark case fail, so every target must resolve.  The
+public names of the package and of each module's ``__all__`` must exist too.
+"""
+
+import ast
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import vemhr
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACING = load_tracing()
+
+
+@pytest.mark.parametrize("path,attr", [
+    pytest.param(path, attr, id=f"{path}.{attr}")
+    for path, attr, _, _ in TRACING.TARGETS])
+def test_trace_target_resolves(path, attr):
+    assert callable(getattr(TRACING._resolve(path), attr))
+
+
+def test_tracer_replacements_build():
+    assert len(TRACING.Tracer().replacements()) == len(TRACING.TARGETS)
+
+
+def test_package_exports_exist():
+    tree = ast.parse(Path(vemhr.__file__).read_text())
+    names = [alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert names
+    assert [n for n in names if not hasattr(vemhr, n)] == []
+
+
+@pytest.mark.parametrize("name", sorted(
+    m.name for m in pkgutil.iter_modules(vemhr.__path__)))
+def test_module_all_exists(name):
+    module = importlib.import_module(f"vemhr.{name}")
+    missing = [n for n in getattr(module, "__all__", ())
+               if not hasattr(module, n)]
+    assert missing == []

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vemhr.element import (cell_dof_values, constant_stress_dofs,
-                           dirichlet_boundary_term, div_reconstruction,
-                           divergence_field, edge_traction_moments,
-                           interpolate_global, interpolate_local, local_a_h,
-                           local_b, local_load, mean_stress, projection_field,
-                           rm_basis)
+from vemhr.assembly import DisplacementBC, assemble
+from vemhr.element import (body_load_vector, cell_groups,
+                           constant_stress_dofs, divergence_field,
+                           interpolate_global, projection_field)
 from vemhr.material import from_lame, sym_dot
-from vemhr.mesh import build_topology, perp
+from vemhr.mesh import MeshError, build_topology, perp
+from vemhr.postproc import error_u
+from vemhr.problems import ProblemSpec
 from vemhr.quadrature import polygon_rule
 from vemhr.generators import generate_mesh
 
@@ -28,9 +28,40 @@ def random_polygon_mesh(seed, n_min=3, n_max=9):
     return build_topology(verts, [list(range(k))])
 
 
+def table_of(mesh, dofs):
+    """Global (n_edges, 3) DOF table of a one-cell mesh from its cell-local
+    DOF vector: the edge ids of a single cell follow its loop order."""
+    assert np.array_equal(mesh.cell_edges[0], np.arange(mesh.n_edges))
+    return np.asarray(dofs, dtype=float).reshape(-1, 3)
+
+
+def div_moments(mesh, table):
+    """Per-cell (|E| alpha_x, |E| alpha_y, J_E beta) of a DOF table."""
+    dv = divergence_field(mesh, table)
+    return np.column_stack([mesh.areas[:, None] * dv[:, :2],
+                            mesh.second_moments * dv[:, 2]])
+
+
+def a_matrix(mesh, material, stabilization="stab1", kappa=None):
+    """Energy matrix of a one-cell mesh."""
+    return cell_groups(mesh)[0].a_matrices(material, stabilization, kappa)[0]
+
+
+def b_matrix(mesh):
+    """Divergence coupling of a one-cell mesh."""
+    return cell_groups(mesh)[0].b_matrices()[0]
+
+
+def rm_field(mesh, cell, which):
+    """Rigid-motion basis field: (1, 0), (0, 1) or perp(x - x_C)."""
+    if which < 2:
+        return lambda p: np.broadcast_to(np.eye(2)[which], p.shape)
+    return lambda p: perp(p - mesh.centroids[cell])
+
+
 def boundary_rm_integral(mesh, cell, dofs, which):
     """Independent oracle: sum_e int_e phi_out . r by dense edge quadrature."""
-    r = rm_basis(mesh, cell)[which]
+    r = rm_field(mesh, cell, which)
     x, w = np.polynomial.legendre.leggauss(8)
     s = 0.5 * x
     w = 0.5 * w
@@ -46,51 +77,77 @@ def boundary_rm_integral(mesh, cell, dofs, which):
     return total
 
 
+def edge_moments_oracle(mesh, tau):
+    """Independent oracle for the edge-moment interpolation: per edge, the
+    mean of tau n and d = 12 int s (tau n) . n by dense Gauss quadrature."""
+    x, w = np.polynomial.legendre.leggauss(8)
+    s, w = 0.5 * x, 0.5 * w
+    out = np.empty((mesh.n_edges, 3))
+    for e in range(mesh.n_edges):
+        pe, qe = mesh.vertices[mesh.edge_nodes[e]]
+        n = mesh.edge_normals[e]
+        t = tau(mesh.edge_midpoints[e] + s[:, None] * (qe - pe))
+        tn = np.column_stack([t[:, 0] * n[0] + t[:, 2] * n[1],
+                              t[:, 2] * n[0] + t[:, 1] * n[1]])
+        out[e, :2] = w @ tn
+        out[e, 2] = 12.0 * (w @ (s * (tn @ n)))
+    return out
+
+
+def dirichlet_rhs(mesh, edge, g):
+    """Weak displacement data of one edge, read off the assembled rhs."""
+    bc = DisplacementBC(g=g)
+    problem = ProblemSpec(name="t", domain=None, material=from_lame(1.0, 1.0),
+                          body_force=None, boundary=lambda m, e: bc,
+                          exact=None)
+    return assemble(mesh, problem).rhs[3 * edge:3 * edge + 3]
+
+
 class TestRigidMotionBasis:
     def test_rotation_value(self):
-        b3 = rm_basis(SQUARE, 0)[2]
-        assert_allclose(b3(np.array([1.0, 1.0])), [0.5, -0.5])
+        # the rotational rigid motion is perp(x - x_C) with perp(c1, c2) =
+        # (c2, -c1), anchored at the centroid
+        xc = SQUARE.centroids[0]
+        assert_allclose(perp(np.array([1.0, 1.0]) - xc), [0.5, -0.5])
+        assert error_u(SQUARE, np.array([[0.0, 0.0, 1.0]]),
+                       lambda p: perp(p - xc)) < 1e-15
 
     def test_orthogonality(self):
-        rule = polygon_rule(SQUARE.cell_coords(0), 3)
-        b1, _, b3 = rm_basis(SQUARE, 0)
-        val = rule.weights @ np.einsum("qa,qa->q", b1(rule.points),
-                                       b3(rule.points))
-        assert_allclose(val, 0.0, atol=1e-15)
+        # translations are L2-orthogonal to the rotation about the centroid
+        f = lambda p: np.broadcast_to(np.array([1.0, 0.0]), p.shape)
+        assert abs(body_load_vector(SQUARE, f)[0, 2]) < 1e-15
 
     def test_rotation_mass_is_second_moment(self):
-        rule = polygon_rule(SQUARE.cell_coords(0), 3)
-        b3 = rm_basis(SQUARE, 0)[2]
-        val = rule.weights @ (b3(rule.points) ** 2).sum(1)
-        assert_allclose(val, 1.0 / 6.0, rtol=1e-14)
+        xc = SQUARE.centroids[0]
+        val = error_u(SQUARE, np.zeros((1, 3)), lambda p: perp(p - xc))
+        assert_allclose(val**2, 1.0 / 6.0, rtol=1e-14)
+        assert_allclose(SQUARE.second_moments[0], 1.0 / 6.0, rtol=1e-14)
 
 
 class TestDivReconstruction:
     def test_identity_tractions_divergence_free(self):
-        dofs = cell_dof_values(SQUARE, 0, constant_stress_dofs(SQUARE, [1, 1, 0]))
-        assert_allclose(div_reconstruction(SQUARE, 0, dofs).coefficients,
-                        np.zeros(3), atol=1e-14)
+        table = constant_stress_dofs(SQUARE, [1, 1, 0])
+        assert_allclose(divergence_field(SQUARE, table)[0], np.zeros(3),
+                        atol=1e-14)
 
     def test_single_edge_mean_traction(self):
         # c = (1, 0) on the right edge only: matches tau = [[x,0],[0,0]]
-        dofs = np.zeros(12)
-        k = [list(SQUARE.cell_edges[0]).index(e)
-             for e in range(4)
-             if np.allclose(SQUARE.edge_midpoints[e], [1.0, 0.5])][0]
-        dofs[3 * k] = 1.0
-        rm = div_reconstruction(SQUARE, 0, dofs)
-        assert_allclose(rm.coefficients, [1.0, 0.0, 0.0], atol=1e-14)
+        table = np.zeros((4, 3))
+        right = [e for e in range(4)
+                 if np.allclose(SQUARE.edge_midpoints[e], [1.0, 0.5])]
+        table[right, 0] = 1.0
+        assert_allclose(divergence_field(SQUARE, table)[0], [1.0, 0.0, 0.0],
+                        atol=1e-14)
 
     def test_constant_matrix_tractions_alpha_vanishes(self):
         # tractions of a constant (non-symmetric) matrix close up: the
         # discrete divergence theorem kills the mean part
         mesh = random_polygon_mesh(42)
         m = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        dofs = np.zeros(3 * len(mesh.cell_edges[0]))
-        for k, e in enumerate(mesh.cell_edges[0]):
-            dofs[3 * k:3 * k + 2] = m @ mesh.edge_normals[e]
-        rm = div_reconstruction(mesh, 0, dofs)
-        assert_allclose(rm.a, [0.0, 0.0], atol=1e-13)
+        table = np.zeros((mesh.n_edges, 3))
+        table[:, :2] = mesh.edge_normals @ m.T
+        assert_allclose(divergence_field(mesh, table)[0, :2], [0.0, 0.0],
+                        atol=1e-13)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_compatibility_against_quadrature(self, seed):
@@ -98,12 +155,7 @@ class TestDivReconstruction:
         mesh = random_polygon_mesh(seed)
         rng = np.random.default_rng(1000 + seed)
         dofs = rng.standard_normal(3 * len(mesh.cell_edges[0]))
-        rm = div_reconstruction(mesh, 0, dofs)
-        lhs = np.array([
-            mesh.areas[0] * rm.a[0],
-            mesh.areas[0] * rm.a[1],
-            mesh.second_moments[0] * rm.b,
-        ])
+        lhs = div_moments(mesh, table_of(mesh, dofs))[0]
         rhs = np.array([boundary_rm_integral(mesh, 0, dofs, i)
                         for i in range(3)])
         assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-13)
@@ -112,34 +164,35 @@ class TestDivReconstruction:
 class TestMeanStress:
     def test_reproduces_constants(self):
         sigma = np.array([1.0, 2.0, 0.0])
-        dofs = cell_dof_values(SQUARE, 0, constant_stress_dofs(SQUARE, sigma))
-        assert_allclose(mean_stress(SQUARE, 0, dofs), sigma, atol=1e-14)
+        table = constant_stress_dofs(SQUARE, sigma)
+        assert_allclose(projection_field(SQUARE, table)[0], sigma, atol=1e-14)
 
     def test_linear_field_mean(self):
         tau = lambda p: np.stack([p[..., 0], 0 * p[..., 0], 0 * p[..., 0]],
                                  axis=-1)
-        dofs = interpolate_local(SQUARE, 0, tau)
-        assert_allclose(mean_stress(SQUARE, 0, dofs), [0.5, 0.0, 0.0],
+        table = interpolate_global(SQUARE, tau)
+        assert_allclose(projection_field(SQUARE, table)[0], [0.5, 0.0, 0.0],
                         atol=1e-14)
 
     def test_zero(self):
-        assert_allclose(mean_stress(SQUARE, 0, np.zeros(12)), np.zeros(3))
+        assert_allclose(projection_field(SQUARE, np.zeros((4, 3)))[0],
+                        np.zeros(3))
 
     @pytest.mark.parametrize("seed", range(15))
     def test_constant_reproduction_random_polygons(self, seed):
         mesh = random_polygon_mesh(200 + seed)
         rng = np.random.default_rng(seed)
         sigma = rng.standard_normal(3)
-        dofs = cell_dof_values(mesh, 0, constant_stress_dofs(mesh, sigma))
-        assert_allclose(mean_stress(mesh, 0, dofs), sigma, rtol=1e-12,
+        table = constant_stress_dofs(mesh, sigma)
+        assert_allclose(projection_field(mesh, table)[0], sigma, rtol=1e-12,
                         atol=1e-13)
-        assert_allclose(div_reconstruction(mesh, 0, dofs).coefficients,
-                        np.zeros(3), atol=1e-12)
+        assert_allclose(divergence_field(mesh, table)[0], np.zeros(3),
+                        atol=1e-12)
 
 
 class TestLocalEnergyMatrix:
     def test_symmetry(self):
-        A = local_a_h(SQUARE, 0, from_lame(1.0, 1.0))
+        A = a_matrix(SQUARE, from_lame(1.0, 1.0))
         assert np.abs(A - A.T).max() < 1e-13
 
     def test_consistency_on_constants(self):
@@ -147,39 +200,39 @@ class TestLocalEnergyMatrix:
         mat = from_lame(1.0, 1.0)
         rng = np.random.default_rng(0)
         for mesh in (SQUARE, random_polygon_mesh(7)):
-            A = local_a_h(mesh, 0, mat)
+            A = a_matrix(mesh, mat)
             s0 = rng.standard_normal(3)
             t0 = rng.standard_normal(3)
-            ds = cell_dof_values(mesh, 0, constant_stress_dofs(mesh, s0))
-            dt = cell_dof_values(mesh, 0, constant_stress_dofs(mesh, t0))
+            ds = constant_stress_dofs(mesh, s0).ravel()
+            dt = constant_stress_dofs(mesh, t0).ravel()
             exact = mesh.areas[0] * sym_dot(mat.strain(s0), t0)
             assert_allclose(ds @ A @ dt, exact, rtol=1e-12)
 
     def test_identity_energy_value(self):
         # |E| (D Id : Id) = 1/2 on the unit square with unit Lame pair
         mat = from_lame(1.0, 1.0)
-        d = cell_dof_values(SQUARE, 0, constant_stress_dofs(SQUARE, [1, 1, 0]))
-        assert_allclose(d @ local_a_h(SQUARE, 0, mat) @ d, 0.5, rtol=1e-13)
+        d = constant_stress_dofs(SQUARE, [1, 1, 0]).ravel()
+        assert_allclose(d @ a_matrix(SQUARE, mat) @ d, 0.5, rtol=1e-13)
 
     @pytest.mark.parametrize("variant", ["stab1", "stab1bis"])
     @pytest.mark.parametrize("seed", range(10))
     def test_positive_definite(self, variant, seed):
         mesh = random_polygon_mesh(300 + seed)
-        A = local_a_h(mesh, 0, from_lame(1.0, 1.0), variant)
+        A = a_matrix(mesh, from_lame(1.0, 1.0), variant)
         np.linalg.cholesky(A)  # raises if not SPD
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
-            local_a_h(SQUARE, 0, from_lame(1.0, 1.0), "stab2")
+            a_matrix(SQUARE, from_lame(1.0, 1.0), "stab2")
 
     def test_kappa_override_scales_stabilization(self):
         mat = from_lame(1.0, 1.0)
-        base = local_a_h(SQUARE, 0, mat, kappa=0.0)
-        one = local_a_h(SQUARE, 0, mat, kappa=1.0)
-        two = local_a_h(SQUARE, 0, mat, kappa=2.0)
+        base = a_matrix(SQUARE, mat, kappa=0.0)
+        one = a_matrix(SQUARE, mat, kappa=1.0)
+        two = a_matrix(SQUARE, mat, kappa=2.0)
         assert_allclose(two - base, 2.0 * (one - base), rtol=1e-13,
                         atol=1e-14)
-        assert_allclose(local_a_h(SQUARE, 0, mat),
+        assert_allclose(a_matrix(SQUARE, mat),
                         base + mat.kappa * (one - base), rtol=1e-13,
                         atol=1e-14)
 
@@ -189,16 +242,16 @@ class TestLocalEnergyMatrix:
         mesh = random_polygon_mesh(11)
         scaled = build_topology(scale * mesh.vertices, [mesh.cell_vertices[0]])
         mat = from_lame(2.0, 0.7)
-        assert_allclose(local_a_h(scaled, 0, mat),
-                        scale**2 * local_a_h(mesh, 0, mat), rtol=1e-12)
+        assert_allclose(a_matrix(scaled, mat),
+                        scale**2 * a_matrix(mesh, mat), rtol=1e-12)
 
 
 class TestLocalCoupling:
     def test_unit_divergence(self):
         tau = lambda p: np.stack([p[..., 0], 0 * p[..., 0], 0 * p[..., 0]],
                                  axis=-1)
-        dofs = interpolate_local(SQUARE, 0, tau)
-        assert_allclose(local_b(SQUARE, 0) @ dofs, [1.0, 0.0, 0.0], atol=1e-14)
+        dofs = interpolate_global(SQUARE, tau).ravel()
+        assert_allclose(b_matrix(SQUARE) @ dofs, [1.0, 0.0, 0.0], atol=1e-14)
 
     def test_rotational_divergence(self):
         # field with div = perp(x - x_C): tests the second-moment row
@@ -208,36 +261,35 @@ class TestLocalCoupling:
             x, y = p[..., 0] - xc[0], p[..., 1] - xc[1]
             return np.stack([0 * x, -x * y, 0.5 * y**2], axis=-1)
 
-        dofs = interpolate_local(SQUARE, 0, tau)
-        assert_allclose(local_b(SQUARE, 0) @ dofs, [0.0, 0.0, 1.0 / 6.0],
+        dofs = interpolate_global(SQUARE, tau).ravel()
+        assert_allclose(b_matrix(SQUARE) @ dofs, [0.0, 0.0, 1.0 / 6.0],
                         atol=1e-14)
 
     def test_constants_in_kernel(self):
-        dofs = cell_dof_values(SQUARE, 0, constant_stress_dofs(SQUARE,
-                                                               [3.0, -1.0, 2.0]))
-        assert_allclose(local_b(SQUARE, 0) @ dofs, np.zeros(3), atol=1e-13)
+        dofs = constant_stress_dofs(SQUARE, [3.0, -1.0, 2.0]).ravel()
+        assert_allclose(b_matrix(SQUARE) @ dofs, np.zeros(3), atol=1e-13)
 
     def test_full_rank(self):
         for seed in range(5):
             mesh = random_polygon_mesh(400 + seed)
-            B = local_b(mesh, 0)
-            assert np.linalg.matrix_rank(B) == 3
+            assert np.linalg.matrix_rank(b_matrix(mesh)) == 3
 
 
 class TestLocalLoad:
     def test_constant_load(self):
         f = lambda p: np.broadcast_to(np.array([1.0, 0.0]), p.shape)
-        assert_allclose(local_load(SQUARE, 0, f), [1.0, 0.0, 0.0], atol=1e-14)
+        assert_allclose(body_load_vector(SQUARE, f)[0], [1.0, 0.0, 0.0],
+                        atol=1e-14)
 
     def test_rotational_load(self):
         xc = SQUARE.centroids[0]
         f = lambda p: perp(p - xc)
-        assert_allclose(local_load(SQUARE, 0, f), [0.0, 0.0, 1.0 / 6.0],
+        assert_allclose(body_load_vector(SQUARE, f)[0], [0.0, 0.0, 1.0 / 6.0],
                         rtol=1e-13, atol=1e-15)
 
     def test_zero_load(self):
         f = lambda p: np.zeros(p.shape)
-        assert_allclose(local_load(SQUARE, 0, f), np.zeros(3))
+        assert_allclose(body_load_vector(SQUARE, f)[0], np.zeros(3))
 
 
 class TestDirichletBoundaryTerm:
@@ -248,13 +300,13 @@ class TestDirichletBoundaryTerm:
 
     def test_zero_data(self):
         g = lambda p: np.zeros(p.shape)
-        assert_allclose(dirichlet_boundary_term(SQUARE, self.bottom_edge(), g),
+        assert_allclose(dirichlet_rhs(SQUARE, self.bottom_edge(), g),
                         np.zeros(3))
 
     def test_constant_data(self):
         # mean-traction DOFs pick up c . v |e|; the moment DOF sees nothing
         g = lambda p: np.broadcast_to(np.array([0.7, -0.2]), p.shape)
-        vals = dirichlet_boundary_term(SQUARE, self.bottom_edge(), g)
+        vals = dirichlet_rhs(SQUARE, self.bottom_edge(), g)
         assert_allclose(vals, [0.7, -0.2, 0.0], atol=1e-15)
 
     def test_linear_normal_data(self):
@@ -267,48 +319,55 @@ class TestDirichletBoundaryTerm:
             s = (p - mid) @ SQUARE.edge_tangents[e]
             return s[..., None] * n
 
-        vals = dirichlet_boundary_term(SQUARE, e, g)
+        vals = dirichlet_rhs(SQUARE, e, g)
         assert_allclose(vals, [0.0, 0.0, 1.0 / 12.0], atol=1e-15)
 
     def test_interior_edge_rejected(self):
+        # the classifier is only asked about boundary edges, and the
+        # outward sign the boundary terms use rejects interior ones by name
         mesh = build_topology([[0, 0], [1, 0], [0, 1], [1, 1]],
                               [[0, 1, 2], [1, 3, 2]])
-        g = lambda p: np.zeros(p.shape)
-        with pytest.raises(Exception):
-            dirichlet_boundary_term(mesh, int(mesh.interior_edges[0]), g)
+        asked = []
+        bc = DisplacementBC(g=lambda p: np.zeros(p.shape))
+        problem = ProblemSpec(name="t", domain=None,
+                              material=from_lame(1.0, 1.0), body_force=None,
+                              boundary=lambda m, e: asked.append(e) or bc,
+                              exact=None)
+        assemble(mesh, problem)
+        assert sorted(asked) == sorted(mesh.boundary_edges.tolist())
+        e = int(mesh.interior_edges[0])
+        with pytest.raises(MeshError, match=f"edge {e} is interior"):
+            mesh.boundary_sign(np.append(mesh.boundary_edges, e))
 
 
 class TestInterpolation:
     def test_constant_exact(self):
         sigma = np.array([2.0, -1.0, 0.5])
         tau = lambda p: np.broadcast_to(sigma, p.shape[:-1] + (3,))
-        dofs = interpolate_local(SQUARE, 0, tau)
-        expected = cell_dof_values(SQUARE, 0,
-                                   constant_stress_dofs(SQUARE, sigma))
-        assert_allclose(dofs, expected, atol=1e-14)
+        assert_allclose(interpolate_global(SQUARE, tau),
+                        constant_stress_dofs(SQUARE, sigma), atol=1e-14)
 
     def test_moment_coefficient(self):
-        # traction s n on a unit edge: c = 0, d = 1 (coefficient |e|^2/12)
+        # traction s n on a unit edge: c = 0, d = 1 (coefficient |e|^2/12);
+        # tau = s (n x n) has exactly that traction on the edge
         e = 0
         n = SQUARE.edge_normals[e]
         mid = SQUARE.edge_midpoints[e]
 
-        def traction(p):
+        def tau(p):
             s = (p - mid) @ SQUARE.edge_tangents[e]
-            return s[..., None] * n
+            return s[..., None] * np.array([n[0]**2, n[1]**2, n[0] * n[1]])
 
-        c, d = edge_traction_moments(SQUARE, e, traction)
-        assert_allclose(c, [0.0, 0.0], atol=1e-15)
-        assert_allclose(d, 1.0, rtol=1e-13)
+        c_d = interpolate_global(SQUARE, tau)[e]
+        assert_allclose(c_d[:2], [0.0, 0.0], atol=1e-15)
+        assert_allclose(c_d[2], 1.0, rtol=1e-13)
 
     def test_global_matches_local(self):
         mesh = generate_mesh("poly_voronoi_random", 12, seed=4)
         tau = lambda p: np.stack([p[..., 0] ** 2, p[..., 0] * p[..., 1],
                                   p[..., 1] ** 2], axis=-1)
-        table = interpolate_global(mesh, tau)
-        for c in range(mesh.n_cells):
-            assert_allclose(interpolate_local(mesh, c, tau),
-                            cell_dof_values(mesh, c, table), atol=1e-13)
+        assert_allclose(interpolate_global(mesh, tau),
+                        edge_moments_oracle(mesh, tau), atol=1e-13)
 
     def test_commuting_divergence_moments(self):
         # int_E div(I_E tau) . r = int_E div tau . r for all rigid motions;
@@ -324,8 +383,7 @@ class TestInterpolation:
             x, y = p[..., 0], p[..., 1]
             return np.stack([2.5 * y**2, 2 * x - 2 * y], axis=-1)
 
-        table = interpolate_global(mesh, tau)
-        dv = divergence_field(mesh, table)
+        lhs = div_moments(mesh, interpolate_global(mesh, tau))
         for c in range(mesh.n_cells):
             rule = polygon_rule(mesh.cell_coords(c), 8,
                                 centroid=mesh.centroids[c])
@@ -333,18 +391,18 @@ class TestInterpolation:
             xi = perp(rule.points - mesh.centroids[c])
             rhs = np.array([rule.weights @ fv[:, 0], rule.weights @ fv[:, 1],
                             rule.weights @ np.einsum("qa,qa->q", fv, xi)])
-            lhs = np.array([mesh.areas[c] * dv[c, 0], mesh.areas[c] * dv[c, 1],
-                            mesh.second_moments[c] * dv[c, 2]])
-            assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
+            assert_allclose(lhs[c], rhs, rtol=1e-10, atol=1e-12)
 
 
 class TestFieldHelpers:
     def test_projection_field_matches_per_cell(self):
+        # batched over the whole mesh vs each cell as its own one-cell mesh
+        # (same vertex ids, so the same canonical edge frames)
         mesh = generate_mesh("quad_unstructured", 3, seed=2)
         rng = np.random.default_rng(3)
         table = rng.standard_normal((mesh.n_edges, 3))
         proj = projection_field(mesh, table)
         for c in range(mesh.n_cells):
-            assert_allclose(proj[c],
-                            mean_stress(mesh, c, cell_dof_values(mesh, c, table)),
-                            atol=1e-13)
+            alone = build_topology(mesh.vertices, [mesh.cell_vertices[c]])
+            assert_allclose(proj[c], projection_field(
+                alone, table[mesh.cell_edges[c]])[0], atol=1e-13)

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vemhr.quadrature import edge_rule, polygon_rule, triangle_rule
+from vemhr.generators import generate_mesh
+from vemhr.mesh import build_topology
+from vemhr.quadrature import (edge_rule, mesh_polygon_quadrature,
+                              polygon_rule, triangle_rule)
 
 
 def edge_monomial_integral(p):
@@ -120,3 +123,24 @@ class TestPolygonRule:
     def test_clockwise_polygon_rejected(self):
         with pytest.raises(ValueError):
             polygon_rule(SQUARE[::-1], 2)
+
+
+class TestMeshRuleCache:
+    def test_built_once_per_degree_read_only(self):
+        mesh = generate_mesh("quad_structured", 3)
+        rule = mesh_polygon_quadrature(mesh, 6)
+        assert mesh_polygon_quadrature(mesh, 6) is rule
+        assert len(mesh_polygon_quadrature(mesh, 2)[1]) < len(rule[1])
+        for array in rule:
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_failure_not_cached(self):
+        # U-shaped cell: not star-shaped about its centroid, so the fan rule
+        # fails on every request rather than returning a stale value
+        mesh = build_topology(
+            [[0, 0], [3, 0], [3, 2], [2, 2], [2, 1], [1, 1], [1, 2], [0, 2]],
+            [list(range(8))])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="star-shaped"):
+                mesh_polygon_quadrature(mesh, 6)

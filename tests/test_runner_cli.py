@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+from vemhr import quadrature
+from vemhr.assembly import TractionBC
 from vemhr.cli import main
+from vemhr.material import from_lame
 from vemhr.mesh import load_mesh
-from vemhr.runner import (COOK_KINDS, RunConfig, cook_csv_text,
-                          mesh_for_level, run_convergence, run_cook)
+from vemhr.problems import ProblemSpec, problem_test_b
+from vemhr.runner import (COOK_KINDS, RunConfig, convergence_study,
+                          cook_csv_text, mesh_for_level, run_convergence,
+                          run_cook)
 
 
 class TestRunner:
@@ -72,6 +77,40 @@ class TestRunner:
 
     def test_cook_kind_names(self):
         assert set(COOK_KINDS) == {"quad", "cvor", "rvor"}
+
+    def test_study_builds_one_fan_rule_per_mesh(self, monkeypatch):
+        # loads, f_l2, equilibrium residuals and both L2 norms share it
+        built = []
+        fan_rule = quadrature._fan_rule
+        monkeypatch.setattr(quadrature, "_fan_rule",
+                            lambda *a: built.append(1) or fan_rule(*a))
+        rows, failures = convergence_study(problem_test_b(), "quad_structured",
+                                           (2, 3), RunConfig())
+        assert not failures and len(rows) == 2
+        assert len(built) == 2
+
+    def test_solver_error_is_a_failed_level(self):
+        # tractions on every edge out of equilibrium: singular system
+        bc = TractionBC(traction=lambda p: np.broadcast_to(
+            np.array([1.0, 0.0]), p.shape))
+        problem = ProblemSpec(name="bad", domain=None,
+                              material=from_lame(1.0, 1.0), body_force=None,
+                              boundary=lambda m, e: bc, exact=None)
+        rows, failures = convergence_study(problem, "quad_structured", (1, 2),
+                                           RunConfig())
+        assert rows == []
+        assert [lv for lv, _ in failures] == [1, 2]
+        assert all(why.startswith("SolverError") for _, why in failures)
+
+    def test_programming_error_propagates(self):
+        def boundary(mesh, edge):
+            raise TypeError("classifier bug")
+
+        problem = ProblemSpec(name="bug", domain=None,
+                              material=from_lame(1.0, 1.0), body_force=None,
+                              boundary=boundary, exact=None)
+        with pytest.raises(TypeError, match="classifier bug"):
+            convergence_study(problem, "quad_structured", (1,), RunConfig())
 
 
 class TestCli:
