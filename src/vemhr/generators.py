@@ -11,6 +11,11 @@ record.  Shape-regularity is not checked here: call
 The hexagonal kind is realized as the Voronoi diagram of a regular
 triangular lattice clipped to the domain: hexagons in the interior, quads
 and pentagons along the boundary.
+
+Every Voronoi kind, and every Lloyd sweep behind the centroidal one, goes
+through :func:`voronoi_cells`, which clips all cells at once: one
+vectorised Sutherland-Hodgman half-plane step per neighbour rank over the
+cells not yet certified final by the security radius.
 """
 
 import numpy as np
@@ -18,8 +23,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .mesh import (MeshError, _clip, _flatten, _next_slot, build_topology,
-                   shoelace)
+from .mesh import MeshError, _flatten, _next_slot, build_topology, shoelace
 # Re-exported: perfbench/tracing.py wraps the shape report under this name.
 from .mesh import check_assumptions  # noqa: F401
 
@@ -39,6 +43,7 @@ MESH_KINDS = (
 
 _JITTER = 0.2  # fraction of the grid step used by the unstructured kinds
 _LLOYD_ITERS = 50
+_NEIGHBOURS = 24  # first k of the nearest-neighbour query in voronoi_cells
 
 
 def generate_mesh(kind, resolution, domain=None, seed=0, lloyd_iters=_LLOYD_ITERS):
@@ -138,26 +143,30 @@ def _tri_area(verts, tri):
     return 0.5 * ((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
 
 
-def _honeycomb_mesh(domain, n):
+def _honeycomb_seeds(domain, n):
+    """Triangular-lattice seeds covering the domain's bounding box with a
+    margin, row by row: their Voronoi cells are hexagons of area
+    ``area / n**2``."""
     area = shoelace(domain)[0][0]
     spacing = np.sqrt(2.0 * area / (np.sqrt(3.0) * n * n))
     lo = domain.min(axis=0) - 1.5 * spacing
     hi = domain.max(axis=0) + 1.5 * spacing
     rows = int(np.ceil((hi[1] - lo[1]) / (spacing * np.sqrt(3.0) / 2.0))) + 1
     cols = int(np.ceil((hi[0] - lo[0]) / spacing)) + 1
-    seeds = []
-    for r in range(rows):
-        y = lo[1] + r * spacing * np.sqrt(3.0) / 2.0
-        off = 0.5 * spacing if r % 2 else 0.0
-        for c in range(cols):
-            seeds.append((lo[0] + off + c * spacing, y))
-    cells = [c for c in voronoi_cells(np.array(seeds), domain)
+    r = np.arange(rows)[:, None]
+    x = lo[0] + np.where(r % 2, 0.5 * spacing, 0.0) + np.arange(cols) * spacing
+    y = lo[1] + r * spacing * np.sqrt(3.0) / 2.0
+    return np.stack(np.broadcast_arrays(x, y), axis=-1).reshape(-1, 2)
+
+
+def _honeycomb_mesh(domain, n):
+    cells = [c for c in voronoi_cells(_honeycomb_seeds(domain, n), domain)
              if c is not None]
     # Lattice seeds mirrored across a boundary line make zero-width sliver
     # cells (pure roundoff of an empty region); drop them by area.
     offsets, points = _flatten(cells)
     areas = shoelace(points, offsets)[0]
-    hex_area = area / (n * n)
+    hex_area = shoelace(domain)[0][0] / (n * n)
     return _mesh_from_cells(
         [c for c, a in zip(cells, areas) if a > 1e-6 * hex_area], domain)
 
@@ -196,42 +205,94 @@ def _voronoi_mesh(domain, n_seeds, seed, lloyd_iters):
 def voronoi_cells(seeds, domain):
     """Clipped Voronoi cells of the seed points inside a convex CCW domain.
 
-    Each cell is computed by clipping the domain with the bisector
-    half-planes of nearby seeds, processed in order of increasing distance
-    until the security radius certifies no farther seed can cut the cell.
-    Returns one CCW coordinate loop per seed, or None for empty cells.
+    All cells are clipped together.  Every cell starts as the domain, and
+    at neighbour rank c = 1, 2, ... each active cell is cut by the bisector
+    half-plane of its c-th nearest seed in one array step (the same
+    Sutherland-Hodgman arithmetic as :func:`vemhr.mesh._clip`; a bisector
+    that cuts nothing leaves the cell as it is).  A cell is final once the
+    security-radius certificate holds, ``dist_c**2 > 4 max |v - p|**2``:
+    no seed at distance ``dist_c`` or farther can reach a vertex of it.  A
+    cell cut below 3 vertices is empty.  Neighbours come from one k-nearest
+    query (k = 24); cells still active after k ranks query again with k
+    doubled, up to all seeds.  Returns one CCW coordinate loop per seed, or
+    None for empty cells.
     """
     seeds = np.asarray(seeds, dtype=float)
+    domain = np.asarray(domain, dtype=float)
     m = len(seeds)
-    if m == 1:
-        return [domain.copy()]
+    if m == 0:
+        return []
     tree = cKDTree(seeds)
-    k0 = min(m, 24)
-    cells = []
-    for i in range(m):
-        p = seeds[i]
-        poly = domain
-        k = k0
-        checked = 1  # position 0 of the sorted neighbor list is the seed itself
-        dists, idx = tree.query(p, k=k)
-        while True:
-            if checked == len(idx):
-                if k == m:
-                    break
-                k = min(2 * k, m)
-                dists, idx = tree.query(p, k=k)
-            j = idx[checked]
-            r2 = ((poly - p) ** 2).sum(axis=1).max()
-            if dists[checked] ** 2 > 4.0 * r2:
+    # The active cells: seed ids, CCW loops padded to a common width, vertex
+    # counts and the sorted neighbour lists (rank 0 is the seed itself).
+    ids = np.arange(m)
+    polys = np.broadcast_to(domain, (m,) + domain.shape).copy()
+    counts = np.full(m, len(domain))
+    finished = []  # (ids, points, counts) of the cells done at each rank
+    k = min(m, _NEIGHBOURS)
+    dists, nbrs = _nearest(tree, seeds, k)
+    rank = 1
+    while len(ids):
+        if rank == k:
+            if k == m:
                 break
-            half = seeds[j] - p
-            poly = _clip(poly, half, float(half @ (0.5 * (seeds[j] + p))))
-            checked += 1
-            if len(poly) < 3:
-                poly = np.empty((0, 2))
-                break
-        cells.append(poly if len(poly) >= 3 else None)
+            k = min(2 * k, m)
+            dists, nbrs = _nearest(tree, seeds[ids], k)
+        p = seeds[ids]
+        valid = np.arange(polys.shape[1]) < counts[:, None]
+        r2 = np.where(valid, ((polys - p[:, None, :]) ** 2).sum(axis=2),
+                      0.0).max(axis=1)
+        done = dists[:, rank] ** 2 > 4.0 * r2
+        finished.append((ids[done], polys[done][valid[done]], counts[done]))
+        q = seeds[nbrs[:, rank]]
+        half = q - p
+        # half . midpoint by matmul: rounded like a single ``half @ mid``
+        b = np.matmul(half[:, None, :], (0.5 * (q + p))[:, :, None])[:, 0, 0]
+        polys, counts = _clip_all(polys, counts, half, b)
+        live = ~done & (counts >= 3)  # the rest are finished or empty
+        ids, polys, counts = ids[live], polys[live], counts[live]
+        dists, nbrs = dists[live], nbrs[live]
+        rank += 1
+    valid = np.arange(polys.shape[1]) < counts[:, None]
+    finished.append((ids, polys[valid], counts))
+    ids, points, counts = (np.concatenate(a) for a in zip(*finished))
+    cells = [None] * m
+    for i, loop in zip(ids, np.split(points, np.cumsum(counts)[:-1])):
+        cells[i] = loop
     return cells
+
+
+def _nearest(tree, points, k):
+    """Distances and indices of the k nearest seeds, always (n, k)."""
+    dists, nbrs = tree.query(points, k=k)
+    return dists.reshape(len(points), k), nbrs.reshape(len(points), k)
+
+
+def _clip_all(polys, counts, normals, b):
+    """Keep the part n_i . x <= b_i of every padded loop i: one
+    Sutherland-Hodgman step per row, vertex by vertex as in ``mesh._clip``
+    (a kept vertex, then the crossing point on its outgoing edge)."""
+    rows, width = polys.shape[:2]
+    slot = np.arange(width)
+    valid = slot < counts[:, None]
+    # matmul rounds each product like the ``poly @ n`` of mesh._clip
+    d = np.matmul(polys, normals[:, :, None])[:, :, 0] - b[:, None]
+    nxt = np.where(slot + 1 < counts[:, None], slot + 1, 0)
+    d_next = np.take_along_axis(d, nxt, axis=1)
+    keep = valid & (d <= 0.0)
+    cross = valid & ((d <= 0.0) != (d_next <= 0.0))
+    emitted = keep.astype(int) + cross
+    start = np.cumsum(emitted, axis=1) - emitted
+    new_counts = emitted.sum(axis=1)
+    # zero padding: the unused slots still go through the arithmetic
+    out = np.zeros((rows, new_counts.max(initial=1), 2))
+    r, s = np.nonzero(keep)
+    out[r, start[r, s]] = polys[r, s]
+    r, s = np.nonzero(cross)
+    t = d[r, s] / (d[r, s] - d_next[r, s])
+    p0, p1 = polys[r, s], polys[r, nxt[r, s]]
+    out[r, start[r, s] + keep[r, s]] = p0 + t[:, None] * (p1 - p0)
+    return out, new_counts
 
 
 def lloyd(seeds, domain, iterations, tol=1e-12):

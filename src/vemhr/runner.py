@@ -195,12 +195,14 @@ def run_cook(config: RunConfig):
     rows = []
     for short in config.cook_kinds:
         kind = COOK_KINDS[short]
+        # one mesh per level, shared by every Poisson ratio
+        meshes = [mesh_for_level(kind, level, domain=cook_domain(),
+                                 seed=config.seed,
+                                 lloyd_iters=config.lloyd_iters)
+                  for level in config.levels]
         for nu in config.cook_nus:
             problem = problem_cook(nu)
-            for i, level in enumerate(config.levels):
-                mesh = mesh_for_level(kind, level, domain=problem.domain,
-                                      seed=config.seed,
-                                      lloyd_iters=config.lloyd_iters)
+            for i, (level, mesh) in enumerate(zip(config.levels, meshes)):
                 solution = solve_on_mesh(problem, mesh, config)
                 va = postproc.probe_displacement(mesh, solution,
                                                  COOK_PROBE_POINT)[1]

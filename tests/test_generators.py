@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from vemhr import generators
 from vemhr.generators import MESH_KINDS, generate_mesh, lloyd, voronoi_cells
-from vemhr.mesh import check_assumptions, cook_domain
+from vemhr.mesh import _clip, check_assumptions, cook_domain
 
 ALL_KINDS = list(MESH_KINDS)
 
@@ -110,3 +111,113 @@ class TestVoronoi:
         mesh = generate_mesh("poly_voronoi_cvt", 16, seed=0, lloyd_iters=50)
         assert mesh.metadata["lloyd_iterations"] <= 50
         assert "lloyd_converged" in mesh.metadata
+
+
+def _area_and_moment(poly):
+    """Area and first moment (area times centroid) of a CCW loop; an empty
+    cell has both zero."""
+    if poly is None:
+        return 0.0, np.zeros(2)
+    nxt = np.roll(poly, -1, axis=0)
+    cross = poly[:, 0] * nxt[:, 1] - nxt[:, 0] * poly[:, 1]
+    return 0.5 * cross.sum(), (poly + nxt).T @ cross / 6.0
+
+
+def _oracle_cell(seeds, i, domain):
+    """The domain clipped by the bisectors of seed i with every other seed."""
+    poly = np.asarray(domain, dtype=float)
+    p = seeds[i]
+    for j in range(len(seeds)):
+        if j != i:
+            half = seeds[j] - p
+            poly = _clip(poly, half, float(half @ (0.5 * (seeds[j] + p))))
+    return poly if len(poly) >= 3 else None
+
+
+def _assert_matches_oracle(seeds, domain):
+    """Areas, first moments and (for cells that are not round-off slivers)
+    centroids of voronoi_cells against brute-force clipping, to 1e-12 of
+    the domain's size."""
+    seeds = np.asarray(seeds, dtype=float)
+    dom = np.asarray(domain, dtype=float)
+    scale = np.linalg.norm(dom.max(axis=0) - dom.min(axis=0))
+    cells = voronoi_cells(seeds, domain)
+    assert len(cells) == len(seeds)
+    for i, cell in enumerate(cells):
+        assert cell is None or len(cell) >= 3
+        area, moment = _area_and_moment(cell)
+        ref_area, ref_moment = _area_and_moment(_oracle_cell(seeds, i, dom))
+        assert abs(area - ref_area) <= 1e-12 * scale**2
+        assert np.abs(moment - ref_moment).max() <= 1e-12 * scale**3
+        if ref_area > 1e-9 * scale**2:
+            assert np.abs(moment / area - ref_moment / ref_area).max() \
+                <= 1e-12 * scale
+    return cells
+
+
+class TestVoronoiOracle:
+    @pytest.mark.parametrize("m", [3, 40, 200])
+    def test_random_unit_square(self, m):
+        seeds = np.random.default_rng(m).uniform(0.0, 1.0, size=(m, 2))
+        cells = _assert_matches_oracle(seeds, generators.UNIT_SQUARE)
+        assert all(c is not None for c in cells)
+
+    @pytest.mark.parametrize("m", [5, 64, 150])
+    def test_random_cook_domain(self, m):
+        rng = np.random.default_rng(m)
+        seeds = generators._sample_seeds(cook_domain(), m, rng)
+        _assert_matches_oracle(seeds, cook_domain())
+
+    @pytest.mark.parametrize("domain", [generators.UNIT_SQUARE, cook_domain()],
+                             ids=["square", "cook"])
+    def test_honeycomb_lattice(self, domain):
+        # co-circular seeds, seeds outside the domain, zero-width slivers
+        seeds = generators._honeycomb_seeds(domain, 5)
+        cells = _assert_matches_oracle(seeds, domain)
+        assert any(c is None for c in cells)
+
+    def test_one_seed_is_the_domain(self):
+        cells = _assert_matches_oracle([[0.3, 0.4]], generators.UNIT_SQUARE)
+        assert_allclose(cells[0], generators.UNIT_SQUARE, rtol=0, atol=0)
+
+    def test_two_seeds(self):
+        cells = _assert_matches_oracle([[0.25, 0.5], [0.75, 0.5]],
+                                       generators.UNIT_SQUARE)
+        assert_allclose([_area_and_moment(c)[0] for c in cells], [0.5, 0.5],
+                        atol=1e-15)
+
+    def test_domain_as_plain_list(self):
+        seeds = np.random.default_rng(1).uniform(0.0, 1.0, size=(12, 2))
+        cells = _assert_matches_oracle(seeds, generators.UNIT_SQUARE.tolist())
+        ref = voronoi_cells(seeds, generators.UNIT_SQUARE)
+        assert all(np.array_equal(a, b) for a, b in zip(cells, ref))
+
+    def test_far_seed_widens_the_neighbour_query(self, monkeypatch):
+        # the far seed's cell is half the square: no bisector of the 60
+        # clustered seeds certifies it, so it needs all of them
+        rng = np.random.default_rng(4)
+        seeds = np.vstack([0.5 + 0.01 * rng.standard_normal((60, 2)),
+                           [[0.02, 0.98]]])
+        ks = []
+        nearest = generators._nearest
+        monkeypatch.setattr(generators, "_nearest",
+                            lambda tree, pts, k: ks.append(k)
+                            or nearest(tree, pts, k))
+        _assert_matches_oracle(seeds, generators.UNIT_SQUARE)
+        assert ks[0] == 24 and max(ks) == len(seeds)
+
+
+def test_cvt_sweeps_one_voronoi_call_each(monkeypatch):
+    # the benchmark's voronoi_cells call count is Lloyd sweeps + 1
+    reference = generate_mesh("poly_voronoi_cvt", 16, seed=0, lloyd_iters=7)
+    calls = []
+    cells = generators.voronoi_cells
+    monkeypatch.setattr(generators, "voronoi_cells",
+                        lambda *a: calls.append(1) or cells(*a))
+    mesh = generate_mesh("poly_voronoi_cvt", 16, seed=0, lloyd_iters=7)
+    assert len(calls) == mesh.metadata["lloyd_iterations"] + 1 == 8
+    lloyd_keys = {k for k in mesh.metadata if k.startswith("lloyd_")}
+    assert lloyd_keys == {"lloyd_iterations", "lloyd_converged",
+                          "lloyd_last_move"}
+    assert {k: mesh.metadata[k] for k in lloyd_keys} == \
+        {k: reference.metadata[k] for k in lloyd_keys}

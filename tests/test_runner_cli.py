@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from vemhr import quadrature
+from vemhr import quadrature, runner
 from vemhr.assembly import TractionBC
 from vemhr.cli import main
 from vemhr.material import from_lame
 from vemhr.mesh import load_mesh
+from vemhr.postproc import CSV_HEADER, ROUNDOFF_FLOOR
 from vemhr.problems import ProblemSpec, problem_test_b
 from vemhr.runner import (COOK_KINDS, RunConfig, convergence_study,
                           cook_csv_text, mesh_for_level, run_convergence,
@@ -69,6 +70,56 @@ class TestRunner:
         body = vtks[0].read_text()
         assert "SCALARS von_mises" in body
         assert "SCALARS sigma_11" in body
+
+    def test_cook_builds_each_mesh_once(self, monkeypatch, tmp_path):
+        built = []
+        build = runner.mesh_for_level
+        monkeypatch.setattr(runner, "mesh_for_level", lambda kind, level, **kw:
+                            built.append((kind, level)) or build(kind, level,
+                                                                 **kw))
+        cfg = RunConfig(problem="cook", cook_kinds=("quad", "rvor"),
+                        levels=(2, 3), cook_nus=(1.0 / 3.0, 0.49),
+                        csv_path=str(tmp_path / "cook.csv"),
+                        vtk_path=str(tmp_path / "cook.vtk"))
+        rows = run_cook(cfg)
+        assert built == [(kind, level)
+                         for kind in ("quad_structured", "poly_voronoi_random")
+                         for level in (2, 3)]
+        assert [(r["kind"], r["nu"], r["level"]) for r in rows] == [
+            (k, nu, lv) for k in ("quad", "rvor") for nu in (1.0 / 3.0, 0.49)
+            for lv in (2, 3)]
+        assert sorted(p.name for p in tmp_path.glob("*.vtk")) == [
+            "cook_quad_nu0.333333.vtk", "cook_quad_nu0.49.vtk",
+            "cook_rvor_nu0.333333.vtk", "cook_rvor_nu0.49.vtk"]
+
+    def test_roundoff_rate_is_blank(self, tmp_path):
+        # test-a's exact divergence is zero, so E_sigma_div is round-off
+        csv = tmp_path / "a.csv"
+        rows, _, _ = run_convergence(RunConfig(
+            problem="test-a", kind="poly_voronoi_random", levels=(2, 3, 4),
+            csv_path=str(csv)))
+        assert max(r["E_sigma_div"] for r in rows) <= ROUNDOFF_FLOOR
+        for line in csv.read_text().splitlines()[2:]:
+            rate_sigma, rate_div, rate_u = line.split(",")[-3:]
+            assert rate_div == ""
+            assert rate_sigma and rate_u
+
+    def test_rates_above_floor_unchanged(self, tmp_path):
+        csv = tmp_path / "b.csv"
+        rows, _, _ = run_convergence(RunConfig(
+            problem="test-b", kind="poly_voronoi_random", levels=(2, 3, 4),
+            seed=3, csv_path=str(csv)))
+        keys = ("E_sigma", "E_sigma_div", "E_u")
+        lines = [",".join(CSV_HEADER)]
+        for prev, row in zip([None] + rows[:-1], rows):
+            rates = [""] * 3
+            if prev is not None:
+                dh = np.log(row["h_bar"] / prev["h_bar"])
+                rates = [f"{np.log(row[k] / prev[k]) / dh:.6f}" for k in keys]
+            lines.append(",".join([str(row["level"]), f"{row['h_bar']:.12e}",
+                                   str(row["n_dof"])]
+                                  + [f"{row[k]:.12e}" for k in keys] + rates))
+        assert csv.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_cook_csv_format(self):
         text = cook_csv_text([{"kind": "quad", "nu": 1 / 3, "level": 2,
