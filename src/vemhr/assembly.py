@@ -9,7 +9,7 @@ essential conditions on edge DOFs and are imposed by symmetric elimination.
 """
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sps
@@ -27,6 +27,7 @@ __all__ = [
     "Solution",
     "SolveReport",
     "SolverError",
+    "SOLVER_TOL",
     "assemble",
     "apply_essential_traction",
     "solve",
@@ -34,6 +35,10 @@ __all__ = [
     "save_solution",
     "load_solution",
 ]
+
+
+# Largest relative residual a solve accepts.
+SOLVER_TOL = 1e-10
 
 
 class SolverError(RuntimeError):
@@ -92,7 +97,6 @@ class GlobalSystem:
     rhs: np.ndarray
     constrained_dofs: np.ndarray
     constrained_values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def eliminated(self):
         """Symmetric elimination of the essential DOFs.
@@ -132,10 +136,10 @@ class Solution:
     mesh: object
     edge_dofs: np.ndarray
     cell_motions: np.ndarray
-    report: SolveReport = None
+    report: SolveReport
 
 
-def assemble(mesh, problem, stabilization="stab1", kappa=None) -> GlobalSystem:
+def assemble(mesh, problem, stabilization="stab1") -> GlobalSystem:
     """Assemble the saddle-point system of a problem on a mesh.
 
     ``problem`` provides ``material``, ``body_force`` (vectorized field or
@@ -143,36 +147,10 @@ def assemble(mesh, problem, stabilization="stab1", kappa=None) -> GlobalSystem:
     boundary edges.  Local matrices are computed group-wise and scattered
     with the cell-side signs already folded in; boundary edges are grouped
     by their (hashable) condition and each field is evaluated once over its
-    group.  ``kappa`` overrides the stabilization scale (default: material
-    compliance trace).
+    group.
     """
     dm = DofMap(mesh.n_edges, mesh.n_cells)
-    rows, cols, vals = [], [], []
-    material = problem.material
-
-    for g in cell_groups(mesh):
-        A = g.a_matrices(material, stabilization, kappa)
-        B = g.b_matrices()
-        if not np.all(np.isfinite(A)) or not np.all(np.isfinite(B)):
-            raise SolverError("non-finite local matrix entries")
-        m, nd = A.shape[0], A.shape[1]
-        gdof = (3 * g.edge_ids[:, :, None]
-                + np.arange(3)[None, None, :]).reshape(m, nd)
-        cdof = dm.n_stress + 3 * g.cells[:, None] + np.arange(3)[None, :]
-
-        rows.append(np.broadcast_to(gdof[:, :, None], (m, nd, nd)).ravel())
-        cols.append(np.broadcast_to(gdof[:, None, :], (m, nd, nd)).ravel())
-        vals.append(A.ravel())
-        rows.append(np.broadcast_to(cdof[:, :, None], (m, 3, nd)).ravel())
-        cols.append(np.broadcast_to(gdof[:, None, :], (m, 3, nd)).ravel())
-        vals.append(B.ravel())
-        rows.append(np.broadcast_to(gdof[:, :, None], (m, nd, 3)).ravel())
-        cols.append(np.broadcast_to(cdof[:, None, :], (m, nd, 3)).ravel())
-        vals.append(B.transpose(0, 2, 1).ravel())
-
-    matrix = sps.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dm.size, dm.size)).tocsr()
+    matrix = _scatter_blocks(mesh, problem.material, stabilization).tocsr()
 
     rhs = np.zeros(dm.size)
     if problem.body_force is not None:
@@ -181,9 +159,7 @@ def assemble(mesh, problem, stabilization="stab1", kappa=None) -> GlobalSystem:
 
     system = GlobalSystem(mesh=mesh, dofmap=dm, matrix=matrix, rhs=rhs,
                           constrained_dofs=np.empty(0, dtype=int),
-                          constrained_values=np.empty(0),
-                          meta={"stabilization": stabilization,
-                                "problem": getattr(problem, "name", "")})
+                          constrained_values=np.empty(0))
 
     groups = {}
     for e in mesh.boundary_edges:
@@ -203,6 +179,36 @@ def assemble(mesh, problem, stabilization="stab1", kappa=None) -> GlobalSystem:
             moments[:, 2] /= 12.0
             rhs[:dm.n_stress].reshape(-1, 3)[edges] = scale[:, None] * moments
     return system
+
+
+def _scatter_blocks(mesh, material, stabilization):
+    """The saddle-point matrix [[A, B^T], [B, 0]] as COO: the local A and
+    B of every cell group, with the cell-side signs already folded in,
+    scattered to the global DOFs."""
+    dm = DofMap(mesh.n_edges, mesh.n_cells)
+    rows, cols, vals = [], [], []
+    for g in cell_groups(mesh):
+        A = g.a_matrices(material, stabilization)
+        B = g.b_matrices()
+        if not np.all(np.isfinite(A)) or not np.all(np.isfinite(B)):
+            raise SolverError("non-finite local matrix entries")
+        m, nd = A.shape[0], A.shape[1]
+        gdof = (3 * g.edge_ids[:, :, None]
+                + np.arange(3)[None, None, :]).reshape(m, nd)
+        cdof = dm.n_stress + 3 * g.cells[:, None] + np.arange(3)[None, :]
+
+        rows.append(np.broadcast_to(gdof[:, :, None], (m, nd, nd)).ravel())
+        cols.append(np.broadcast_to(gdof[:, None, :], (m, nd, nd)).ravel())
+        vals.append(A.ravel())
+        rows.append(np.broadcast_to(cdof[:, :, None], (m, 3, nd)).ravel())
+        cols.append(np.broadcast_to(gdof[:, None, :], (m, 3, nd)).ravel())
+        vals.append(B.ravel())
+        rows.append(np.broadcast_to(gdof[:, :, None], (m, nd, 3)).ravel())
+        cols.append(np.broadcast_to(cdof[:, None, :], (m, nd, 3)).ravel())
+        vals.append(B.transpose(0, 2, 1).ravel())
+    return sps.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dm.size, dm.size))
 
 
 def apply_essential_traction(system, edges, traction):
@@ -234,7 +240,7 @@ def apply_essential_traction(system, edges, traction):
     return system
 
 
-def solve(system, tol=1e-10) -> Solution:
+def solve(system) -> Solution:
     """Sparse LU solve, one refinement step, relative-residual check."""
     m, rhs = system.eliminated()
     try:
@@ -251,8 +257,9 @@ def solve(system, tol=1e-10) -> Solution:
                           f"{bad[:5].tolist()}...")
     scale = np.linalg.norm(rhs)
     residual = np.linalg.norm(m @ x - rhs) / (scale if scale > 0 else 1.0)
-    if residual > tol:
-        raise SolverError(f"solver residual {residual:.3e} above {tol:.1e}")
+    if residual > SOLVER_TOL:
+        raise SolverError(f"solver residual {residual:.3e} above "
+                          f"{SOLVER_TOL:.1e}")
     dm = system.dofmap
     return Solution(
         mesh=system.mesh,
@@ -260,7 +267,8 @@ def solve(system, tol=1e-10) -> Solution:
         cell_motions=x[dm.n_stress:].reshape(dm.n_cells, 3),
         report=SolveReport(n_dof=dm.size,
                            n_constrained=len(system.constrained_dofs),
-                           residual=float(residual), tolerance=tol))
+                           residual=float(residual),
+                           tolerance=SOLVER_TOL))
 
 
 def inf_sup_constant(mesh, material, stabilization="stab1"):
@@ -271,20 +279,11 @@ def inf_sup_constant(mesh, material, stabilization="stab1"):
     meshes."""
     import scipy.linalg as sla
 
-    dm = DofMap(mesh.n_edges, mesh.n_cells)
-    A = np.zeros((dm.n_stress, dm.n_stress))
-    B = np.zeros((dm.n_displacement, dm.n_stress))
-    mu_diag = np.empty(dm.n_displacement)
-    for g in cell_groups(mesh):
-        Ag = g.a_matrices(material, stabilization)
-        Bg = g.b_matrices()
-        for i in range(len(g.cells)):
-            gd = (3 * g.edge_ids[i][:, None] + np.arange(3)[None, :]).reshape(-1)
-            A[np.ix_(gd, gd)] += Ag[i]
-            cd = 3 * g.cells[i]
-            B[cd:cd + 3, gd] += Bg[i]
-            mu_diag[cd:cd + 2] = g.areas[i]
-            mu_diag[cd + 2] = g.second_moments[i]
+    ns = 3 * mesh.n_edges
+    full = _scatter_blocks(mesh, material, stabilization).toarray()
+    A, B = full[:ns, :ns], full[ns:, :ns]
+    mu_diag = np.column_stack([mesh.areas, mesh.areas,
+                               mesh.second_moments]).ravel()
     H = A + B.T @ (B / mu_diag[:, None])
     S = B @ sla.solve(H, B.T, assume_a="pos")
     evals = sla.eigh(S, np.diag(mu_diag), eigvals_only=True)
@@ -298,9 +297,8 @@ def write_solution_text(solution, checksum=None) -> str:
     buf = io.StringIO()
     buf.write(SOLUTION_FORMAT_HEADER + "\n")
     buf.write(f"mesh_checksum {checksum or mesh_checksum(solution.mesh)}\n")
-    rep = solution.report
-    buf.write(f"residual {rep.residual:.17g}\n" if rep else "residual nan\n")
-    buf.write(f"n_constrained {rep.n_constrained if rep else 0}\n")
+    buf.write(f"residual {solution.report.residual:.17g}\n")
+    buf.write(f"n_constrained {solution.report.n_constrained}\n")
     buf.write(f"{len(solution.edge_dofs)}\n")
     for row in solution.edge_dofs:
         buf.write(" ".join(f"{v:.17g}" for v in row) + "\n")

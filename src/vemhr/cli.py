@@ -2,11 +2,14 @@
 
 Subcommands: ``mesh gen``, ``solve``, ``convergence`` and ``cook``.  Every
 flag can also be given in a flat ``key = value`` config file passed with
-``--config``; explicit flags win over config values.  Exit codes: 0 on
-success, 2 for validation errors, 3 for solver failures.
+``--config``, keyed by the flag's destination (the :class:`RunConfig` field
+name, so the ``.cfg`` sidecar of a run replays it); explicit flags win over
+config values.  Exit codes: 0 on success, 2 for validation errors, 3 for
+solver failures.
 """
 
 import argparse
+import dataclasses
 import sys
 
 from .assembly import SolverError, assemble, save_solution, solve
@@ -47,6 +50,7 @@ def _domain(name):
 
 
 def _build_parser():
+    """The parser and the subparser of each command."""
     parser = argparse.ArgumentParser(
         prog="vemhr",
         description="Mixed stress/displacement virtual element benchmarks")
@@ -68,7 +72,8 @@ def _build_parser():
     sol.add_argument("--problem", choices=PROBLEM_IDS)
     sol.add_argument("--nu", type=float, default=1.0 / 3.0)
     sol.add_argument("--mesh")
-    sol.add_argument("--stab", choices=STABILIZATIONS, default="stab1")
+    sol.add_argument("--stab", dest="stabilization", choices=STABILIZATIONS,
+                     default="stab1")
     sol.add_argument("--out")
 
     conv = sub.add_parser("convergence", help="manufactured-solution study")
@@ -76,50 +81,44 @@ def _build_parser():
     conv.add_argument("--problem", choices=("test-a", "test-b", "test-inc"))
     conv.add_argument("--kind", choices=MESH_KINDS)
     conv.add_argument("--levels", default="8,16,32,64")
-    conv.add_argument("--stab", choices=STABILIZATIONS, default="stab1")
+    conv.add_argument("--stab", dest="stabilization", choices=STABILIZATIONS,
+                      default="stab1")
     conv.add_argument("--seed", type=int, default=0)
-    conv.add_argument("--csv")
+    conv.add_argument("--csv", dest="csv_path")
 
     cook = sub.add_parser("cook", help="tapered-cantilever benchmark")
     cook.add_argument("--config")
-    cook.add_argument("--kinds", default="quad,cvor,rvor")
+    cook.add_argument("--kinds", dest="cook_kinds", default="quad,cvor,rvor")
     cook.add_argument("--levels", default="8,16,32,64")
-    cook.add_argument("--nus", default="0.333333333333333333,0.499995")
-    cook.add_argument("--stab", choices=STABILIZATIONS, default="stab1")
+    cook.add_argument("--nus", dest="cook_nus",
+                      default="0.333333333333333333,0.499995")
+    cook.add_argument("--stab", dest="stabilization", choices=STABILIZATIONS,
+                      default="stab1")
     cook.add_argument("--seed", type=int, default=0)
-    cook.add_argument("--csv")
-    cook.add_argument("--vtk")
-    return parser
+    cook.add_argument("--csv", dest="csv_path")
+    cook.add_argument("--vtk", dest="vtk_path")
+    return parser, {"mesh": gen, "solve": sol, "convergence": conv,
+                    "cook": cook}
 
 
-def _coerce(text):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    return text
-
-
-def _merge_config(args, argv):
-    if getattr(args, "config", None):
-        overrides = _read_config(args.config)
-        given = {a.split("=", 1)[0].lstrip("-").replace("-", "_")
-                 for a in argv if a.startswith("--")}
-        for key, val in overrides.items():
-            if key in given or not hasattr(args, key):
-                continue
-            current = getattr(args, key)
-            if isinstance(current, bool):
-                val = val.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                val = int(val)
-            elif isinstance(current, float):
-                val = float(val)
-            else:
-                val = _coerce(val) if current is None else val
-            setattr(args, key, val)
-    return args
+def _merge_config(parser, subparser, args, argv):
+    """Parse again with the config file's values as the command's defaults,
+    so that explicit flags still win and each value goes through its flag's
+    type.  ``None`` reads as None.  Keys that are :class:`RunConfig` fields
+    the command does not take are skipped (a sidecar lists every field);
+    any other unknown key is a ValueError."""
+    if not args.config:
+        return args
+    values = _read_config(args.config)
+    dests = set(vars(args)) - {"command", "subcommand", "config"}
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    unknown = sorted(set(values) - dests - fields)
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(unknown)} in config "
+                         f"file {args.config}")
+    subparser.set_defaults(**{key: None if val == "None" else val
+                              for key, val in values.items() if key in dests})
+    return parser.parse_args(argv)
 
 
 def _cmd_mesh_gen(args):
@@ -139,7 +138,7 @@ def _cmd_solve(args):
         raise ValueError("solve requires --problem, --mesh and --out")
     problem = make_problem(args.problem, args.nu)
     mesh = load_mesh(args.mesh)
-    system = assemble(mesh, problem, stabilization=args.stab)
+    system = assemble(mesh, problem, stabilization=args.stabilization)
     solution = solve(system)
     save_solution(args.out, solution)
     print(f"wrote {args.out}: residual {solution.report.residual:.3e}, "
@@ -148,46 +147,48 @@ def _cmd_solve(args):
 
 
 def _cmd_convergence(args):
-    if args.problem is None or args.kind is None or args.csv is None:
+    if args.problem is None or args.kind is None or args.csv_path is None:
         raise ValueError("convergence requires --problem, --kind and --csv")
     config = RunConfig(problem=args.problem, kind=args.kind,
-                       levels=_levels(args.levels), stabilization=args.stab,
-                       seed=args.seed, csv_path=args.csv)
+                       levels=_levels(args.levels),
+                       stabilization=args.stabilization, seed=args.seed,
+                       csv_path=args.csv_path)
     rows, table, failures = run_convergence(config)
     for name, slope in table.slopes.items():
         print(f"{name}: rate {slope:.3f}")
     for level, reason in failures:
         print(f"level {level} failed: {reason}", file=sys.stderr)
-    print(f"wrote {args.csv}")
+    print(f"wrote {args.csv_path}")
     return EXIT_OK
 
 
 def _cmd_cook(args):
-    if args.csv is None:
+    if args.csv_path is None:
         raise ValueError("cook requires --csv")
     config = RunConfig(problem="cook",
-                       cook_kinds=tuple(args.kinds.split(",")),
+                       cook_kinds=tuple(args.cook_kinds.split(",")),
                        levels=_levels(args.levels),
-                       cook_nus=tuple(float(t) for t in args.nus.split(",")),
-                       stabilization=args.stab, seed=args.seed,
-                       csv_path=args.csv, vtk_path=args.vtk)
+                       cook_nus=tuple(float(t)
+                                      for t in args.cook_nus.split(",")),
+                       stabilization=args.stabilization, seed=args.seed,
+                       csv_path=args.csv_path, vtk_path=args.vtk_path)
     rows = run_cook(config)
     finest = {}
     for r in rows:
         finest[(r["kind"], r["nu"])] = r["v_A"]
     for (kind, nu), va in finest.items():
         print(f"{kind} nu={nu:g}: v_A = {va:.6f}")
-    print(f"wrote {args.csv}")
+    print(f"wrote {args.csv_path}")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, argv)
+        args = _merge_config(parser, subparsers[args.command], args, argv)
         if args.command == "mesh":
             return _cmd_mesh_gen(args)
         if args.command == "solve":

@@ -46,7 +46,7 @@ _LLOYD_ITERS = 50
 _NEIGHBOURS = 24  # first k of the nearest-neighbour query in voronoi_cells
 
 
-def generate_mesh(kind, resolution, domain=None, seed=0, lloyd_iters=_LLOYD_ITERS):
+def generate_mesh(kind, resolution, domain=None, seed=0):
     """Generate one of the benchmark meshes on a convex polygonal domain.
 
     Parameters
@@ -61,6 +61,8 @@ def generate_mesh(kind, resolution, domain=None, seed=0, lloyd_iters=_LLOYD_ITER
         Grid-based kinds require a quadrilateral.
     seed : int
         RNG seed for the randomized kinds.
+
+    The centroidal kind runs up to 50 Lloyd sweeps.
     """
     if kind not in MESH_KINDS:
         raise ValueError(f"unknown mesh kind {kind!r}; expected one of {MESH_KINDS}")
@@ -80,7 +82,7 @@ def generate_mesh(kind, resolution, domain=None, seed=0, lloyd_iters=_LLOYD_ITER
         mesh = _honeycomb_mesh(domain, resolution)
     else:
         mesh = _voronoi_mesh(domain, resolution, seed,
-                             lloyd_iters if kind == "poly_voronoi_cvt" else 0)
+                             _LLOYD_ITERS if kind == "poly_voronoi_cvt" else 0)
 
     mesh.metadata.update(kind=kind, resolution=int(resolution), seed=int(seed))
     _check_partition(mesh, domain)
@@ -163,12 +165,15 @@ def _honeycomb_mesh(domain, n):
     cells = [c for c in voronoi_cells(_honeycomb_seeds(domain, n), domain)
              if c is not None]
     # Lattice seeds mirrored across a boundary line make zero-width sliver
-    # cells (pure roundoff of an empty region); drop them by area.
+    # cells (pure roundoff of an empty region, below 2.1e-16 of a hexagon
+    # for n up to 128); drop them by area.  Real clipped cells can be far
+    # smaller than a hexagon (1.6e-7 of one on the Cook domain at n = 4),
+    # so the cut sits at round-off scale.
     offsets, points = _flatten(cells)
     areas = shoelace(points, offsets)[0]
     hex_area = shoelace(domain)[0][0] / (n * n)
     return _mesh_from_cells(
-        [c for c, a in zip(cells, areas) if a > 1e-6 * hex_area], domain)
+        [c for c, a in zip(cells, areas) if a > 1e-12 * hex_area], domain)
 
 
 def _sample_seeds(domain, count, rng):
@@ -295,11 +300,13 @@ def _clip_all(polys, counts, normals, b):
     return out, new_counts
 
 
-def lloyd(seeds, domain, iterations, tol=1e-12):
-    """Move each seed to its clipped Voronoi cell centroid, ``iterations`` times.
+def lloyd(seeds, domain, iterations):
+    """Move each seed to its clipped Voronoi cell centroid, ``iterations``
+    times or until no seed moves by 1e-12 of the domain's diagonal.
 
     Returns the relaxed seeds and a diagnostics dict; non-convergence is not
-    an error, the best iterate is returned with ``lloyd_converged=False``.
+    an error, the best iterate is returned with ``lloyd_converged=False``
+    (a last move above 1e-6 of the diagonal).
     """
     seeds = np.asarray(seeds, dtype=float).copy()
     scale = np.linalg.norm(domain.max(axis=0) - domain.min(axis=0))
@@ -314,7 +321,7 @@ def lloyd(seeds, domain, iterations, tol=1e-12):
         move = np.abs(new - seeds).max()
         seeds = new
         done = it + 1
-        if move < tol * scale:
+        if move < 1e-12 * scale:
             break
     info = {"lloyd_iterations": done,
             "lloyd_converged": bool(move < 1e-6 * scale),

@@ -95,10 +95,6 @@ class IsotropicMaterial:
         """Apply D = C^-1 to stress triples."""
         return np.asarray(stress, dtype=float) @ self.D.T
 
-    def energy_pairing(self, sigma, tau):
-        """D sigma : tau, the compliance energy density."""
-        return sym_dot(self.strain(sigma), tau)
-
     @property
     def energy_matrix(self):
         """Matrix G with sigma^T G tau = D sigma : tau in triple coordinates."""

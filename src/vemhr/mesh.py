@@ -141,7 +141,7 @@ class PolyMesh:
     """
 
     def __init__(self, vertices, cell_offsets, cell_vertex_ids, cell_edge_ids,
-                 cell_edge_signs, edge_nodes, edge_cells, metadata=None):
+                 cell_edge_signs, edge_nodes, edge_cells):
         self.vertices = np.asarray(vertices, dtype=float)
         self.cell_offsets = np.asarray(cell_offsets, dtype=int)
         self.cell_vertex_ids = np.asarray(cell_vertex_ids, dtype=int)
@@ -149,7 +149,7 @@ class PolyMesh:
         self.cell_edge_signs = np.asarray(cell_edge_signs, dtype=float)
         self.edge_nodes = np.asarray(edge_nodes, dtype=int)
         self.edge_cells = np.asarray(edge_cells, dtype=int)
-        self.metadata = dict(metadata or {})
+        self.metadata = {}  # filled in by the generators
 
         p = self.vertices[self.edge_nodes[:, 0]]
         q = self.vertices[self.edge_nodes[:, 1]]
@@ -245,15 +245,14 @@ def _self_intersecting(points, offsets):
     return bad
 
 
-def build_topology(vertices, cell_vertex_loops, metadata=None,
-                   check_simple=True):
+def build_topology(vertices, cell_vertex_loops):
     """Build a :class:`PolyMesh` from vertex coordinates and CCW cell loops.
 
     Edges are deduplicated with canonical lower-index-first orientation and
     numbered in order of first appearance along the loops (solution files
     rely on it); cell-side signs follow the traversal direction.  Raises
     :class:`MeshError` on cells with fewer than 3, out-of-range or repeated
-    vertices, cells wound clockwise or (if ``check_simple``) self-crossing,
+    vertices, cells wound clockwise or self-crossing,
     non-manifold edges or inconsistently oriented neighbours, zero-length
     edges, and open cell boundaries.
     """
@@ -276,9 +275,8 @@ def build_topology(vertices, cell_vertex_loops, metadata=None,
     points = vertices[ids]
     _reject(shoelace(points, offsets)[0] <= 0.0,
             "cell {} is not counterclockwise")
-    if check_simple:
-        _reject(_self_intersecting(points, offsets),
-                "cell {} is self-intersecting")
+    _reject(_self_intersecting(points, offsets),
+            "cell {} is self-intersecting")
 
     a, b = ids, ids[_next_slot(offsets)]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
@@ -296,7 +294,7 @@ def build_topology(vertices, cell_vertex_loops, metadata=None,
     edge_cells = np.full((len(order), 2), -1)
     edge_cells[edge_ids, side] = cell
     mesh = PolyMesh(vertices, offsets, ids, edge_ids, 1.0 - 2.0 * side,
-                    edge_nodes, edge_cells, metadata)
+                    edge_nodes, edge_cells)
 
     # Discrete divergence theorem for constants: closed signed boundary.
     flux = np.add.reduceat(

@@ -107,15 +107,18 @@ def least_squares_slope(h, e):
     return float(np.polyfit(np.log(h), np.log(e), 1)[0])
 
 
+# Rates are fitted over the last this many levels.
+RATE_WINDOW = 3
+
+
 @dataclass
 class RateTable:
-    """Per-level errors plus least-squares slopes over the last ``window``
-    levels (levels with exactly zero error are excluded from the fit and
-    recorded in ``excluded``)."""
+    """Per-level errors plus least-squares slopes over the last
+    ``RATE_WINDOW`` levels (levels with exactly zero error are excluded from
+    the fit and recorded in ``excluded``)."""
 
     h_bar: np.ndarray
     errors: dict
-    window: int = 3
     slopes: dict = field(default_factory=dict)
     excluded: dict = field(default_factory=dict)
 
@@ -126,17 +129,16 @@ class RateTable:
             e = np.asarray(e, dtype=float)
             keep = e > 0.0
             self.excluded[name] = np.nonzero(~keep)[0].tolist()
-            h = np.asarray(self.h_bar)[keep][-self.window:]
-            ee = e[keep][-self.window:]
+            h = np.asarray(self.h_bar)[keep][-RATE_WINDOW:]
+            ee = e[keep][-RATE_WINDOW:]
             self.slopes[name] = (least_squares_slope(h, ee)
                                  if len(ee) >= 2 else float("nan"))
 
 
-def convergence_rates(h_bar, errors, window=3) -> RateTable:
+def convergence_rates(h_bar, errors) -> RateTable:
     return RateTable(h_bar=np.asarray(h_bar, dtype=float),
                      errors={k: np.asarray(v, dtype=float)
-                             for k, v in errors.items()},
-                     window=window)
+                             for k, v in errors.items()})
 
 
 def probe_displacement(mesh, solution, point):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import postproc
-from .assembly import SolverError, assemble, solve
+from .assembly import SOLVER_TOL, SolverError, assemble, solve
 from .element import STABILIZATIONS, projection_field
 from .generators import MESH_KINDS, generate_mesh
 from .mesh import cook_domain
@@ -49,16 +49,14 @@ class RunConfig:
     problem: str = "test-a"
     kind: str = "quad_structured"
     levels: tuple = (8, 16, 32, 64)
-    nu: float = 1.0 / 3.0
     cook_kinds: tuple = ("quad", "cvor", "rvor")
     cook_nus: tuple = (1.0 / 3.0, 0.499995)
     stabilization: str = "stab1"
-    solver_tol: float = 1e-10
     seed: int = 0
-    lloyd_iters: int = 50
-    rate_window: int = 3
     csv_path: str = None
     vtk_path: str = None
+
+    solver_tol = SOLVER_TOL  # not a field: every solve uses this tolerance
 
     def validate(self):
         if self.problem not in PROBLEM_IDS:
@@ -97,16 +95,14 @@ def make_problem(problem_id, nu=1.0 / 3.0):
     raise ValueError(f"unknown problem {problem_id!r}")
 
 
-def mesh_for_level(kind, level, domain=None, seed=0, lloyd_iters=50):
+def mesh_for_level(kind, level, domain=None, seed=0):
     """Generate the level-n mesh of a family (n^2 seeds for Voronoi kinds)."""
     resolution = level * level if kind.startswith("poly_voronoi") else level
-    return generate_mesh(kind, resolution, domain=domain, seed=seed,
-                         lloyd_iters=lloyd_iters)
+    return generate_mesh(kind, resolution, domain=domain, seed=seed)
 
 
 def solve_on_mesh(problem, mesh, config: RunConfig):
-    system = assemble(mesh, problem, stabilization=config.stabilization)
-    return solve(system, tol=config.solver_tol)
+    return solve(assemble(mesh, problem, stabilization=config.stabilization))
 
 
 def convergence_study(problem, kind, levels, config: RunConfig):
@@ -122,8 +118,7 @@ def convergence_study(problem, kind, levels, config: RunConfig):
     for level in levels:
         try:
             mesh = mesh_for_level(kind, level, domain=problem.domain,
-                                  seed=config.seed,
-                                  lloyd_iters=config.lloyd_iters)
+                                  seed=config.seed)
             solution = solve_on_mesh(problem, mesh, config)
         except (ValueError, SolverError) as exc:
             # a bad mesh or a singular system fails this level only
@@ -157,7 +152,7 @@ def run_convergence(config: RunConfig):
     """Solve a manufactured problem over a refinement sequence and collect
     the three error norms; returns (rows, RateTable) and writes the CSV."""
     config.validate()
-    problem = make_problem(config.problem, config.nu)
+    problem = make_problem(config.problem)
     if problem.exact is None:
         raise ValueError(f"problem {config.problem} has no exact solution")
     report = verify_exact_bundle(problem)
@@ -173,17 +168,14 @@ def run_convergence(config: RunConfig):
         raise RuntimeError(f"all levels failed: {failures}")
     table = postproc.convergence_rates(
         [r["h_bar"] for r in rows],
-        {k: [r[k] for r in rows] for k in ("E_sigma", "E_sigma_div", "E_u")},
-        window=config.rate_window)
+        {k: [r[k] for r in rows] for k in ("E_sigma", "E_sigma_div", "E_u")})
     return rows, table, failures
 
 
-def cook_reference(nu, n=128, config: RunConfig = None):
-    """Overkill tip displacement on a fine structured quad mesh."""
-    config = config or RunConfig(problem="cook")
-    problem = problem_cook(nu)
-    mesh = generate_mesh("quad_structured", n, domain=cook_domain())
-    solution = solve_on_mesh(problem, mesh, config)
+def cook_reference(nu):
+    """Overkill tip displacement on the 128 x 128 structured quad mesh."""
+    mesh = generate_mesh("quad_structured", 128, domain=cook_domain())
+    solution = solve(assemble(mesh, problem_cook(nu)))
     return float(postproc.probe_displacement(mesh, solution,
                                              COOK_PROBE_POINT)[1])
 
@@ -197,8 +189,7 @@ def run_cook(config: RunConfig):
         kind = COOK_KINDS[short]
         # one mesh per level, shared by every Poisson ratio
         meshes = [mesh_for_level(kind, level, domain=cook_domain(),
-                                 seed=config.seed,
-                                 lloyd_iters=config.lloyd_iters)
+                                 seed=config.seed)
                   for level in config.levels]
         for nu in config.cook_nus:
             problem = problem_cook(nu)

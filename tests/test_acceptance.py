@@ -262,7 +262,7 @@ def random_star_polygon(rng):
     rad = rng.uniform(0.3, 2.0) * (1.0 + rng.uniform(-0.25, 0.25, k))
     center = rng.uniform(-5, 5, 2)
     verts = center + np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-    return build_topology(verts, [list(range(k))], check_simple=False)
+    return build_topology(verts, [list(range(k))])
 
 
 def test_criterion_8_unisolvence_and_compatibility():

@@ -42,10 +42,16 @@ def test_all_kinds_valid(kind):
     assert mesh.metadata["kind"] == kind
 
 
-@pytest.mark.parametrize("kind", ["quad_structured", "poly_voronoi_random",
-                                  "poly_voronoi_cvt"])
-def test_cook_domain_generation(kind):
-    n = 16 if kind.startswith("poly_voronoi") else 4
+@pytest.mark.parametrize("kind, n", [
+    pytest.param("quad_structured", 4, id="quad_structured"),
+    pytest.param("poly_voronoi_random", 16, id="poly_voronoi_random"),
+    pytest.param("poly_voronoi_cvt", 16, id="poly_voronoi_cvt"),
+    # clipped honeycomb cells here reach down to 1.6e-7 of a hexagon
+    pytest.param("hex_structured", 4, id="hex_structured-4"),
+    pytest.param("hex_structured", 19, id="hex_structured-19"),
+    pytest.param("hex_structured", 64, id="hex_structured-64"),
+])
+def test_cook_domain_generation(kind, n):
     mesh = generate_mesh(kind, n, domain=cook_domain(), seed=0)
     assert_allclose(mesh.areas.sum(), 1440.0, rtol=1e-12)
 
@@ -108,7 +114,7 @@ class TestVoronoi:
             assert np.linalg.norm(centroid - seed) < 1e-5
 
     def test_cvt_metadata(self):
-        mesh = generate_mesh("poly_voronoi_cvt", 16, seed=0, lloyd_iters=50)
+        mesh = generate_mesh("poly_voronoi_cvt", 16, seed=0)
         assert mesh.metadata["lloyd_iterations"] <= 50
         assert "lloyd_converged" in mesh.metadata
 
@@ -209,13 +215,13 @@ class TestVoronoiOracle:
 
 def test_cvt_sweeps_one_voronoi_call_each(monkeypatch):
     # the benchmark's voronoi_cells call count is Lloyd sweeps + 1
-    reference = generate_mesh("poly_voronoi_cvt", 16, seed=0, lloyd_iters=7)
+    reference = generate_mesh("poly_voronoi_cvt", 16, seed=0)
     calls = []
     cells = generators.voronoi_cells
     monkeypatch.setattr(generators, "voronoi_cells",
                         lambda *a: calls.append(1) or cells(*a))
-    mesh = generate_mesh("poly_voronoi_cvt", 16, seed=0, lloyd_iters=7)
-    assert len(calls) == mesh.metadata["lloyd_iterations"] + 1 == 8
+    mesh = generate_mesh("poly_voronoi_cvt", 16, seed=0)
+    assert len(calls) == mesh.metadata["lloyd_iterations"] + 1
     lloyd_keys = {k for k in mesh.metadata if k.startswith("lloyd_")}
     assert lloyd_keys == {"lloyd_iterations", "lloyd_converged",
                           "lloyd_last_move"}

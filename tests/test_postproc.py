@@ -133,7 +133,7 @@ class TestRates:
     def test_window(self):
         h = np.array([0.8, 0.4, 0.2, 0.1])
         e = np.array([10.0, 1.0, 0.5, 0.25])  # slope 1 on the last 3
-        table = convergence_rates(h, {"e": e}, window=3)
+        table = convergence_rates(h, {"e": e})
         assert_allclose(table.slopes["e"], 1.0, rtol=1e-12)
 
     def test_nonmonotone_h_rejected(self):

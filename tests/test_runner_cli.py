@@ -248,3 +248,61 @@ class TestCli:
         assert main(["mesh", "gen", "--config", str(cfg), "--n", "2",
                      "--out", str(out)]) == 0
         assert load_mesh(out).n_cells == 4
+
+    def test_convergence_sidecar_replays(self, tmp_path):
+        csv = tmp_path / "a.csv"
+        assert main(["convergence", "--problem", "test-b", "--kind",
+                     "poly_voronoi_random", "--levels", "2,4", "--stab",
+                     "stab1bis", "--seed", "3", "--csv", str(csv)]) == 0
+        first = csv.read_bytes()
+        sidecar = (tmp_path / "a.csv.cfg").read_text()
+        assert "stabilization = stab1bis" in sidecar
+        csv.unlink()
+        # the sidecar alone names the CSV and every setting of the run
+        assert main(["convergence", "--config",
+                     str(tmp_path / "a.csv.cfg")]) == 0
+        assert csv.read_bytes() == first
+        # stab1 gives other numbers, so the replay did not fall back to it
+        stab1 = tmp_path / "b.csv"
+        assert main(["convergence", "--config", str(tmp_path / "a.csv.cfg"),
+                     "--stab", "stab1", "--csv", str(stab1)]) == 0
+        assert stab1.read_bytes() != first
+
+    def test_cook_sidecar_replays(self, tmp_path):
+        csv, vtk = tmp_path / "k.csv", tmp_path / "k.vtk"
+        assert main(["cook", "--kinds", "quad,rvor", "--levels", "2,3",
+                     "--nus", "0.3333333333333333", "--seed", "2",
+                     "--csv", str(csv), "--vtk", str(vtk)]) == 0
+        first = {p.name: p.read_bytes() for p in tmp_path.glob("k*.*")
+                 if p.suffix != ".cfg"}
+        assert len(first) == 3  # the CSV and a VTK per kind
+        for name in first:
+            (tmp_path / name).unlink()
+        assert main(["cook", "--config", str(tmp_path / "k.csv.cfg")]) == 0
+        assert {p.name: p.read_bytes() for p in tmp_path.glob("k*.*")
+                if p.suffix != ".cfg"} == first
+
+    def test_sidecar_none_reads_as_none(self, tmp_path):
+        csv = tmp_path / "k.csv"
+        assert main(["cook", "--kinds", "quad", "--levels", "2",
+                     "--nus", "0.3", "--csv", str(csv)]) == 0
+        assert "vtk_path = None" in (tmp_path / "k.csv.cfg").read_text()
+        csv.unlink()
+        assert main(["cook", "--config", str(tmp_path / "k.csv.cfg")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["k.csv", "k.csv.cfg"]
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kind = quad_structured\nn = 3\nseeed = 5\n")
+        out = tmp_path / "m.msh"
+        assert main(["mesh", "gen", "--config", str(cfg), "--out",
+                     str(out)]) == 2
+        assert "seeed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_config_fields(self):
+        assert [f for f in RunConfig.__dataclass_fields__] == [
+            "problem", "kind", "levels", "cook_kinds", "cook_nus",
+            "stabilization", "seed", "csv_path", "vtk_path"]
+        assert RunConfig().solver_tol == 1e-10
