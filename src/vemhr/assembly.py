@@ -1,4 +1,4 @@
-"""Global saddle-point assembly and sparse direct solution.
+"""Global saddle-point assembly and its hybridised direct solution.
 
 Unknown ordering: the 3 traction DOFs of every edge first (c_x, c_y, d per
 edge), then the 3 rigid-motion DOFs of every cell (a_x, a_y, b).  The system
@@ -6,6 +6,14 @@ is the symmetric indefinite block matrix [[A, B^T], [B, 0]] with right-hand
 side [G, -F]: G collects weak displacement (Dirichlet) boundary data and F
 the body load against the rigid-motion bases.  Prescribed tractions are
 essential conditions on edge DOFs and are imposed by symmetric elimination.
+
+The eliminated saddle point is solved by hybridisation (Fraeijs de Veubeke;
+Arnold & Brezzi, M2AN 19, 1985): every cell keeps its own copy of the
+traction DOFs of its edges, and the two copies on an interior edge are glued
+by a multiplier, the 3 displacement moments conjugate to them.  The local
+saddle points are inverted cell group by cell group, the multipliers solve a
+symmetric positive definite system on the interior edges, and one step of
+iterative refinement against the eliminated system follows.
 """
 
 import io
@@ -89,7 +97,11 @@ class TractionBC:
 
 @dataclass
 class GlobalSystem:
-    """Assembled raw system plus the essential-constraint bookkeeping."""
+    """Assembled raw system plus the essential-constraint bookkeeping.
+
+    ``blocks`` holds the local (CellGroup, A_E, B_E) of every cell group,
+    the blocks ``matrix`` was scattered from.
+    """
 
     mesh: object
     dofmap: DofMap
@@ -97,6 +109,7 @@ class GlobalSystem:
     rhs: np.ndarray
     constrained_dofs: np.ndarray
     constrained_values: np.ndarray
+    blocks: list
 
     def eliminated(self):
         """Symmetric elimination of the essential DOFs.
@@ -123,10 +136,14 @@ class GlobalSystem:
 
 @dataclass
 class SolveReport:
+    """``lu_nnz`` is L.nnz + U.nnz of the multiplier factor (0 without
+    interior edges, -1 when read back from a solution file)."""
+
     n_dof: int
     n_constrained: int
     residual: float
     tolerance: float
+    lu_nnz: int
 
 
 @dataclass
@@ -150,7 +167,8 @@ def assemble(mesh, problem, stabilization="stab1") -> GlobalSystem:
     group.
     """
     dm = DofMap(mesh.n_edges, mesh.n_cells)
-    matrix = _scatter_blocks(mesh, problem.material, stabilization).tocsr()
+    blocks = _local_blocks(mesh, problem.material, stabilization)
+    matrix = _scatter_blocks(mesh, blocks).tocsr()
 
     rhs = np.zeros(dm.size)
     if problem.body_force is not None:
@@ -159,7 +177,7 @@ def assemble(mesh, problem, stabilization="stab1") -> GlobalSystem:
 
     system = GlobalSystem(mesh=mesh, dofmap=dm, matrix=matrix, rhs=rhs,
                           constrained_dofs=np.empty(0, dtype=int),
-                          constrained_values=np.empty(0))
+                          constrained_values=np.empty(0), blocks=blocks)
 
     groups = {}
     for e in mesh.boundary_edges:
@@ -181,21 +199,35 @@ def assemble(mesh, problem, stabilization="stab1") -> GlobalSystem:
     return system
 
 
-def _scatter_blocks(mesh, material, stabilization):
-    """The saddle-point matrix [[A, B^T], [B, 0]] as COO: the local A and
-    B of every cell group, with the cell-side signs already folded in,
-    scattered to the global DOFs."""
-    dm = DofMap(mesh.n_edges, mesh.n_cells)
-    rows, cols, vals = [], [], []
+def _local_blocks(mesh, material, stabilization):
+    """(CellGroup, A_E, B_E) of every cell group; the cell-side signs are
+    folded in, so the blocks act on the global edge DOFs directly."""
+    blocks = []
     for g in cell_groups(mesh):
         A = g.a_matrices(material, stabilization)
         B = g.b_matrices()
         if not np.all(np.isfinite(A)) or not np.all(np.isfinite(B)):
             raise SolverError("non-finite local matrix entries")
+        blocks.append((g, A, B))
+    return blocks
+
+
+def _group_dofs(g, dm):
+    """Global DOFs of a cell group: edge DOFs (m, 3n), cell DOFs (m, 3)."""
+    gdof = (3 * g.edge_ids[:, :, None] + np.arange(3)).reshape(len(g.cells),
+                                                               g.ndof)
+    cdof = dm.n_stress + 3 * g.cells[:, None] + np.arange(3)
+    return gdof, cdof
+
+
+def _scatter_blocks(mesh, blocks):
+    """The saddle-point matrix [[A, B^T], [B, 0]] as COO: the local blocks
+    scattered to the global DOFs."""
+    dm = DofMap(mesh.n_edges, mesh.n_cells)
+    rows, cols, vals = [], [], []
+    for g, A, B in blocks:
         m, nd = A.shape[0], A.shape[1]
-        gdof = (3 * g.edge_ids[:, :, None]
-                + np.arange(3)[None, None, :]).reshape(m, nd)
-        cdof = dm.n_stress + 3 * g.cells[:, None] + np.arange(3)[None, :]
+        gdof, cdof = _group_dofs(g, dm)
 
         rows.append(np.broadcast_to(gdof[:, :, None], (m, nd, nd)).ravel())
         cols.append(np.broadcast_to(gdof[:, None, :], (m, nd, nd)).ravel())
@@ -240,17 +272,124 @@ def apply_essential_traction(system, edges, traction):
     return system
 
 
+class _Hybrid:
+    """Hybridised inverse of the eliminated saddle point of a system.
+
+    Each cell E solves its local saddle point K_E y_E = r_E - C_E lam for its
+    own (torn) traction DOFs and rigid motion.  K_E is [[A_E, B_E^T],
+    [B_E, 0]] with the essential-traction DOFs as identity rows and their
+    columns removed; C_E puts the multiplier lam_e of each interior edge on
+    the edge's rows with the cell-side sign, so the two signs of an interior
+    edge cancel and the glued copies satisfy the global equations.  The
+    multipliers solve the SPD system sum_E C_E^T K_E^-1 C_E lam =
+    sum_E C_E^T K_E^-1 r_E.  A global vector r is split into the r_E with
+    ``weight``: an interior edge's row half to each of its two cells, every
+    other row whole to its one cell; the same weights average the two copies
+    of an interior edge back into one global vector.
+    """
+
+    def __init__(self, system):
+        mesh, dm = system.mesh, system.dofmap
+        fixed = np.zeros(dm.n_stress, dtype=bool)
+        fixed[system.constrained_dofs] = True
+        interior = mesh.interior_edges
+        n_lam = 3 * len(interior)
+        # multiplier index per edge; the DOFs of unglued edges point at one
+        # zero slot past the end
+        lam_of = np.full(mesh.n_edges, len(interior))
+        lam_of[interior] = np.arange(len(interior))
+        self.size = dm.size
+        self.n_lam = n_lam
+        self.groups = []
+        rows, cols, vals = [], [], []
+        for g, A, B in system.blocks:
+            m, nd = A.shape[0], A.shape[1]
+            gdof, cdof = _group_dofs(g, dm)
+            K = np.zeros((m, nd + 3, nd + 3))
+            K[:, :nd, :nd] = A
+            K[:, nd:, :nd] = B
+            K[:, :nd, nd:] = B.transpose(0, 2, 1)
+            cell, slot = np.nonzero(fixed[gdof])
+            K[cell, slot, :] = 0.0
+            K[cell, :, slot] = 0.0
+            K[cell, slot, slot] = 1.0
+            try:
+                Kinv = np.linalg.inv(K)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"singular local saddle point on the "
+                                  f"{g.n_edges}-gon cells: {exc}") from exc
+            edge_lam = lam_of[g.edge_ids]
+            ldof = (3 * edge_lam[:, :, None] + np.arange(3)).reshape(m, nd)
+            glued = ldof < n_lam
+            ldof[~glued] = n_lam
+            sign = np.repeat(g.signs, 3, axis=1)
+            weight = np.ones((m, nd + 3))
+            weight[:, :nd][glued] = 0.5
+            pair = glued[:, :, None] & glued[:, None, :]
+            rows.append(np.broadcast_to(ldof[:, :, None], pair.shape)[pair])
+            cols.append(np.broadcast_to(ldof[:, None, :], pair.shape)[pair])
+            vals.append((sign[:, :, None] * Kinv[:, :nd, :nd]
+                         * sign[:, None, :])[pair])
+            self.groups.append((np.concatenate([gdof, cdof], axis=1),
+                                weight, ldof, sign, Kinv))
+        self.lu = None
+        self.lu_nnz = 0
+        if n_lam:
+            S = sps.csc_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                np.concatenate(cols))), shape=(n_lam, n_lam))
+            try:
+                self.lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A",
+                                    diag_pivot_thresh=0,
+                                    options={"SymmetricMode": True})
+            except RuntimeError as exc:
+                raise SolverError(f"singular multiplier system: {exc}") \
+                    from exc
+            self.lu_nnz = int(self.lu.L.nnz + self.lu.U.nnz)
+
+    def local_solutions(self, r):
+        """Per cell group, the torn local solutions y_E (m, 3n + 3) for the
+        global right-hand side r."""
+        z, b = [], np.zeros(self.n_lam + 1)
+        for dofs, weight, ldof, sign, Kinv in self.groups:
+            z.append(np.einsum("mkl,ml->mk", Kinv, weight * r[dofs]))
+            b += np.bincount(ldof.ravel(),
+                             (sign * z[-1][:, :ldof.shape[1]]).ravel(),
+                             minlength=self.n_lam + 1)
+        lam = np.zeros(self.n_lam + 1)
+        if self.lu is not None:
+            lam[:-1] = self.lu.solve(b[:-1])
+        return [zg - np.einsum("mkl,ml->mk", Kinv[:, :, :ldof.shape[1]],
+                               sign * lam[ldof])
+                for (_, _, ldof, sign, Kinv), zg in zip(self.groups, z)]
+
+    def __call__(self, r):
+        x = np.zeros(self.size)
+        for (dofs, weight, _, _, _), y in zip(self.groups,
+                                              self.local_solutions(r)):
+            x += np.bincount(dofs.ravel(), (weight * y).ravel(),
+                             minlength=self.size)
+        return x
+
+
 def solve(system) -> Solution:
-    """Sparse LU solve, one refinement step, relative-residual check."""
+    """Hybridised solve of the eliminated saddle point, one refinement step
+    against it, relative-residual check.
+
+    A pure traction problem (no boundary edge left without a prescribed
+    traction) has the rigid motions as a kernel and raises SolverError.
+    """
+    mesh = system.mesh
+    if np.all(np.isin(mesh.boundary_edges, system.constrained_dofs // 3)):
+        raise SolverError("singular system: every boundary edge carries a "
+                          "prescribed traction, so the global rigid motions "
+                          "are a kernel (pure traction problem)")
     m, rhs = system.eliminated()
-    try:
-        lu = spla.splu(m.tocsc(), permc_spec="COLAMD")
-    except RuntimeError as exc:
-        raise SolverError(f"singular system: {exc}") from exc
-    x = lu.solve(rhs)
-    # Pivot ties on symmetric meshes can leave the residual, and so the
-    # per-cell equilibrium defect, far above round-off; refining fixes it.
-    x += lu.solve(rhs - m @ x)
+    hybrid = _Hybrid(system)
+    x = hybrid(rhs)
+    # Near incompressibility the first pass leaves a relative residual up to
+    # about 3e-8 (Cook membrane, nu = 0.499995, 64 x 64 quads); one
+    # refinement step brings it to round-off.
+    x += hybrid(rhs - m @ x)
     if not np.all(np.isfinite(x)):
         bad = np.nonzero(~np.isfinite(x))[0]
         raise SolverError(f"singular system: non-finite solution at DOFs "
@@ -268,7 +407,7 @@ def solve(system) -> Solution:
         report=SolveReport(n_dof=dm.size,
                            n_constrained=len(system.constrained_dofs),
                            residual=float(residual),
-                           tolerance=SOLVER_TOL))
+                           tolerance=SOLVER_TOL, lu_nnz=hybrid.lu_nnz))
 
 
 def inf_sup_constant(mesh, material, stabilization="stab1"):
@@ -280,7 +419,8 @@ def inf_sup_constant(mesh, material, stabilization="stab1"):
     import scipy.linalg as sla
 
     ns = 3 * mesh.n_edges
-    full = _scatter_blocks(mesh, material, stabilization).toarray()
+    full = _scatter_blocks(
+        mesh, _local_blocks(mesh, material, stabilization)).toarray()
     A, B = full[:ns, :ns], full[ns:, :ns]
     mu_diag = np.column_stack([mesh.areas, mesh.areas,
                                mesh.second_moments]).ravel()
@@ -339,6 +479,6 @@ def load_solution(path, mesh=None):
                              or (ne, nc) != (mesh.n_edges, mesh.n_cells)):
         raise ValueError("solution file does not match the mesh")
     report = SolveReport(n_dof=3 * (ne + nc), n_constrained=n_constrained,
-                         residual=residual, tolerance=np.nan)
+                         residual=residual, tolerance=np.nan, lu_nnz=-1)
     return Solution(mesh=mesh, edge_dofs=edge, cell_motions=cells,
                     report=report)

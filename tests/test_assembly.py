@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from vemhr.assembly import (DisplacementBC, DofMap, SolverError, TractionBC,
-                            apply_essential_traction, assemble,
+                            _Hybrid, apply_essential_traction, assemble,
                             inf_sup_constant, load_solution, save_solution,
                             solve)
-from vemhr.element import constant_stress_dofs
-from vemhr.generators import generate_mesh
+from vemhr.element import STABILIZATIONS, constant_stress_dofs
+from vemhr.generators import MESH_KINDS, generate_mesh
 from vemhr.material import from_lame
 from vemhr.mesh import MeshError, build_topology, cook_domain
 from vemhr.postproc import equilibrium_residuals
@@ -234,6 +235,131 @@ class TestSolve:
                               exact=None)
         with pytest.raises(SolverError):
             solve(assemble(UNIT, problem))
+
+    @pytest.mark.parametrize("balanced", [True, False],
+                             ids=["balanced", "unbalanced"])
+    @pytest.mark.parametrize("kind,n", [("quad_structured", 4),
+                                        ("poly_voronoi_random", 16),
+                                        ("tri_structured", 3)])
+    def test_pure_traction_detected(self, kind, n, balanced):
+        # sigma = I gives the traction n_out on every side: the loads are
+        # in equilibrium, and only the rigid-motion kernel is left to make
+        # the system singular
+        mesh = generate_mesh(kind, n, seed=0)
+        problem = pure_traction_problem(balanced)
+        with pytest.raises(SolverError):
+            solve(assemble(mesh, problem))
+
+    def test_pure_traction_names_rigid_motions(self):
+        mesh = generate_mesh("quad_structured", 4)
+        with pytest.raises(SolverError, match="rigid motions are a kernel"):
+            solve(assemble(mesh, pure_traction_problem(True)))
+
+    def test_singular_local_block_reported(self):
+        mesh = generate_mesh("quad_structured", 3)
+        system = assemble(mesh, problem_test_a())
+        g, A, B = system.blocks[0]
+        system.blocks[0] = (g, A, np.zeros_like(B))
+        with pytest.raises(SolverError, match="singular local saddle point"):
+            solve(system)
+
+    def test_single_cell_has_no_multipliers(self):
+        problem, _ = patch_problem()
+        solution = solve(assemble(UNIT, problem))
+        assert solution.report.lu_nnz == 0
+        assert_allclose(solution.edge_dofs, constant_stress_dofs(
+            UNIT, problem.material.stress([1.0, 0.0, 0.0])), atol=1e-13)
+
+    def test_lu_nnz_below_saddle_colamd(self):
+        mesh = generate_mesh("quad_structured", 32)
+        system = assemble(mesh, problem_test_b())
+        solution = solve(system)
+        lu = spla.splu(system.eliminated()[0].tocsc(), permc_spec="COLAMD")
+        assert 0 < solution.report.lu_nnz < lu.L.nnz + lu.U.nnz
+
+
+UNIT_SIDE_NORMALS = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0],
+                              [0.0, 1.0]])
+
+
+def unit_side(mesh, e):
+    """Side of the unit square holding boundary edge e: left, right,
+    bottom, top as 0..3 (the rows of UNIT_SIDE_NORMALS)."""
+    x, y = mesh.edge_midpoints[e]
+    return int(np.argmin([x, 1.0 - x, y, 1.0 - y]))
+
+
+def constant_traction(t):
+    return TractionBC(traction=lambda p: np.broadcast_to(t, p.shape))
+
+
+def pure_traction_problem(balanced):
+    """Prescribed traction on every boundary edge of the unit square:
+    sigma = I (traction n_out per side) or the net force (1, 0) per unit
+    length everywhere."""
+    if balanced:
+        bcs = [constant_traction(n) for n in UNIT_SIDE_NORMALS]
+        boundary = lambda m, e: bcs[unit_side(m, e)]
+    else:
+        bc = constant_traction(np.array([1.0, 0.0]))
+        boundary = lambda m, e: bc
+    return ProblemSpec(name="pure-traction", domain=None,
+                       material=from_lame(1.0, 1.0), body_force=None,
+                       boundary=boundary, exact=None)
+
+
+class TestHybridSolve:
+    """The hybridised solve against a dense solve of the eliminated saddle
+    point, with weak displacement data on the right and top sides,
+    prescribed tractions on the left and bottom ones, and a body load."""
+
+    SIZES = {"tri_structured": 3, "quad_structured": 3, "hex_structured": 3,
+             "tri_unstructured": 3, "quad_unstructured": 3,
+             "poly_voronoi_random": 16, "poly_voronoi_cvt": 16}
+
+    @staticmethod
+    def mixed_problem():
+        left = TractionBC(traction=lambda p: np.stack(
+            [np.sin(p[..., 1]), p[..., 1] ** 2], axis=-1))
+        bottom = TractionBC(traction=lambda p: np.stack(
+            [p[..., 0], 1.0 - p[..., 0]], axis=-1))
+        disp = DisplacementBC(g=lambda p: np.stack(
+            [p[..., 1] ** 2, np.sin(p[..., 0])], axis=-1))
+        bcs = [left, disp, bottom, disp]
+        return ProblemSpec(
+            name="mixed", domain=None, material=from_lame(2.0, 1.0),
+            body_force=lambda p: np.stack(
+                [1.0 + p[..., 0], p[..., 0] * p[..., 1]], axis=-1),
+            boundary=lambda m, e: bcs[unit_side(m, e)], exact=None)
+
+    @pytest.mark.parametrize("stabilization", STABILIZATIONS)
+    @pytest.mark.parametrize("kind", MESH_KINDS)
+    def test_matches_dense_solve(self, kind, stabilization):
+        mesh = generate_mesh(kind, self.SIZES[kind], seed=0)
+        system = assemble(mesh, self.mixed_problem(), stabilization)
+        traction_edges = np.unique(system.constrained_dofs // 3)
+        assert (mesh.boundary_sign(traction_edges) < 0).any()
+        solution = solve(system)
+        m, rhs = system.eliminated()
+        dense = m.toarray()
+        # one refinement step keeps the reference's own round-off (up to
+        # 3e-13 relative here, at condition numbers near 5e5) off the bound
+        ref = np.linalg.solve(dense, rhs)
+        ref += np.linalg.solve(dense, rhs - dense @ ref)
+        x = np.concatenate([solution.edge_dofs.ravel(),
+                            solution.cell_motions.ravel()])
+        scale = np.abs(ref).max()
+        assert np.abs(x - ref).max() <= 1e-12 * scale
+
+        # the two torn copies of every interior edge's DOFs agree
+        lo = np.full(system.dofmap.n_stress, np.inf)
+        hi = np.full(system.dofmap.n_stress, -np.inf)
+        for (g, _, _), y in zip(system.blocks,
+                                _Hybrid(system).local_solutions(rhs)):
+            gdof = 3 * g.edge_ids[:, :, None] + np.arange(3)
+            np.minimum.at(lo, gdof.ravel(), y[:, :g.ndof].ravel())
+            np.maximum.at(hi, gdof.ravel(), y[:, :g.ndof].ravel())
+        assert (hi - lo).max() <= 1e-12 * scale
 
 
 class TestInfSup:

@@ -1,7 +1,8 @@
 """The benchmark tracer wraps vemhr functions by module attribute name
 (``perfbench/tracing.py``, ``TARGETS``); a renamed or deleted name there
 makes every traced benchmark case fail, so every target must resolve.  The
-public names of the package and of each module's ``__all__`` must exist too.
+public names of the package and of each module's ``__all__`` must exist too,
+and so must the parts of an assembled system that the traced runs read.
 """
 
 import ast
@@ -10,9 +11,15 @@ import importlib.util
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse as sps
 
 import vemhr
+from vemhr.assembly import assemble
+from vemhr.generators import generate_mesh
+from vemhr.mesh import cook_domain
+from vemhr.problems import problem_cook
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,3 +61,17 @@ def test_module_all_exists(name):
     missing = [n for n in getattr(module, "__all__", ())
                if not hasattr(module, n)]
     assert missing == []
+
+
+def test_system_fields_read_by_tracer():
+    # perfbench/tracing.py counts matrix.nnz, dofmap.size and
+    # constrained_dofs; perfbench/child.py factors eliminated()[0]
+    mesh = generate_mesh("quad_structured", 2, domain=cook_domain())
+    system = assemble(mesh, problem_cook(1.0 / 3.0))
+    size = system.dofmap.size
+    assert size == 3 * (mesh.n_edges + mesh.n_cells)
+    assert system.matrix.nnz > 0
+    assert len(system.constrained_dofs) > 0
+    matrix, rhs = system.eliminated()
+    assert sps.issparse(matrix) and matrix.shape == (size, size)
+    assert isinstance(rhs, np.ndarray) and rhs.shape == (size,)
