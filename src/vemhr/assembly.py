@@ -13,11 +13,14 @@ traction DOFs of its edges, and the two copies on an interior edge are glued
 by a multiplier, the 3 displacement moments conjugate to them.  The local
 saddle points are inverted cell group by cell group, the multipliers solve a
 symmetric positive definite system on the interior edges, and one step of
-iterative refinement against the eliminated system follows.
+iterative refinement against the eliminated system follows.  The solve never
+forms the global matrix: it applies the eliminated saddle point from the
+local blocks.
 """
 
-import io
+import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sps
@@ -25,7 +28,7 @@ import scipy.sparse.linalg as spla
 
 from . import element
 from .element import _edge_moments, _sample, cell_groups
-from .mesh import mesh_checksum
+from .mesh import _format_rows, mesh_checksum
 
 __all__ = [
     "DofMap",
@@ -99,17 +102,21 @@ class TractionBC:
 class GlobalSystem:
     """Assembled raw system plus the essential-constraint bookkeeping.
 
-    ``blocks`` holds the local (CellGroup, A_E, B_E) of every cell group,
-    the blocks ``matrix`` was scattered from.
+    ``blocks`` holds the local (CellGroup, A_E, B_E) of every cell group;
+    ``solve`` works from them alone.  The global CSR ``matrix`` is scattered
+    from them only when first asked for (by ``eliminated`` and diagnostics).
     """
 
     mesh: object
     dofmap: DofMap
-    matrix: sps.csr_matrix
     rhs: np.ndarray
     constrained_dofs: np.ndarray
     constrained_values: np.ndarray
     blocks: list
+
+    @cached_property
+    def matrix(self):
+        return _scatter_blocks(self.mesh, self.blocks).tocsr()
 
     def eliminated(self):
         """Symmetric elimination of the essential DOFs.
@@ -136,14 +143,16 @@ class GlobalSystem:
 
 @dataclass
 class SolveReport:
-    """``lu_nnz`` is L.nnz + U.nnz of the multiplier factor (0 without
-    interior edges, -1 when read back from a solution file)."""
+    """``lu_nnz`` is L.nnz + U.nnz of the multiplier factor and ``factor_s``
+    the seconds its ``splu`` took (0 and 0.0 without interior edges; -1 and
+    NaN when read back from a solution file)."""
 
     n_dof: int
     n_constrained: int
     residual: float
     tolerance: float
     lu_nnz: int
+    factor_s: float
 
 
 @dataclass
@@ -161,21 +170,21 @@ def assemble(mesh, problem, stabilization="stab1") -> GlobalSystem:
 
     ``problem`` provides ``material``, ``body_force`` (vectorized field or
     None) and ``boundary(mesh, edge) -> DisplacementBC | TractionBC`` for
-    boundary edges.  Local matrices are computed group-wise and scattered
-    with the cell-side signs already folded in; boundary edges are grouped
+    boundary edges.  Local matrices are computed group-wise with the
+    cell-side signs already folded in and kept as ``blocks``; the global
+    matrix is scattered from them on request.  Boundary edges are grouped
     by their (hashable) condition and each field is evaluated once over its
     group.
     """
     dm = DofMap(mesh.n_edges, mesh.n_cells)
     blocks = _local_blocks(mesh, problem.material, stabilization)
-    matrix = _scatter_blocks(mesh, blocks).tocsr()
 
     rhs = np.zeros(dm.size)
     if problem.body_force is not None:
         loads = element.body_load_vector(mesh, problem.body_force)
         rhs[dm.n_stress:] = -loads.reshape(-1)
 
-    system = GlobalSystem(mesh=mesh, dofmap=dm, matrix=matrix, rhs=rhs,
+    system = GlobalSystem(mesh=mesh, dofmap=dm, rhs=rhs,
                           constrained_dofs=np.empty(0, dtype=int),
                           constrained_values=np.empty(0), blocks=blocks)
 
@@ -272,6 +281,52 @@ def apply_essential_traction(system, edges, traction):
     return system
 
 
+def _batch_matvec(M, v):
+    """M[i] @ v[i] for stacks of matrices (m, k, l) and vectors (m, l)."""
+    return np.matmul(M, v[:, :, None])[:, :, 0]
+
+
+class _Eliminated:
+    """The eliminated saddle point of a system, applied from its local
+    blocks: ``op(x)`` is ``system.eliminated()[0] @ x`` and ``op.rhs`` the
+    eliminated right-hand side, without forming the global matrix."""
+
+    def __init__(self, system):
+        dm = system.dofmap
+        self.n_stress, self.size = dm.n_stress, dm.size
+        self.groups = [(*_group_dofs(g, dm), A, B)
+                       for g, A, B in system.blocks]
+        idx = system.constrained_dofs
+        self.keep = np.ones(dm.size)
+        self.keep[idx] = 0.0
+        self.rhs = system.rhs.copy()
+        if len(idx):
+            x0 = np.zeros(dm.size)
+            x0[idx] = system.constrained_values
+            self.rhs -= self.saddle(x0)
+            self.rhs[idx] = system.constrained_values
+
+    def saddle(self, x):
+        """[[A, B^T], [B, 0]] @ x: per cell group, gather the DOFs, apply
+        A_E, B_E and B_E^T, and sum the edge rows over the cells."""
+        y = np.empty(self.size)
+        dofs, vals = [], []
+        for gdof, cdof, A, B in self.groups:
+            xg, xc = x[gdof], x[cdof]
+            dofs.append(gdof.ravel())
+            vals.append((_batch_matvec(A, xg) + _batch_matvec(
+                B.transpose(0, 2, 1), xc)).ravel())
+            y[cdof] = _batch_matvec(B, xg)
+        y[:self.n_stress] = np.bincount(np.concatenate(dofs),
+                                        np.concatenate(vals),
+                                        minlength=self.n_stress)
+        return y
+
+    def __call__(self, x):
+        # constrained rows and columns become the identity, as in eliminated()
+        return self.keep * self.saddle(self.keep * x) + (1.0 - self.keep) * x
+
+
 class _Hybrid:
     """Hybridised inverse of the eliminated saddle point of a system.
 
@@ -334,9 +389,11 @@ class _Hybrid:
                                 weight, ldof, sign, Kinv))
         self.lu = None
         self.lu_nnz = 0
+        self.factor_s = 0.0
         if n_lam:
             S = sps.csc_matrix((np.concatenate(vals), (np.concatenate(rows),
                                 np.concatenate(cols))), shape=(n_lam, n_lam))
+            t0 = time.perf_counter()
             try:
                 self.lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A",
                                     diag_pivot_thresh=0,
@@ -344,6 +401,7 @@ class _Hybrid:
             except RuntimeError as exc:
                 raise SolverError(f"singular multiplier system: {exc}") \
                     from exc
+            self.factor_s = time.perf_counter() - t0
             self.lu_nnz = int(self.lu.L.nnz + self.lu.U.nnz)
 
     def local_solutions(self, r):
@@ -351,15 +409,15 @@ class _Hybrid:
         global right-hand side r."""
         z, b = [], np.zeros(self.n_lam + 1)
         for dofs, weight, ldof, sign, Kinv in self.groups:
-            z.append(np.einsum("mkl,ml->mk", Kinv, weight * r[dofs]))
+            z.append(_batch_matvec(Kinv, weight * r[dofs]))
             b += np.bincount(ldof.ravel(),
                              (sign * z[-1][:, :ldof.shape[1]]).ravel(),
                              minlength=self.n_lam + 1)
         lam = np.zeros(self.n_lam + 1)
         if self.lu is not None:
             lam[:-1] = self.lu.solve(b[:-1])
-        return [zg - np.einsum("mkl,ml->mk", Kinv[:, :, :ldof.shape[1]],
-                               sign * lam[ldof])
+        return [zg - _batch_matvec(Kinv[:, :, :ldof.shape[1]],
+                                   sign * lam[ldof])
                 for (_, _, ldof, sign, Kinv), zg in zip(self.groups, z)]
 
     def __call__(self, r):
@@ -373,7 +431,8 @@ class _Hybrid:
 
 def solve(system) -> Solution:
     """Hybridised solve of the eliminated saddle point, one refinement step
-    against it, relative-residual check.
+    against it, relative-residual check; the saddle point is applied from
+    ``system.blocks``, so the global matrix is never formed.
 
     A pure traction problem (no boundary edge left without a prescribed
     traction) has the rigid motions as a kernel and raises SolverError.
@@ -383,19 +442,20 @@ def solve(system) -> Solution:
         raise SolverError("singular system: every boundary edge carries a "
                           "prescribed traction, so the global rigid motions "
                           "are a kernel (pure traction problem)")
-    m, rhs = system.eliminated()
+    op = _Eliminated(system)
+    rhs = op.rhs
     hybrid = _Hybrid(system)
     x = hybrid(rhs)
     # Near incompressibility the first pass leaves a relative residual up to
     # about 3e-8 (Cook membrane, nu = 0.499995, 64 x 64 quads); one
     # refinement step brings it to round-off.
-    x += hybrid(rhs - m @ x)
+    x += hybrid(rhs - op(x))
     if not np.all(np.isfinite(x)):
         bad = np.nonzero(~np.isfinite(x))[0]
         raise SolverError(f"singular system: non-finite solution at DOFs "
                           f"{bad[:5].tolist()}...")
     scale = np.linalg.norm(rhs)
-    residual = np.linalg.norm(m @ x - rhs) / (scale if scale > 0 else 1.0)
+    residual = np.linalg.norm(op(x) - rhs) / (scale if scale > 0 else 1.0)
     if residual > SOLVER_TOL:
         raise SolverError(f"solver residual {residual:.3e} above "
                           f"{SOLVER_TOL:.1e}")
@@ -407,7 +467,8 @@ def solve(system) -> Solution:
         report=SolveReport(n_dof=dm.size,
                            n_constrained=len(system.constrained_dofs),
                            residual=float(residual),
-                           tolerance=SOLVER_TOL, lu_nnz=hybrid.lu_nnz))
+                           tolerance=SOLVER_TOL, lu_nnz=hybrid.lu_nnz,
+                           factor_s=hybrid.factor_s))
 
 
 def inf_sup_constant(mesh, material, stabilization="stab1"):
@@ -434,18 +495,15 @@ SOLUTION_FORMAT_HEADER = "vemhr-solution v1"
 
 
 def write_solution_text(solution, checksum=None) -> str:
-    buf = io.StringIO()
-    buf.write(SOLUTION_FORMAT_HEADER + "\n")
-    buf.write(f"mesh_checksum {checksum or mesh_checksum(solution.mesh)}\n")
-    buf.write(f"residual {solution.report.residual:.17g}\n")
-    buf.write(f"n_constrained {solution.report.n_constrained}\n")
-    buf.write(f"{len(solution.edge_dofs)}\n")
-    for row in solution.edge_dofs:
-        buf.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-    buf.write(f"{len(solution.cell_motions)}\n")
-    for row in solution.cell_motions:
-        buf.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-    return buf.getvalue()
+    report = solution.report
+    return (f"{SOLUTION_FORMAT_HEADER}\n"
+            f"mesh_checksum {checksum or mesh_checksum(solution.mesh)}\n"
+            f"residual {report.residual:.17g}\n"
+            f"n_constrained {report.n_constrained}\n"
+            f"{len(solution.edge_dofs)}\n"
+            + _format_rows(solution.edge_dofs)
+            + f"{len(solution.cell_motions)}\n"
+            + _format_rows(solution.cell_motions))
 
 
 def save_solution(path, solution):
@@ -465,11 +523,10 @@ def load_solution(path, mesh=None):
         residual = float(lines[2].split()[1])
         n_constrained = int(lines[3].split()[1])
         ne = int(lines[4])
-        edge = np.array([[float(t) for t in ln.split()]
-                         for ln in lines[5:5 + ne]])
+        edge = np.array([ln.split() for ln in lines[5:5 + ne]], dtype=float)
         nc = int(lines[5 + ne])
-        cells = np.array([[float(t) for t in ln.split()]
-                          for ln in lines[6 + ne:6 + ne + nc]])
+        cells = np.array([ln.split() for ln in lines[6 + ne:6 + ne + nc]],
+                         dtype=float)
     except (IndexError, ValueError) as exc:
         raise ValueError(f"malformed solution file {path}: {exc}") from exc
     if (edge.shape != (ne, 3) or cells.shape != (nc, 3)
@@ -479,6 +536,7 @@ def load_solution(path, mesh=None):
                              or (ne, nc) != (mesh.n_edges, mesh.n_cells)):
         raise ValueError("solution file does not match the mesh")
     report = SolveReport(n_dof=3 * (ne + nc), n_constrained=n_constrained,
-                         residual=residual, tolerance=np.nan, lu_nnz=-1)
+                         residual=residual, tolerance=np.nan, lu_nnz=-1,
+                         factor_s=np.nan)
     return Solution(mesh=mesh, edge_dofs=edge, cell_motions=cells,
                     report=report)

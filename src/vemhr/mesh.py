@@ -14,7 +14,6 @@ Cells are stored flat (CSR): cell c owns positions ``cell_offsets[c]`` to
 """
 
 import hashlib
-import io
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -417,17 +416,23 @@ def cook_domain():
     return np.array([[0.0, 0.0], [48.0, 44.0], [48.0, 60.0], [0.0, 44.0]])
 
 
+def _format_rows(values):
+    """One line per row of a 2D array, each value as ``f"{v:.17g}"``; a
+    single ``%`` call formats the whole array."""
+    n, k = values.shape
+    return ((" ".join(["%.17g"] * k) + "\n") * n) % tuple(
+        values.ravel().tolist())
+
+
 def write_mesh_text(mesh) -> str:
     """Serialize to the versioned text format (17 significant digits)."""
-    buf = io.StringIO()
-    buf.write(MESH_FORMAT_HEADER + "\n")
-    buf.write(f"{mesh.n_vertices}\n")
-    for x, y in mesh.vertices:
-        buf.write(f"{x:.17g} {y:.17g}\n")
-    buf.write(f"{mesh.n_cells}\n")
-    for loop in mesh.cell_vertices:
-        buf.write(" ".join(str(int(v)) for v in loop) + "\n")
-    return buf.getvalue()
+    ends = np.zeros(len(mesh.cell_vertex_ids), dtype=bool)
+    ends[mesh.cell_offsets[1:] - 1] = True
+    loops = "".join(np.where(ends, "%d\n", "%d ").tolist())
+    return (f"{MESH_FORMAT_HEADER}\n{mesh.n_vertices}\n"
+            + _format_rows(mesh.vertices)
+            + f"{mesh.n_cells}\n"
+            + loops % tuple(mesh.cell_vertex_ids.tolist()))
 
 
 def save_mesh(path, mesh):
@@ -444,10 +449,9 @@ def load_mesh(path):
         raise MeshError(f"not a '{MESH_FORMAT_HEADER}' file: {path}")
     try:
         nv = int(lines[1])
-        verts = np.array([[float(t) for t in ln.split()]
-                          for ln in lines[2:2 + nv]])
+        verts = np.array([ln.split() for ln in lines[2:2 + nv]], dtype=float)
         nc = int(lines[2 + nv])
-        loops = [np.array([int(t) for t in ln.split()], dtype=int)
+        loops = [np.array(ln.split(), dtype=int)
                  for ln in lines[3 + nv:3 + nv + nc]]
     except (IndexError, ValueError) as exc:
         raise MeshError(f"malformed mesh file {path}: {exc}") from exc

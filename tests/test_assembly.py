@@ -3,10 +3,13 @@ import pytest
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
-from vemhr.assembly import (DisplacementBC, DofMap, SolverError, TractionBC,
-                            _Hybrid, apply_essential_traction, assemble,
+from vemhr import assembly
+from vemhr.assembly import (DisplacementBC, DofMap, GlobalSystem, Solution,
+                            SolveReport, SolverError, TractionBC,
+                            _Eliminated, _Hybrid, _scatter_blocks,
+                            apply_essential_traction, assemble,
                             inf_sup_constant, load_solution, save_solution,
-                            solve)
+                            solve, write_solution_text)
 from vemhr.element import STABILIZATIONS, constant_stress_dofs
 from vemhr.generators import MESH_KINDS, generate_mesh
 from vemhr.material import from_lame
@@ -270,6 +273,13 @@ class TestSolve:
         assert_allclose(solution.edge_dofs, constant_stress_dofs(
             UNIT, problem.material.stress([1.0, 0.0, 0.0])), atol=1e-13)
 
+    def test_factor_seconds_reported(self):
+        solution = solve(assemble(generate_mesh("quad_structured", 8),
+                                  problem_test_a()))
+        assert 0.0 < solution.report.factor_s < 60.0
+        problem, _ = patch_problem()
+        assert solve(assemble(UNIT, problem)).report.factor_s == 0.0
+
     def test_lu_nnz_below_saddle_colamd(self):
         mesh = generate_mesh("quad_structured", 32)
         system = assemble(mesh, problem_test_b())
@@ -362,6 +372,51 @@ class TestHybridSolve:
         assert (hi - lo).max() <= 1e-12 * scale
 
 
+class TestBlockOperator:
+    """The solve path applies the eliminated saddle point from the local
+    blocks; the global matrix is built only when asked for."""
+
+    def test_solve_never_forms_global_matrix(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("global matrix formed")
+
+        mesh = generate_mesh("poly_voronoi_random", 16, seed=0)
+        system = assemble(mesh, TestHybridSolve.mixed_problem())
+        assert len(system.constrained_dofs) > 0
+        monkeypatch.setattr(assembly, "_scatter_blocks", boom)
+        monkeypatch.setattr(GlobalSystem, "eliminated", boom)
+        solution = solve(system)
+        assert solution.report.residual < 1e-10
+        assert "matrix" not in vars(system)
+
+    @pytest.mark.parametrize("stabilization", STABILIZATIONS)
+    @pytest.mark.parametrize("kind", MESH_KINDS)
+    def test_matches_eliminated_matrix(self, kind, stabilization):
+        mesh = generate_mesh(kind, TestHybridSolve.SIZES[kind], seed=0)
+        system = assemble(mesh, TestHybridSolve.mixed_problem(),
+                          stabilization)
+        assert len(system.constrained_dofs) > 0
+        m, rhs = system.eliminated()
+        op = _Eliminated(system)
+        x = np.random.default_rng(5).standard_normal(system.dofmap.size)
+        ref = m @ x
+        assert np.abs(op(x) - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.abs(op.rhs - rhs).max() <= 1e-14 * np.abs(rhs).max()
+
+    @pytest.mark.parametrize("kind", ["quad_structured",
+                                      "poly_voronoi_random"])
+    def test_lazy_matrix_equals_scatter(self, kind):
+        mesh = generate_mesh(kind, 16 if kind.startswith("poly") else 4,
+                             seed=0)
+        system = assemble(mesh, problem_test_b())
+        ref = _scatter_blocks(mesh, system.blocks).tocsr()
+        matrix = system.matrix
+        assert matrix is system.matrix  # built once
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(matrix, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestInfSup:
     def test_no_collapse_under_refinement(self):
         mat = from_lame(1.0, 1.0)
@@ -384,8 +439,40 @@ class TestSolutionIO:
         assert np.array_equal(back.cell_motions, solution.cell_motions)
         assert back.report.residual == solution.report.residual
 
+    def test_factor_seconds_not_stored(self, tmp_path):
+        mesh = generate_mesh("quad_structured", 3)
+        path = tmp_path / "sol.txt"
+        save_solution(path, solve(assemble(mesh, problem_test_a())))
+        assert np.isnan(load_solution(path, mesh).report.factor_s)
+
+    def test_text_matches_per_value_reference(self, tmp_path):
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, -1e308,
+                   1e-300, 1.0 / 3.0]
+        rng = np.random.default_rng(2)
+        edge = rng.standard_normal((7, 3)) * 10.0 ** rng.integers(
+            -30, 30, (7, 3))
+        edge.ravel()[:len(special)] = special
+        cells = np.array([[0.1, -0.0, 2.0], [np.nan, 1e-320, -7.0]])
+        report = SolveReport(n_dof=27, n_constrained=3, residual=2.5e-15,
+                             tolerance=1e-10, lu_nnz=0, factor_s=0.0)
+        text = write_solution_text(
+            Solution(mesh=None, edge_dofs=edge, cell_motions=cells,
+                     report=report), checksum="abc")
+        lines = ["vemhr-solution v1", "mesh_checksum abc",
+                 f"residual {2.5e-15:.17g}", "n_constrained 3", "7"]
+        lines += [" ".join(f"{v:.17g}" for v in row) for row in edge]
+        lines.append("2")
+        lines += [" ".join(f"{v:.17g}" for v in row) for row in cells]
+        assert text == "\n".join(lines) + "\n"
+        path = tmp_path / "sol.txt"
+        path.write_text(text)
+        back = load_solution(path)
+        assert back.edge_dofs.tobytes() == edge.tobytes()
+        assert np.array_equal(back.cell_motions, cells, equal_nan=True)
+
     @pytest.mark.parametrize("cut", ["header_only", "rows", "non_numeric",
-                                     "count_vs_rows", "count_vs_mesh"])
+                                     "count_vs_rows", "count_vs_mesh",
+                                     "ragged_row"])
     def test_malformed_rejected(self, tmp_path, cut):
         mesh = generate_mesh("quad_structured", 3)
         solution = solve(assemble(mesh, problem_test_a()))
@@ -401,6 +488,8 @@ class TestSolutionIO:
             lines[7] = "1.0 x 2.0"
         elif cut == "count_vs_rows":
             lines[4] = str(ne - 1)
+        elif cut == "ragged_row":
+            lines[7] = "1.0 2.0"
         else:  # consistent file, one edge short of the mesh
             lines = (lines[:4] + [str(ne - 1)] + lines[5:4 + ne]
                      + lines[5 + ne:])

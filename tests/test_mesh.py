@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,7 +7,7 @@ from numpy.testing import assert_allclose
 from vemhr.generators import MESH_KINDS, generate_mesh
 from vemhr.mesh import (MeshError, build_topology, check_assumptions,
                         cook_domain, load_mesh, mesh_checksum, perp,
-                        polygon_metrics, save_mesh)
+                        polygon_metrics, save_mesh, write_mesh_text)
 from vemhr.quadrature import polygon_rule
 
 SQUARE_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -184,6 +186,41 @@ class TestMeshIO:
         save_mesh(tmp_path / "m2.msh", back)
         assert (tmp_path / "m.msh").read_text() == \
             (tmp_path / "m2.msh").read_text()
+
+    @staticmethod
+    def reference_text(mesh):
+        """The format written value by value."""
+        lines = ["vemhr-mesh v1", str(mesh.n_vertices)]
+        lines += [" ".join(f"{v:.17g}" for v in row) for row in mesh.vertices]
+        lines.append(str(mesh.n_cells))
+        lines += [" ".join(str(int(v)) for v in loop)
+                  for loop in mesh.cell_vertices]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("kind", MESH_KINDS)
+    def test_text_matches_per_value_reference(self, kind, tmp_path):
+        mesh = generate_mesh(kind, 16 if kind.startswith("poly") else 4,
+                             seed=3)
+        assert write_mesh_text(mesh) == self.reference_text(mesh)
+        path = tmp_path / "m.msh"
+        save_mesh(path, mesh)
+        back = load_mesh(path)
+        assert back.vertices.tobytes() == mesh.vertices.tobytes()
+        assert np.array_equal(back.cell_vertex_ids, mesh.cell_vertex_ids)
+        assert np.array_equal(back.cell_offsets, mesh.cell_offsets)
+
+    def test_special_values_match_reference(self):
+        # write_mesh_text only reads the flat arrays, so a stand-in can hold
+        # values build_topology would reject
+        values = np.array([[np.nan, np.inf], [-np.inf, -0.0], [5e-324, 1e308],
+                           [-1e-300, 0.1], [1.0 / 3.0, -2.5e-7]])
+        offsets = np.array([0, 3, 5])
+        ids = np.array([0, 1, 2, 4, 3])
+        stand_in = SimpleNamespace(
+            vertices=values, cell_offsets=offsets, cell_vertex_ids=ids,
+            n_vertices=len(values), n_cells=len(offsets) - 1,
+            cell_vertices=[ids[:3], ids[3:]])
+        assert write_mesh_text(stand_in) == self.reference_text(stand_in)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.msh"

@@ -212,6 +212,10 @@ class TestCli:
                      id="non_numeric"),
         pytest.param("vemhr-mesh v1\n4\n0 0\n1 0\n1 1\n0 1\n1\n0 1 2 7\n",
                      id="vertex_id_range"),
+        pytest.param("vemhr-mesh v1\n4\n0 0 0\n1 0\n1 1\n0 1\n1\n0 1 2 3\n",
+                     id="ragged_vertex"),
+        pytest.param("vemhr-mesh v1\n4\n0 0\n1 0\n1 1\n0 1\n1\n0 1 2.5 3\n",
+                     id="float_vertex_id"),
     ])
     def test_bad_mesh_file(self, tmp_path, text):
         bad = tmp_path / "bad.msh"
