@@ -14,8 +14,8 @@ by a multiplier, the 3 displacement moments conjugate to them.  The local
 saddle points are inverted cell group by cell group, the multipliers solve a
 symmetric positive definite system on the interior edges, and one step of
 iterative refinement against the eliminated system follows.  The solve never
-forms the global matrix: it applies the eliminated saddle point from the
-local blocks.
+forms the global matrix: the masked local saddle points it inverts, scattered
+over the cells, are the eliminated saddle point, and it applies them as such.
 """
 
 import time
@@ -103,8 +103,10 @@ class GlobalSystem:
     """Assembled raw system plus the essential-constraint bookkeeping.
 
     ``blocks`` holds the local (CellGroup, A_E, B_E) of every cell group;
-    ``solve`` works from them alone.  The global CSR ``matrix`` is scattered
-    from them only when first asked for (by ``eliminated`` and diagnostics).
+    ``solve`` works from them alone: its masked local saddle points are the
+    eliminated system.  The global CSR ``matrix`` and ``eliminated`` are the
+    reference for tests and diagnostics; the matrix is scattered from the
+    blocks only when first asked for.
     """
 
     mesh: object
@@ -286,85 +288,61 @@ def _batch_matvec(M, v):
     return np.matmul(M, v[:, :, None])[:, :, 0]
 
 
-class _Eliminated:
-    """The eliminated saddle point of a system, applied from its local
-    blocks: ``op(x)`` is ``system.eliminated()[0] @ x`` and ``op.rhs`` the
-    eliminated right-hand side, without forming the global matrix."""
-
-    def __init__(self, system):
-        dm = system.dofmap
-        self.n_stress, self.size = dm.n_stress, dm.size
-        self.groups = [(*_group_dofs(g, dm), A, B)
-                       for g, A, B in system.blocks]
-        idx = system.constrained_dofs
-        self.keep = np.ones(dm.size)
-        self.keep[idx] = 0.0
-        self.rhs = system.rhs.copy()
-        if len(idx):
-            x0 = np.zeros(dm.size)
-            x0[idx] = system.constrained_values
-            self.rhs -= self.saddle(x0)
-            self.rhs[idx] = system.constrained_values
-
-    def saddle(self, x):
-        """[[A, B^T], [B, 0]] @ x: per cell group, gather the DOFs, apply
-        A_E, B_E and B_E^T, and sum the edge rows over the cells."""
-        y = np.empty(self.size)
-        dofs, vals = [], []
-        for gdof, cdof, A, B in self.groups:
-            xg, xc = x[gdof], x[cdof]
-            dofs.append(gdof.ravel())
-            vals.append((_batch_matvec(A, xg) + _batch_matvec(
-                B.transpose(0, 2, 1), xc)).ravel())
-            y[cdof] = _batch_matvec(B, xg)
-        y[:self.n_stress] = np.bincount(np.concatenate(dofs),
-                                        np.concatenate(vals),
-                                        minlength=self.n_stress)
-        return y
-
-    def __call__(self, x):
-        # constrained rows and columns become the identity, as in eliminated()
-        return self.keep * self.saddle(self.keep * x) + (1.0 - self.keep) * x
-
-
 class _Hybrid:
-    """Hybridised inverse of the eliminated saddle point of a system.
+    """The eliminated saddle point of a system, applied and inverted from its
+    local blocks by hybridisation.
 
-    Each cell E solves its local saddle point K_E y_E = r_E - C_E lam for its
-    own (torn) traction DOFs and rigid motion.  K_E is [[A_E, B_E^T],
-    [B_E, 0]] with the essential-traction DOFs as identity rows and their
-    columns removed; C_E puts the multiplier lam_e of each interior edge on
-    the edge's rows with the cell-side sign, so the two signs of an interior
-    edge cancel and the glued copies satisfy the global equations.  The
-    multipliers solve the SPD system sum_E C_E^T K_E^-1 C_E lam =
-    sum_E C_E^T K_E^-1 r_E.  A global vector r is split into the r_E with
-    ``weight``: an interior edge's row half to each of its two cells, every
-    other row whole to its one cell; the same weights average the two copies
-    of an interior edge back into one global vector.
+    Each cell E holds its local saddle point K_E = [[A_E, B_E^T], [B_E, 0]]
+    with the essential-traction DOFs as identity rows and their columns
+    removed.  Scattered over the cells, these K_E are the eliminated saddle
+    point of ``GlobalSystem.eliminated`` (a fixed DOF lies on one boundary
+    edge, so its identity row is counted once): ``apply(x)`` is its product
+    with x, and ``rhs`` the eliminated right-hand side, whose lift of the
+    prescribed values comes from the K_E before they are masked.
+
+    Called on a global vector r, each cell solves K_E y_E = r_E - C_E lam
+    for its own (torn) traction DOFs and rigid motion.  C_E puts the
+    multiplier lam_e of each interior edge on the edge's rows with the
+    cell-side sign, so the two signs of an interior edge cancel and the
+    glued copies satisfy the global equations.  The multipliers solve the
+    SPD system S lam = sum_E C_E^T K_E^-1 r_E, S = sum_E C_E^T K_E^-1 C_E.
+    r is split into the r_E with ``weight``: an interior edge's row half to
+    each of its two cells, every other row whole to its one cell; the same
+    weights average the two copies of an interior edge back into one global
+    vector.
     """
 
     def __init__(self, system):
         mesh, dm = system.mesh, system.dofmap
-        fixed = np.zeros(dm.n_stress, dtype=bool)
-        fixed[system.constrained_dofs] = True
+        idx, values = system.constrained_dofs, system.constrained_values
+        fixed = np.zeros(dm.size, dtype=bool)
+        fixed[idx] = True
+        x0 = np.zeros(dm.size)
+        x0[idx] = values
         interior = mesh.interior_edges
         n_lam = 3 * len(interior)
         # multiplier index per edge; the DOFs of unglued edges point at one
-        # zero slot past the end
+        # dummy slot n_lam, whose row and column of S are dropped
         lam_of = np.full(mesh.n_edges, len(interior))
         lam_of[interior] = np.arange(len(interior))
+        half = np.ones(mesh.n_edges)
+        half[interior] = 0.5
         self.size = dm.size
         self.n_lam = n_lam
         self.groups = []
+        lift = np.zeros(dm.size)
         rows, cols, vals = [], [], []
         for g, A, B in system.blocks:
             m, nd = A.shape[0], A.shape[1]
-            gdof, cdof = _group_dofs(g, dm)
+            dofs = np.concatenate(_group_dofs(g, dm), axis=1)
             K = np.zeros((m, nd + 3, nd + 3))
             K[:, :nd, :nd] = A
             K[:, nd:, :nd] = B
             K[:, :nd, nd:] = B.transpose(0, 2, 1)
-            cell, slot = np.nonzero(fixed[gdof])
+            lift += np.bincount(dofs.ravel(),
+                                _batch_matvec(K, x0[dofs]).ravel(),
+                                minlength=dm.size)
+            cell, slot = np.nonzero(fixed[dofs])
             K[cell, slot, :] = 0.0
             K[cell, :, slot] = 0.0
             K[cell, slot, slot] = 1.0
@@ -373,26 +351,26 @@ class _Hybrid:
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"singular local saddle point on the "
                                   f"{g.n_edges}-gon cells: {exc}") from exc
-            edge_lam = lam_of[g.edge_ids]
-            ldof = (3 * edge_lam[:, :, None] + np.arange(3)).reshape(m, nd)
-            glued = ldof < n_lam
-            ldof[~glued] = n_lam
+            ldof = np.minimum(3 * lam_of[g.edge_ids][:, :, None]
+                              + np.arange(3), n_lam).reshape(m, nd)
             sign = np.repeat(g.signs, 3, axis=1)
             weight = np.ones((m, nd + 3))
-            weight[:, :nd][glued] = 0.5
-            pair = glued[:, :, None] & glued[:, None, :]
-            rows.append(np.broadcast_to(ldof[:, :, None], pair.shape)[pair])
-            cols.append(np.broadcast_to(ldof[:, None, :], pair.shape)[pair])
+            weight[:, :nd] = np.repeat(half[g.edge_ids], 3, axis=1)
+            rows.append(np.broadcast_to(ldof[:, :, None], (m, nd, nd)).ravel())
+            cols.append(np.broadcast_to(ldof[:, None, :], (m, nd, nd)).ravel())
             vals.append((sign[:, :, None] * Kinv[:, :nd, :nd]
-                         * sign[:, None, :])[pair])
-            self.groups.append((np.concatenate([gdof, cdof], axis=1),
-                                weight, ldof, sign, Kinv))
+                         * sign[:, None, :]).ravel())
+            self.groups.append((dofs, weight, ldof, sign, K, Kinv))
+        self.rhs = system.rhs - lift
+        self.rhs[idx] = values
         self.lu = None
         self.lu_nnz = 0
         self.factor_s = 0.0
         if n_lam:
             S = sps.csc_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                np.concatenate(cols))), shape=(n_lam, n_lam))
+                                np.concatenate(cols))),
+                               shape=(n_lam + 1, n_lam + 1))[:-1, :-1]
+            del rows, cols, vals  # the COO triplets need not outlive S
             t0 = time.perf_counter()
             try:
                 self.lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A",
@@ -404,11 +382,20 @@ class _Hybrid:
             self.factor_s = time.perf_counter() - t0
             self.lu_nnz = int(self.lu.L.nnz + self.lu.U.nnz)
 
+    def apply(self, x):
+        """The eliminated saddle point times x: per cell group, the masked
+        K_E applied to the gathered DOFs and summed over the cells."""
+        y = np.zeros(self.size)
+        for dofs, _, _, _, K, _ in self.groups:
+            y += np.bincount(dofs.ravel(), _batch_matvec(K, x[dofs]).ravel(),
+                             minlength=self.size)
+        return y
+
     def local_solutions(self, r):
         """Per cell group, the torn local solutions y_E (m, 3n + 3) for the
         global right-hand side r."""
         z, b = [], np.zeros(self.n_lam + 1)
-        for dofs, weight, ldof, sign, Kinv in self.groups:
+        for dofs, weight, ldof, sign, _, Kinv in self.groups:
             z.append(_batch_matvec(Kinv, weight * r[dofs]))
             b += np.bincount(ldof.ravel(),
                              (sign * z[-1][:, :ldof.shape[1]]).ravel(),
@@ -418,12 +405,11 @@ class _Hybrid:
             lam[:-1] = self.lu.solve(b[:-1])
         return [zg - _batch_matvec(Kinv[:, :, :ldof.shape[1]],
                                    sign * lam[ldof])
-                for (_, _, ldof, sign, Kinv), zg in zip(self.groups, z)]
+                for (_, _, ldof, sign, _, Kinv), zg in zip(self.groups, z)]
 
     def __call__(self, r):
         x = np.zeros(self.size)
-        for (dofs, weight, _, _, _), y in zip(self.groups,
-                                              self.local_solutions(r)):
+        for (dofs, weight, *_), y in zip(self.groups, self.local_solutions(r)):
             x += np.bincount(dofs.ravel(), (weight * y).ravel(),
                              minlength=self.size)
         return x
@@ -431,7 +417,8 @@ class _Hybrid:
 
 def solve(system) -> Solution:
     """Hybridised solve of the eliminated saddle point, one refinement step
-    against it, relative-residual check; the saddle point is applied from
+    against it, relative-residual check.  One ``_Hybrid`` gives the
+    eliminated rhs, the operator and its inverse, all from
     ``system.blocks``, so the global matrix is never formed.
 
     A pure traction problem (no boundary edge left without a prescribed
@@ -442,20 +429,19 @@ def solve(system) -> Solution:
         raise SolverError("singular system: every boundary edge carries a "
                           "prescribed traction, so the global rigid motions "
                           "are a kernel (pure traction problem)")
-    op = _Eliminated(system)
-    rhs = op.rhs
     hybrid = _Hybrid(system)
+    rhs = hybrid.rhs
     x = hybrid(rhs)
     # Near incompressibility the first pass leaves a relative residual up to
     # about 3e-8 (Cook membrane, nu = 0.499995, 64 x 64 quads); one
     # refinement step brings it to round-off.
-    x += hybrid(rhs - op(x))
+    x += hybrid(rhs - hybrid.apply(x))
     if not np.all(np.isfinite(x)):
         bad = np.nonzero(~np.isfinite(x))[0]
         raise SolverError(f"singular system: non-finite solution at DOFs "
                           f"{bad[:5].tolist()}...")
-    scale = np.linalg.norm(rhs)
-    residual = np.linalg.norm(op(x) - rhs) / (scale if scale > 0 else 1.0)
+    scale = np.linalg.norm(rhs) or 1.0
+    residual = np.linalg.norm(hybrid.apply(x) - rhs) / scale
     if residual > SOLVER_TOL:
         raise SolverError(f"solver residual {residual:.3e} above "
                           f"{SOLVER_TOL:.1e}")

@@ -11,9 +11,9 @@ Everything the scheme needs is a linear map of these DOFs:
 * the stabilized energy matrix A_E and the divergence coupling B_E.
 
 The maps are assembled for groups of cells sharing an edge count, so the
-whole-mesh computation is a handful of einsums per group.  Edge data (the
-interpolation of a stress field, prescribed tractions, displacement data)
-goes through one edge-moment kernel over arrays of edges.
+whole-mesh computation is a handful of batched matrix products per group.
+Edge data (the interpolation of a stress field, prescribed tractions,
+displacement data) goes through one edge-moment kernel over arrays of edges.
 """
 
 import numpy as np
@@ -122,24 +122,25 @@ class CellGroup:
             raise ValueError(f"unknown stabilization {stabilization!r}")
         P = self.projection_map
         G = material.energy_matrix
-        A = np.einsum("mak,ab,mbl->mkl", P, G, P) * self.areas[:, None, None]
+        A = P.transpose(0, 2, 1) @ (G @ P) * self.areas[:, None, None]
         if kappa is None:
             kappa = material.kappa
-        for j in range(self.n_edges):
-            n_j = self.normals[:, j]
-            theta = np.empty((len(self.cells), 2, self.ndof))
-            theta[:, 0] = P[:, 0] * n_j[:, 0, None] + P[:, 2] * n_j[:, 1, None]
-            theta[:, 1] = P[:, 2] * n_j[:, 0, None] + P[:, 1] * n_j[:, 1, None]
-            tm = -theta
-            tm[:, 0, 3 * j] += 1.0
-            tm[:, 1, 3 * j + 1] += 1.0
-            contrib = np.einsum("mak,mal->mkl", tm, tm)
-            contrib[:, 3 * j + 2, 3 * j + 2] += 1.0 / 12.0
-            if stabilization == "stab1":
-                w = kappa * self.diameters * self.lengths[:, j]
-            else:
-                w = kappa * self.lengths[:, j] ** 2
-            A += w[:, None, None] * contrib
+        # rows 2j, 2j + 1 of T: (chi - Pi) n_j on edge j, (m, 2n, 3n)
+        m, n = len(self.cells), self.n_edges
+        N = self.normals
+        Nmat = np.zeros((m, n, 2, 3))
+        Nmat[:, :, 0, 0] = Nmat[:, :, 1, 2] = N[:, :, 0]
+        Nmat[:, :, 1, 1] = Nmat[:, :, 0, 2] = N[:, :, 1]
+        T = -(Nmat.reshape(m, 2 * n, 3) @ P)
+        j = np.arange(n)
+        T[:, 2 * j, 3 * j] += 1.0
+        T[:, 2 * j + 1, 3 * j + 1] += 1.0
+        if stabilization == "stab1":
+            w = kappa * self.diameters[:, None] * self.lengths
+        else:
+            w = kappa * self.lengths ** 2
+        A += T.transpose(0, 2, 1) @ (np.repeat(w, 2, axis=1)[:, :, None] * T)
+        A[:, 3 * j + 2, 3 * j + 2] += w / 12.0
         return 0.5 * (A + A.transpose(0, 2, 1))
 
     def b_matrices(self):

@@ -416,23 +416,28 @@ def cook_domain():
     return np.array([[0.0, 0.0], [48.0, 44.0], [48.0, 60.0], [0.0, 44.0]])
 
 
-def _format_rows(values):
-    """One line per row of a 2D array, each value as ``f"{v:.17g}"``; a
-    single ``%`` call formats the whole array."""
+def _format_rows(values, fmt="%.17g", end="\n"):
+    """One line per row of a 2D array, each value as ``fmt % v`` and ``end``
+    closing the row; a single ``%`` call formats the whole array."""
     n, k = values.shape
-    return ((" ".join(["%.17g"] * k) + "\n") * n) % tuple(
-        values.ravel().tolist())
+    return ((" ".join([fmt] * k) + end) * n) % tuple(values.ravel().tolist())
+
+
+def _format_loops(ids, offsets):
+    """One line of integers per CSR row ``ids[offsets[i]:offsets[i + 1]]``,
+    formatted with a single ``%`` call."""
+    ends = np.zeros(len(ids), dtype=bool)
+    ends[offsets[1:] - 1] = True
+    return "".join(np.where(ends, "%d\n", "%d ").tolist()) % tuple(
+        ids.tolist())
 
 
 def write_mesh_text(mesh) -> str:
     """Serialize to the versioned text format (17 significant digits)."""
-    ends = np.zeros(len(mesh.cell_vertex_ids), dtype=bool)
-    ends[mesh.cell_offsets[1:] - 1] = True
-    loops = "".join(np.where(ends, "%d\n", "%d ").tolist())
     return (f"{MESH_FORMAT_HEADER}\n{mesh.n_vertices}\n"
             + _format_rows(mesh.vertices)
             + f"{mesh.n_cells}\n"
-            + loops % tuple(mesh.cell_vertex_ids.tolist()))
+            + _format_loops(mesh.cell_vertex_ids, mesh.cell_offsets))
 
 
 def save_mesh(path, mesh):

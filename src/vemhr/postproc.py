@@ -16,7 +16,7 @@ import numpy as np
 from .element import (_edge_points, _sample, body_load_vector,
                       divergence_field, projection_field)
 from .material import tensor_to_matrix, von_mises_plane_strain
-from .mesh import perp
+from .mesh import _format_loops, _format_rows, perp
 from .quadrature import QUADRATURE_DEGREE, edge_rule, mesh_polygon_quadrature
 
 __all__ = [
@@ -201,27 +201,23 @@ def write_vtk_polydata(path, mesh, cell_data=None, title="vemhr output"):
     2-column arrays are written as VECTORS (zero-padded to 3 components),
     1-dimensional arrays as SCALARS.
     """
-    cell_data = cell_data or {}
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET POLYDATA",
-             f"POINTS {mesh.n_vertices} double"]
-    for x, y in mesh.vertices:
-        lines.append(f"{x:.12e} {y:.12e} 0.0")
-    total = sum(len(loop) + 1 for loop in mesh.cell_vertices)
-    lines.append(f"POLYGONS {mesh.n_cells} {total}")
-    for loop in mesh.cell_vertices:
-        lines.append(" ".join([str(len(loop))] + [str(int(v)) for v in loop]))
+    offsets = mesh.cell_offsets
+    # each polygon line is the vertex count followed by the vertex ids
+    polygons = np.insert(mesh.cell_vertex_ids, offsets[:-1], np.diff(offsets))
+    parts = [f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET POLYDATA\n"
+             f"POINTS {mesh.n_vertices} double\n",
+             _format_rows(mesh.vertices, "%.12e", " 0.0\n"),
+             f"POLYGONS {mesh.n_cells} {len(polygons)}\n",
+             _format_loops(polygons, offsets + np.arange(len(offsets)))]
     if cell_data:
-        lines.append(f"CELL_DATA {mesh.n_cells}")
+        parts.append(f"CELL_DATA {mesh.n_cells}\n")
         for name, arr in cell_data.items():
             arr = np.asarray(arr, dtype=float)
             if arr.ndim == 2:
-                lines.append(f"VECTORS {name} double")
-                for row in arr:
-                    lines.append(f"{row[0]:.12e} {row[1]:.12e} 0.0")
+                parts += [f"VECTORS {name} double\n",
+                          _format_rows(arr[:, :2], "%.12e", " 0.0\n")]
             else:
-                lines.append(f"SCALARS {name} double 1")
-                lines.append("LOOKUP_TABLE default")
-                for v in arr:
-                    lines.append(f"{v:.12e}")
+                parts += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n",
+                          _format_rows(arr.reshape(-1, 1), "%.12e")]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(parts))

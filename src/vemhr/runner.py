@@ -27,7 +27,6 @@ __all__ = [
     "COOK_KINDS",
     "make_problem",
     "mesh_for_level",
-    "solve_on_mesh",
     "convergence_study",
     "run_convergence",
     "run_cook",
@@ -101,10 +100,6 @@ def mesh_for_level(kind, level, domain=None, seed=0):
     return generate_mesh(kind, resolution, domain=domain, seed=seed)
 
 
-def solve_on_mesh(problem, mesh, config: RunConfig):
-    return solve(assemble(mesh, problem, stabilization=config.stabilization))
-
-
 def convergence_study(problem, kind, levels, config: RunConfig):
     """One refinement sweep of a manufactured problem on a mesh family.
 
@@ -119,7 +114,8 @@ def convergence_study(problem, kind, levels, config: RunConfig):
         try:
             mesh = mesh_for_level(kind, level, domain=problem.domain,
                                   seed=config.seed)
-            solution = solve_on_mesh(problem, mesh, config)
+            solution = solve(assemble(mesh, problem,
+                                      stabilization=config.stabilization))
         except (ValueError, SolverError) as exc:
             # a bad mesh or a singular system fails this level only
             failures.append((level, f"{type(exc).__name__}: {exc}"))
@@ -194,7 +190,8 @@ def run_cook(config: RunConfig):
         for nu in config.cook_nus:
             problem = problem_cook(nu)
             for i, (level, mesh) in enumerate(zip(config.levels, meshes)):
-                solution = solve_on_mesh(problem, mesh, config)
+                solution = solve(assemble(
+                    mesh, problem, stabilization=config.stabilization))
                 va = postproc.probe_displacement(mesh, solution,
                                                  COOK_PROBE_POINT)[1]
                 rows.append({"kind": short, "nu": nu, "level": level,

@@ -1,15 +1,20 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from vemhr import assembly
 from vemhr.assembly import (DisplacementBC, DofMap, GlobalSystem, Solution,
-                            SolveReport, SolverError, TractionBC,
-                            _Eliminated, _Hybrid, _scatter_blocks,
-                            apply_essential_traction, assemble,
-                            inf_sup_constant, load_solution, save_solution,
-                            solve, write_solution_text)
+                            SolveReport, SolverError, TractionBC, _Hybrid,
+                            _scatter_blocks, apply_essential_traction,
+                            assemble, inf_sup_constant, load_solution,
+                            save_solution, solve, write_solution_text)
 from vemhr.element import STABILIZATIONS, constant_stress_dofs
 from vemhr.generators import MESH_KINDS, generate_mesh
 from vemhr.material import from_lame
@@ -397,11 +402,12 @@ class TestBlockOperator:
                           stabilization)
         assert len(system.constrained_dofs) > 0
         m, rhs = system.eliminated()
-        op = _Eliminated(system)
+        hybrid = _Hybrid(system)
         x = np.random.default_rng(5).standard_normal(system.dofmap.size)
         ref = m @ x
-        assert np.abs(op(x) - ref).max() <= 1e-14 * np.abs(ref).max()
-        assert np.abs(op.rhs - rhs).max() <= 1e-14 * np.abs(rhs).max()
+        assert (np.abs(hybrid.apply(x) - ref).max()
+                <= 1e-14 * np.abs(ref).max())
+        assert np.abs(hybrid.rhs - rhs).max() <= 1e-14 * np.abs(rhs).max()
 
     @pytest.mark.parametrize("kind", ["quad_structured",
                                       "poly_voronoi_random"])
@@ -444,6 +450,32 @@ class TestSolutionIO:
         path = tmp_path / "sol.txt"
         save_solution(path, solve(assemble(mesh, problem_test_a())))
         assert np.isnan(load_solution(path, mesh).report.factor_s)
+
+    @settings(max_examples=30, deadline=None)
+    @given(edge=arrays(float, st.tuples(st.integers(1, 6), st.just(3))),
+           cells=arrays(float, st.tuples(st.integers(1, 4), st.just(3))),
+           residual=st.floats(0.0, 1e-8), n_constrained=st.integers(0, 99))
+    def test_roundtrip_property(self, edge, cells, residual, n_constrained):
+        """Any float arrays (nan, infinities, subnormals, -0.0 included)
+        read back bit for bit; a nan reads back as a nan."""
+        report = SolveReport(n_dof=3 * (len(edge) + len(cells)),
+                             n_constrained=n_constrained, residual=residual,
+                             tolerance=1e-10, lu_nnz=0, factor_s=0.0)
+        text = write_solution_text(
+            Solution(mesh=None, edge_dofs=edge, cell_motions=cells,
+                     report=report), checksum="abc")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "sol.txt")
+            with open(path, "w") as fh:
+                fh.write(text)
+            back = load_solution(path)
+        for a, b in ((back.edge_dofs, edge), (back.cell_motions, cells)):
+            assert a.shape == b.shape
+            assert np.array_equal(np.isnan(a), np.isnan(b))
+            ok = ~np.isnan(b)
+            assert a[ok].tobytes() == b[ok].tobytes()
+        assert back.report.residual == residual
+        assert back.report.n_constrained == n_constrained
 
     def test_text_matches_per_value_reference(self, tmp_path):
         special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, -1e308,

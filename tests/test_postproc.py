@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -210,3 +212,51 @@ class TestWriters:
                            f"{sum(len(l) + 1 for l in mesh.cell_vertices)}")
         first = text[polys + 1].split()
         assert int(first[0]) == len(mesh.cell_vertices[0])
+
+    @staticmethod
+    def vtk_reference(mesh, cell_data, title):
+        """The VTK text built one value at a time with ``f"{v:.12e}"``."""
+        offsets = mesh.cell_offsets
+        loops = [mesh.cell_vertex_ids[a:b]
+                 for a, b in zip(offsets[:-1], offsets[1:])]
+        lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+                 "DATASET POLYDATA", f"POINTS {mesh.n_vertices} double"]
+        lines += [f"{x:.12e} {y:.12e} 0.0" for x, y in mesh.vertices]
+        lines.append(f"POLYGONS {mesh.n_cells} "
+                     f"{sum(len(loop) + 1 for loop in loops)}")
+        lines += [" ".join([str(len(loop))] + [str(int(v)) for v in loop])
+                  for loop in loops]
+        lines.append(f"CELL_DATA {mesh.n_cells}")
+        for name, arr in cell_data.items():
+            if arr.ndim == 2:
+                lines.append(f"VECTORS {name} double")
+                lines += [f"{r[0]:.12e} {r[1]:.12e} 0.0" for r in arr]
+            else:
+                lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+                lines += [f"{v:.12e}" for v in arr]
+        return "\n".join(lines) + "\n"
+
+    def test_vtk_matches_per_value_reference(self, tmp_path):
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308,
+                            -1e-300, 1.0 / 3.0])
+        mesh = generate_mesh("poly_voronoi_random", 9, seed=0)
+        # write_vtk_polydata only reads the flat arrays, so a stand-in can
+        # hold vertices build_topology would reject
+        vertices = mesh.vertices.copy()
+        vertices.ravel()[:len(special)] = special
+        stand_in = SimpleNamespace(
+            vertices=vertices, cell_offsets=mesh.cell_offsets,
+            cell_vertex_ids=mesh.cell_vertex_ids, n_vertices=mesh.n_vertices,
+            n_cells=mesh.n_cells)
+        rng = np.random.default_rng(3)
+        vectors = rng.standard_normal((mesh.n_cells, 2)) * 10.0 ** \
+            rng.integers(-30, 30, (mesh.n_cells, 2))
+        vectors.ravel()[:len(special)] = special[::-1]
+        scalars = np.linspace(-1.0, 1.0, mesh.n_cells)
+        scalars[:len(special)] = special
+        cell_data = {"displacement": vectors, "von_mises": scalars}
+        for m in (mesh, stand_in):
+            path = tmp_path / "out.vtk"
+            write_vtk_polydata(path, m, cell_data, title="reference")
+            assert path.read_text() == self.vtk_reference(
+                m, cell_data, "reference")
