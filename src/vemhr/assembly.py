@@ -380,7 +380,7 @@ class _Hybrid:
                 raise SolverError(f"singular multiplier system: {exc}") \
                     from exc
             self.factor_s = time.perf_counter() - t0
-            self.lu_nnz = int(self.lu.L.nnz + self.lu.U.nnz)
+            self.lu_nnz = int(self.lu.nnz)  # L.nnz + U.nnz, no factor copies
 
     def apply(self, x):
         """The eliminated saddle point times x: per cell group, the masked

@@ -71,14 +71,14 @@ class CellGroup:
         alpha = np.zeros((m, 2, self.ndof))
         beta = np.zeros((m, self.ndof))
         rperp = perp(R)
-        mE = self.second_moments
-        for j in range(n):
-            alpha[:, 0, 3 * j] = sL[:, j] / self.areas
-            alpha[:, 1, 3 * j + 1] = sL[:, j] / self.areas
-            beta[:, 3 * j] = sL[:, j] * rperp[:, j, 0] / mE
-            beta[:, 3 * j + 1] = sL[:, j] * rperp[:, j, 1] / mE
-            # n . perp(t) = 1, so the s-moment of the d-basis is |e|^2/12
-            beta[:, 3 * j + 2] = sg[:, j] * L[:, j] ** 2 / (12.0 * mE)
+        mE = self.second_moments[:, None]
+        c, d = 3 * np.arange(n), 3 * np.arange(n) + 2
+        alpha[:, 0, c] = sL / self.areas[:, None]
+        alpha[:, 1, c + 1] = sL / self.areas[:, None]
+        beta[:, c] = sL * rperp[:, :, 0] / mE
+        beta[:, c + 1] = sL * rperp[:, :, 1] / mE
+        # n . perp(t) = 1, so the s-moment of the d-basis is |e|^2/12
+        beta[:, d] = sg * L ** 2 / (12.0 * mE)
         self.alpha_map = alpha
         self.beta_map = beta
 
@@ -86,15 +86,13 @@ class CellGroup:
         #   int_E tau = int_dE (tau n) x (x - x_C) - int_E (div tau) x (x - x_C),
         # symmetrized; the interior part reduces to beta * int_E perp(xi) x xi.
         K = np.zeros((m, 2, 2, self.ndof))
-        for j in range(n):
-            K[:, 0, 0, 3 * j] = sL[:, j] * R[:, j, 0]
-            K[:, 0, 1, 3 * j] = sL[:, j] * R[:, j, 1]
-            K[:, 1, 0, 3 * j + 1] = sL[:, j] * R[:, j, 0]
-            K[:, 1, 1, 3 * j + 1] = sL[:, j] * R[:, j, 1]
-            w = sg[:, j] * L[:, j] ** 2 / 12.0
-            for a in range(2):
-                for b in range(2):
-                    K[:, a, b, 3 * j + 2] = w * N[:, j, a] * T[:, j, b]
+        K[:, 0, 0, c] = sL * R[:, :, 0]
+        K[:, 0, 1, c] = sL * R[:, :, 1]
+        K[:, 1, 0, c + 1] = sL * R[:, :, 0]
+        K[:, 1, 1, c + 1] = sL * R[:, :, 1]
+        w = sg * L ** 2 / 12.0
+        K[:, :, :, d] = (w[:, None, None, :] * N.transpose(0, 2, 1)[:, :, None, :]
+                         * T.transpose(0, 2, 1)[:, None, :, :])
         Q = mesh.moment_tensors[cells]
         J = np.empty((m, 2, 2))
         J[:, 0, 0] = Q[:, 1, 0]

@@ -96,8 +96,12 @@ def make_problem(problem_id, nu=1.0 / 3.0):
 
 def mesh_for_level(kind, level, domain=None, seed=0):
     """Generate the level-n mesh of a family (n^2 seeds for Voronoi kinds)."""
-    resolution = level * level if kind.startswith("poly_voronoi") else level
-    return generate_mesh(kind, resolution, domain=domain, seed=seed)
+    return generate_mesh(kind, _resolution(kind, level), domain=domain,
+                         seed=seed)
+
+
+def _resolution(kind, level):
+    return level * level if kind.startswith("poly_voronoi") else level
 
 
 def convergence_study(problem, kind, levels, config: RunConfig):
@@ -178,15 +182,20 @@ def cook_reference(nu):
 
 def run_cook(config: RunConfig):
     """Tip-displacement refinement study over the requested mesh families and
-    Poisson ratios; writes the CSV and a von Mises VTK per finest mesh."""
+    Poisson ratios; writes the CSV and a von Mises VTK per finest mesh.
+
+    All levels of a family come from one ``generate_mesh`` call (the
+    Voronoi kinds clip and relax their levels together), and each mesh is
+    shared by every Poisson ratio.  A failing level fails the whole study;
+    :func:`convergence_study` generates level by level, so there a failing
+    level fails alone."""
     config.validate()
     rows = []
     for short in config.cook_kinds:
         kind = COOK_KINDS[short]
-        # one mesh per level, shared by every Poisson ratio
-        meshes = [mesh_for_level(kind, level, domain=cook_domain(),
-                                 seed=config.seed)
-                  for level in config.levels]
+        meshes = generate_mesh(
+            kind, tuple(_resolution(kind, level) for level in config.levels),
+            domain=cook_domain(), seed=config.seed)
         for nu in config.cook_nus:
             problem = problem_cook(nu)
             for i, (level, mesh) in enumerate(zip(config.levels, meshes)):

@@ -285,6 +285,11 @@ class TestSolve:
         problem, _ = patch_problem()
         assert solve(assemble(UNIT, problem)).report.factor_s == 0.0
 
+    def test_lu_nnz_counts_both_factors(self):
+        hybrid = _Hybrid(assemble(generate_mesh("quad_unstructured", 6, seed=1),
+                                  problem_test_b()))
+        assert hybrid.lu_nnz == hybrid.lu.L.nnz + hybrid.lu.U.nnz > 0
+
     def test_lu_nnz_below_saddle_colamd(self):
         mesh = generate_mesh("quad_structured", 32)
         system = assemble(mesh, problem_test_b())

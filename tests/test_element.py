@@ -190,6 +190,54 @@ class TestMeanStress:
                         atol=1e-12)
 
 
+class TestCellGroupMaps:
+    @staticmethod
+    def per_edge_reference(g):
+        """alpha, beta and the mean-stress map filled edge by edge."""
+        mesh, cells, n = g.mesh, g.cells, g.n_edges
+        eid, sg, L = g.edge_ids, g.signs, g.lengths
+        N, T = mesh.edge_normals[eid], mesh.edge_tangents[eid]
+        R = mesh.edge_midpoints[eid] - g.centroids[:, None, :]
+        sL, rperp, mE = sg * L, perp(R), g.second_moments
+        m = len(cells)
+        alpha = np.zeros((m, 2, 3 * n))
+        beta = np.zeros((m, 3 * n))
+        K = np.zeros((m, 2, 2, 3 * n))
+        for j in range(n):
+            alpha[:, 0, 3 * j] = sL[:, j] / g.areas
+            alpha[:, 1, 3 * j + 1] = sL[:, j] / g.areas
+            beta[:, 3 * j] = sL[:, j] * rperp[:, j, 0] / mE
+            beta[:, 3 * j + 1] = sL[:, j] * rperp[:, j, 1] / mE
+            beta[:, 3 * j + 2] = sg[:, j] * L[:, j] ** 2 / (12.0 * mE)
+            K[:, 0, 0, 3 * j] = sL[:, j] * R[:, j, 0]
+            K[:, 0, 1, 3 * j] = sL[:, j] * R[:, j, 1]
+            K[:, 1, 0, 3 * j + 1] = sL[:, j] * R[:, j, 0]
+            K[:, 1, 1, 3 * j + 1] = sL[:, j] * R[:, j, 1]
+            w = sg[:, j] * L[:, j] ** 2 / 12.0
+            for a in range(2):
+                for b in range(2):
+                    K[:, a, b, 3 * j + 2] = w * N[:, j, a] * T[:, j, b]
+        return alpha, beta, K
+
+    @pytest.mark.parametrize("kind", ["hex_structured", "poly_voronoi_random",
+                                      "tri_unstructured"])
+    def test_maps_match_per_edge_reference(self, kind):
+        # same arithmetic per entry: bit for bit
+        mesh = generate_mesh(kind, 16 if kind.startswith("poly") else 3,
+                             seed=4)
+        for g in cell_groups(mesh):
+            alpha, beta, K = self.per_edge_reference(g)
+            assert np.array_equal(g.alpha_map, alpha)
+            assert np.array_equal(g.beta_map, beta)
+            Q = mesh.moment_tensors[g.cells]
+            J = np.stack([Q[:, 1], -Q[:, 0]], axis=1)
+            K -= J[:, :, :, None] * beta[:, None, None, :]
+            P = np.stack([K[:, 0, 0], K[:, 1, 1],
+                          0.5 * (K[:, 0, 1] + K[:, 1, 0])], axis=1)
+            assert np.array_equal(g.projection_map,
+                                  P / g.areas[:, None, None])
+
+
 class TestLocalEnergyMatrix:
     def test_symmetry(self):
         A = a_matrix(SQUARE, from_lame(1.0, 1.0))

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from vemhr import generators
 from vemhr.generators import MESH_KINDS, generate_mesh, lloyd, voronoi_cells
-from vemhr.mesh import _clip, check_assumptions, cook_domain
+from vemhr.mesh import _clip, build_topology, check_assumptions, cook_domain
 
 ALL_KINDS = list(MESH_KINDS)
 
@@ -213,17 +213,114 @@ class TestVoronoiOracle:
         assert ks[0] == 24 and max(ks) == len(seeds)
 
 
-def test_cvt_sweeps_one_voronoi_call_each(monkeypatch):
-    # the benchmark's voronoi_cells call count is Lloyd sweeps + 1
-    reference = generate_mesh("poly_voronoi_cvt", 16, seed=0)
+def _assert_same_mesh(a, b):
+    for name in ("vertices", "cell_offsets", "cell_vertex_ids",
+                 "cell_edge_ids", "cell_edge_signs", "edge_nodes"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert a.metadata == b.metadata
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("levels", [(16, 64, 144), (64, 256)],
+                         ids=["16-64-144", "64-256"])
+@pytest.mark.parametrize("domain", [None, cook_domain()], ids=["square", "cook"])
+@pytest.mark.parametrize("kind", ["poly_voronoi_cvt", "poly_voronoi_random"])
+def test_resolution_tuple_equals_separate_calls(kind, domain, levels, seed):
+    meshes = generate_mesh(kind, levels, domain=domain, seed=seed)
+    assert len(meshes) == len(levels)
+    for n, mesh in zip(levels, meshes):
+        _assert_same_mesh(mesh, generate_mesh(kind, n, domain=domain,
+                                              seed=seed))
+
+
+@pytest.mark.parametrize("domain, levels, sweeps", [
+    (None, (1, 16), (2, 50)),
+    (cook_domain(), (1, 2, 16), (2, 45, 50)),
+], ids=["square", "cook"])
+def test_cvt_one_core_call_per_sweep(monkeypatch, domain, levels, sweeps):
+    # sets relax together, each stops on its own test: one clipping-core
+    # call per sweep of the longest set, plus one for all final cells
+    reference = [generate_mesh("poly_voronoi_cvt", n, domain=domain)
+                 for n in levels]
     calls = []
-    cells = generators.voronoi_cells
-    monkeypatch.setattr(generators, "voronoi_cells",
-                        lambda *a: calls.append(1) or cells(*a))
-    mesh = generate_mesh("poly_voronoi_cvt", 16, seed=0)
-    assert len(calls) == mesh.metadata["lloyd_iterations"] + 1
-    lloyd_keys = {k for k in mesh.metadata if k.startswith("lloyd_")}
-    assert lloyd_keys == {"lloyd_iterations", "lloyd_converged",
-                          "lloyd_last_move"}
-    assert {k: mesh.metadata[k] for k in lloyd_keys} == \
-        {k: reference.metadata[k] for k in lloyd_keys}
+    core = generators._clip_sets
+    monkeypatch.setattr(generators, "_clip_sets",
+                        lambda sets, dom: calls.append(len(sets))
+                        or core(sets, dom))
+    meshes = generate_mesh("poly_voronoi_cvt", levels, domain=domain)
+    assert [m.metadata["lloyd_iterations"] for m in meshes] == list(sweeps)
+    assert len(calls) == max(sweeps) + 1
+    # a set leaves the sweeps once it stops; the final call clips them all
+    assert calls[:-1] == [sum(s > it for s in sweeps)
+                          for it in range(max(sweeps))]
+    assert calls[-1] == len(levels)
+    for mesh, ref in zip(meshes, reference):
+        lloyd_keys = {k for k in mesh.metadata if k.startswith("lloyd_")}
+        assert lloyd_keys == {"lloyd_iterations", "lloyd_converged",
+                              "lloyd_last_move"}
+        _assert_same_mesh(mesh, ref)
+
+
+def _grid_mesh_reference(domain, n, triangles, jitter_seed=None):
+    """Quad by quad, one random draw per quad with two valid splits."""
+    ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    xi = (ii / n).ravel()
+    eta = (jj / n).ravel()
+    rng = None
+    if jitter_seed is not None:
+        rng = np.random.default_rng(jitter_seed)
+        interior = (ii.ravel() % n != 0) & (jj.ravel() % n != 0)
+        dxi = np.zeros_like(xi)
+        deta = np.zeros_like(eta)
+        step = generators._JITTER / n
+        dxi[interior] = rng.uniform(-step, step, interior.sum())
+        deta[interior] = rng.uniform(-step, step, interior.sum())
+        xi = xi + dxi
+        eta = eta + deta
+    verts = generators._bilinear(domain, xi, eta)
+
+    def area(tri):
+        a, b, c = verts[list(tri)]
+        return 0.5 * ((b[0] - a[0]) * (c[1] - a[1])
+                      - (b[1] - a[1]) * (c[0] - a[0]))
+
+    loops = []
+    for i in range(n):
+        for j in range(n):
+            q = [i * (n + 1) + j, (i + 1) * (n + 1) + j,
+                 (i + 1) * (n + 1) + j + 1, i * (n + 1) + j + 1]
+            if not triangles:
+                loops.append(q)
+                continue
+            splits = ([(q[0], q[1], q[2]), (q[0], q[2], q[3])],
+                      [(q[0], q[1], q[3]), (q[1], q[2], q[3])])
+            if rng is None:
+                choice = splits[0]
+            else:
+                valid = [s for s in splits if all(area(t) > 0 for t in s)]
+                choice = valid[rng.integers(len(valid))]
+            loops.extend(list(t) for t in choice)
+    return build_topology(verts, loops)
+
+
+@pytest.mark.parametrize("domain", [generators.UNIT_SQUARE, cook_domain()],
+                         ids=["square", "cook"])
+@pytest.mark.parametrize("kind", ["tri_structured", "quad_structured",
+                                  "tri_unstructured", "quad_unstructured"])
+def test_grid_mesh_matches_loop_reference(kind, domain):
+    jittered = kind.endswith("_unstructured")
+    for n in range(1, 13):
+        for seed in range(5):
+            mesh = generate_mesh(kind, n, domain=domain, seed=seed)
+            ref = _grid_mesh_reference(domain, n, kind.startswith("tri"),
+                                       seed if jittered else None)
+            ref.metadata.update(mesh.metadata)
+            _assert_same_mesh(mesh, ref)
+
+
+def test_quad_without_valid_split_is_rejected(monkeypatch):
+    # jitter of several grid steps tangles quads beyond either diagonal
+    monkeypatch.setattr(generators, "_JITTER", 5.0)
+    with pytest.raises(ValueError):
+        generate_mesh("tri_unstructured", 8, seed=0)

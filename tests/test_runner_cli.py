@@ -72,19 +72,18 @@ class TestRunner:
         assert "SCALARS sigma_11" in body
 
     def test_cook_builds_each_mesh_once(self, monkeypatch, tmp_path):
+        # one generate_mesh call per family for all its levels
         built = []
-        build = runner.mesh_for_level
-        monkeypatch.setattr(runner, "mesh_for_level", lambda kind, level, **kw:
-                            built.append((kind, level)) or build(kind, level,
-                                                                 **kw))
+        build = runner.generate_mesh
+        monkeypatch.setattr(runner, "generate_mesh", lambda kind, res, **kw:
+                            built.append((kind, res)) or build(kind, res, **kw))
         cfg = RunConfig(problem="cook", cook_kinds=("quad", "rvor"),
                         levels=(2, 3), cook_nus=(1.0 / 3.0, 0.49),
                         csv_path=str(tmp_path / "cook.csv"),
                         vtk_path=str(tmp_path / "cook.vtk"))
         rows = run_cook(cfg)
-        assert built == [(kind, level)
-                         for kind in ("quad_structured", "poly_voronoi_random")
-                         for level in (2, 3)]
+        assert built == [("quad_structured", (2, 3)),
+                         ("poly_voronoi_random", (4, 9))]
         assert [(r["kind"], r["nu"], r["level"]) for r in rows] == [
             (k, nu, lv) for k in ("quad", "rvor") for nu in (1.0 / 3.0, 0.49)
             for lv in (2, 3)]
