@@ -14,7 +14,7 @@ import numpy as np
 from . import postproc
 from .assembly import SOLVER_TOL, SolverError, assemble, solve
 from .element import STABILIZATIONS, projection_field
-from .generators import MESH_KINDS, generate_mesh
+from .generators import MESH_KINDS, UNIT_SQUARE, generate_mesh
 from .mesh import cook_domain
 from .postproc import von_mises_field, write_vtk_polydata
 from .problems import COOK_PROBE_POINT, problem_cook, problem_test_a, \
@@ -104,53 +104,95 @@ def _resolution(kind, level):
     return level * level if kind.startswith("poly_voronoi") else level
 
 
-def convergence_study(problem, kind, levels, config: RunConfig):
-    """One refinement sweep of a manufactured problem on a mesh family.
+def convergence_study(problems, kind, levels, config: RunConfig):
+    """One refinement sweep of several manufactured problems on one mesh
+    family; returns one ``(rows, failures)`` pair per problem, in order.
+
+    All levels come from one ``generate_mesh`` call (the Voronoi kinds clip
+    their levels together), and each level's mesh is shared by every
+    problem, so its cell groups and fan rule are built once.  If that call
+    raises ``ValueError`` (a ``MeshError`` included), the levels are
+    generated one at a time, so a bad mesh fails its level alone, for every
+    problem; a singular system fails one (problem, level).  The problems
+    must share a domain.
 
     Each row carries the three error norms plus equilibrium by-products:
     the largest per-cell norm of div sigma_h + Pi_RM f and the L2 norm of
     the body load (for relative equilibrium checks).
     """
-    kappa = problem.material.kappa
-    rows = []
-    failures = []
-    for level in levels:
-        try:
-            mesh = mesh_for_level(kind, level, domain=problem.domain,
-                                  seed=config.seed)
-            solution = solve(assemble(mesh, problem,
-                                      stabilization=config.stabilization))
-        except (ValueError, SolverError) as exc:
-            # a bad mesh or a singular system fails this level only
-            failures.append((level, f"{type(exc).__name__}: {exc}"))
-            continue
-        f_l2 = 0.0
-        if problem.body_force is not None:
-            pts, wts, _ = mesh_polygon_quadrature(mesh, QUADRATURE_DEGREE)
-            fv = problem.body_force(pts)
-            f_l2 = float(np.sqrt(wts @ (fv**2).sum(axis=1)))
-        row = {
-            "level": level,
-            "h_bar": mesh.mean_edge_length,
-            "n_dof": solution.report.n_dof,
-            "equilibrium_max": float(postproc.equilibrium_residuals(
-                mesh, solution, problem.body_force).max()),
-            "f_l2": f_l2,
-        }
-        if problem.exact is not None:
-            row["E_sigma"] = postproc.error_sigma(
-                mesh, solution, problem.exact.stress, kappa)
-            row["E_sigma_div"] = postproc.error_div(
-                mesh, solution, problem.exact.divergence)
-            row["E_u"] = postproc.error_u(
-                mesh, solution, problem.exact.displacement)
-        rows.append(row)
-    return rows, failures
+    problems = list(problems)
+    if not problems:
+        raise ValueError("a convergence study needs at least one problem")
+    domain = problems[0].domain
+    if not all(_same_domain(p.domain, domain) for p in problems[1:]):
+        raise ValueError("the problems of one study must share a domain")
+    try:
+        meshes = generate_mesh(
+            kind, tuple(_resolution(kind, level) for level in levels),
+            domain=domain, seed=config.seed)
+    except ValueError:
+        meshes = None
+    results = [([], []) for _ in problems]
+    for i, level in enumerate(levels):
+        if meshes is None:
+            try:
+                mesh = mesh_for_level(kind, level, domain=domain,
+                                      seed=config.seed)
+            except ValueError as exc:
+                # a bad mesh fails this level only, for every problem
+                for _, failures in results:
+                    failures.append((level, f"{type(exc).__name__}: {exc}"))
+                continue
+        else:
+            mesh, meshes[i] = meshes[i], None  # released with its rows
+        for problem, (rows, failures) in zip(problems, results):
+            try:
+                solution = solve(assemble(mesh, problem,
+                                          stabilization=config.stabilization))
+            except (ValueError, SolverError) as exc:
+                # a singular system fails this (problem, level) only
+                failures.append((level, f"{type(exc).__name__}: {exc}"))
+                continue
+            rows.append(_study_row(mesh, problem, solution, level))
+    return results
+
+
+def _same_domain(a, b):
+    a = UNIT_SQUARE if a is None else np.asarray(a, dtype=float)
+    b = UNIT_SQUARE if b is None else np.asarray(b, dtype=float)
+    return np.array_equal(a, b)
+
+
+def _study_row(mesh, problem, solution, level):
+    f_l2 = 0.0
+    if problem.body_force is not None:
+        pts, wts, _ = mesh_polygon_quadrature(mesh, QUADRATURE_DEGREE)
+        fv = problem.body_force(pts)
+        f_l2 = float(np.sqrt(wts @ (fv**2).sum(axis=1)))
+    row = {
+        "level": level,
+        "h_bar": mesh.mean_edge_length,
+        "n_dof": solution.report.n_dof,
+        "equilibrium_max": float(postproc.equilibrium_residuals(
+            mesh, solution, problem.body_force).max()),
+        "f_l2": f_l2,
+    }
+    if problem.exact is not None:
+        kappa = problem.material.kappa
+        row["E_sigma"] = postproc.error_sigma(
+            mesh, solution, problem.exact.stress, kappa)
+        row["E_sigma_div"] = postproc.error_div(
+            mesh, solution, problem.exact.divergence)
+        row["E_u"] = postproc.error_u(
+            mesh, solution, problem.exact.displacement)
+    return row
 
 
 def run_convergence(config: RunConfig):
     """Solve a manufactured problem over a refinement sequence and collect
-    the three error norms; returns (rows, RateTable) and writes the CSV."""
+    the three error norms; returns (rows, RateTable, failures) and writes
+    the CSV.  The study is the one-problem case of
+    :func:`convergence_study`: all levels from one ``generate_mesh`` call."""
     config.validate()
     problem = make_problem(config.problem)
     if problem.exact is None:
@@ -159,8 +201,8 @@ def run_convergence(config: RunConfig):
     if max(report["sigma_vs_fd"], report["div_sigma_plus_f"]) > ORACLE_TOL:
         raise ValueError(f"exact bundle inconsistent: {report}")
 
-    rows, failures = convergence_study(problem, config.kind, config.levels,
-                                       config)
+    [(rows, failures)] = convergence_study([problem], config.kind,
+                                           config.levels, config)
     if config.csv_path:
         postproc.write_convergence_csv(config.csv_path, rows)
         _write_sidecar_config(config)
@@ -187,8 +229,8 @@ def run_cook(config: RunConfig):
     All levels of a family come from one ``generate_mesh`` call (the
     Voronoi kinds clip and relax their levels together), and each mesh is
     shared by every Poisson ratio.  A failing level fails the whole study;
-    :func:`convergence_study` generates level by level, so there a failing
-    level fails alone."""
+    :func:`convergence_study` falls back to one level at a time, so there a
+    failing level fails alone."""
     config.validate()
     rows = []
     for short in config.cook_kinds:

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 The convergence criteria share one session-scoped sweep of every problem and
-mesh family at levels {8, 16, 32, 64}; the cantilever criterion runs its own
-deeper quad sequence plus the overkill reference.  Slow end: the whole module
-takes on the order of fifteen minutes single-threaded.
+mesh family at levels {8, 16, 32, 64}, one study per family with all four
+problems on each mesh; the cantilever criterion runs its own deeper quad
+sequence plus the overkill reference.  Slow end: the whole module takes
+36-50 s single-threaded on a 2-vCPU x86-64 VM, most of it in the sweep.
 
 Known red: the rate gates (criteria 3, 4, 5) pin the window [0.8, 1.2] at
 the levels above, and on symmetric meshes (and for the displacement error of
@@ -60,10 +61,11 @@ def sweep(base_config):
         "test-inc-lam1": problem_test_incompressible(lam=1.0),
     }
     data = {}
-    for pid, problem in problems.items():
-        for kind in SQUARE_FAMILIES:
-            rows, failures = convergence_study(problem, kind, LEVELS,
-                                               base_config)
+    for kind in SQUARE_FAMILIES:
+        # one study per family: each mesh is built once for all problems
+        results = convergence_study(problems.values(), kind, LEVELS,
+                                    base_config)
+        for pid, (rows, failures) in zip(problems, results):
             assert not failures, f"{pid}/{kind} failed: {failures}"
             data[pid, kind] = rows
     return data

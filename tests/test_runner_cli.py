@@ -2,15 +2,20 @@ import numpy as np
 import pytest
 
 from vemhr import quadrature, runner
-from vemhr.assembly import TractionBC
+from vemhr.assembly import TractionBC, assemble, solve
 from vemhr.cli import main
 from vemhr.material import from_lame
-from vemhr.mesh import load_mesh
+from vemhr.mesh import MeshError, load_mesh
 from vemhr.postproc import CSV_HEADER, ROUNDOFF_FLOOR
-from vemhr.problems import ProblemSpec, problem_test_b
+from vemhr.problems import ProblemSpec, problem_cook, problem_test_a, \
+    problem_test_b, problem_test_incompressible
 from vemhr.runner import (COOK_KINDS, RunConfig, convergence_study,
                           cook_csv_text, mesh_for_level, run_convergence,
                           run_cook)
+
+STUDY_KINDS = ("quad_structured", "hex_structured", "tri_unstructured",
+               "poly_voronoi_random", "poly_voronoi_cvt")
+LEVELS = (2, 3, 4)
 
 
 class TestRunner:
@@ -134,9 +139,10 @@ class TestRunner:
         fan_rule = quadrature._fan_rule
         monkeypatch.setattr(quadrature, "_fan_rule",
                             lambda *a: built.append(1) or fan_rule(*a))
-        rows, failures = convergence_study(problem_test_b(), "quad_structured",
-                                           (2, 3), RunConfig())
-        assert not failures and len(rows) == 2
+        results = convergence_study([problem_test_b(), problem_test_a()],
+                                    "quad_structured", (2, 3), RunConfig())
+        assert [(len(rows), failures) for rows, failures in results] == [
+            (2, []), (2, [])]
         assert len(built) == 2
 
     def test_solver_error_is_a_failed_level(self):
@@ -146,8 +152,8 @@ class TestRunner:
         problem = ProblemSpec(name="bad", domain=None,
                               material=from_lame(1.0, 1.0), body_force=None,
                               boundary=lambda m, e: bc, exact=None)
-        rows, failures = convergence_study(problem, "quad_structured", (1, 2),
-                                           RunConfig())
+        [(rows, failures)] = convergence_study([problem], "quad_structured",
+                                               (1, 2), RunConfig())
         assert rows == []
         assert [lv for lv, _ in failures] == [1, 2]
         assert all(why.startswith("SolverError") for _, why in failures)
@@ -160,7 +166,82 @@ class TestRunner:
                               material=from_lame(1.0, 1.0), body_force=None,
                               boundary=boundary, exact=None)
         with pytest.raises(TypeError, match="classifier bug"):
-            convergence_study(problem, "quad_structured", (1,), RunConfig())
+            convergence_study([problem], "quad_structured", (1,), RunConfig())
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", STUDY_KINDS)
+    def test_shared_study_equals_single_studies(self, kind, seed):
+        # rows bitwise equal to one-problem studies and to fresh per-level
+        # meshes: sharing and batching the meshes changes no number
+        config = RunConfig(seed=seed)
+        problems = [problem_test_a(), problem_test_b(),
+                    problem_test_incompressible()]
+        shared = convergence_study(problems, kind, LEVELS, config)
+        for problem, (rows, failures) in zip(problems, shared):
+            assert failures == []
+            assert convergence_study([problem], kind, LEVELS, config) == [
+                (rows, [])]
+            fresh = []
+            for level in LEVELS:
+                mesh = mesh_for_level(kind, level, seed=seed)
+                fresh.append(runner._study_row(
+                    mesh, problem, solve(assemble(mesh, problem)), level))
+            assert rows == fresh
+
+    def test_study_builds_each_mesh_once(self, monkeypatch):
+        # one generate_mesh call per study; every problem gets that mesh
+        built, given = [], []
+        build, assemble_ = runner.generate_mesh, runner.assemble
+        monkeypatch.setattr(runner, "generate_mesh", lambda kind, res, **kw:
+                            built.append((kind, res)) or build(kind, res, **kw))
+        monkeypatch.setattr(runner, "assemble", lambda mesh, problem, **kw:
+                            given.append((problem.name, mesh))
+                            or assemble_(mesh, problem, **kw))
+        results = convergence_study(
+            [problem_test_a(), problem_test_b(), problem_test_incompressible()],
+            "poly_voronoi_random", (2, 3), RunConfig())
+        assert [len(rows) for rows, _ in results] == [2, 2, 2]
+        assert built == [("poly_voronoi_random", (4, 9))]
+        assert [name for name, _ in given] == ["test-a", "test-b",
+                                               "test-inc"] * 2
+        meshes = [mesh for _, mesh in given]
+        assert all(m is meshes[0] for m in meshes[:3])
+        assert all(m is meshes[3] for m in meshes[3:])
+        assert meshes[0].n_cells == 4 and meshes[3].n_cells == 9
+
+    def test_mesh_error_fails_its_level_for_every_problem(self, monkeypatch):
+        problems = [problem_test_a(), problem_test_b(),
+                    problem_test_incompressible()]
+        kind = "poly_voronoi_random"
+        clean = convergence_study(problems, kind, LEVELS, RunConfig())
+        build = runner.generate_mesh
+
+        def failing(kind, res, **kw):
+            if res == 9 or (isinstance(res, tuple) and 9 in res):
+                raise MeshError("generated cells do not tile the domain")
+            return build(kind, res, **kw)
+
+        monkeypatch.setattr(runner, "generate_mesh", failing)
+        results = convergence_study(problems, kind, LEVELS, RunConfig())
+        for (rows, failures), (clean_rows, _) in zip(results, clean):
+            assert failures == [
+                (3, "MeshError: generated cells do not tile the domain")]
+            assert rows == [clean_rows[0], clean_rows[2]]
+
+    def test_study_problems_share_a_domain(self):
+        with pytest.raises(ValueError, match="share a domain"):
+            convergence_study([problem_test_a(), problem_cook(1.0 / 3.0)],
+                              "quad_structured", (1,), RunConfig())
+        with pytest.raises(ValueError, match="at least one problem"):
+            convergence_study([], "quad_structured", (1,), RunConfig())
+        # no domain is the unit square
+        free = ProblemSpec(name="free", domain=None,
+                           material=from_lame(1.0, 1.0), body_force=None,
+                           boundary=problem_test_a().boundary, exact=None)
+        results = convergence_study([free, problem_test_a()],
+                                    "quad_structured", (1,), RunConfig())
+        assert [(len(rows), failures) for rows, failures in results] == [
+            (1, []), (1, [])]
 
 
 class TestCli:
