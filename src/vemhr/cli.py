@@ -70,7 +70,7 @@ def _build_parser():
     sol = sub.add_parser("solve", help="solve a benchmark problem on a mesh")
     sol.add_argument("--config")
     sol.add_argument("--problem", choices=PROBLEM_IDS)
-    sol.add_argument("--nu", type=float, default=1.0 / 3.0)
+    sol.add_argument("--nu", type=float)  # cook only; None means 1/3
     sol.add_argument("--mesh")
     sol.add_argument("--stab", dest="stabilization", choices=STABILIZATIONS,
                      default="stab1")

@@ -22,12 +22,16 @@ meshes: ``generate_mesh(kind, (16, 64, 144))`` relaxes the three seed sets
 together and clips their final cells in one call, with the same meshes,
 bit for bit, as three separate calls.  :func:`voronoi_cells` and
 :func:`lloyd` are one-set views of the same core.
+
+``scipy.spatial`` and ``scipy.sparse.csgraph`` are imported by the two
+functions that use them, :func:`_clip_sets` and :func:`_mesh_from_cells`,
+so importing vemhr and solving on a mesh file loads neither: they load with
+the first Voronoi or honeycomb mesh.
 """
 
+import numbers
+
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .mesh import MeshError, _next_slot, build_topology, shoelace
 # Re-exported: perfbench/tracing.py wraps the shape report under this name.
@@ -61,9 +65,11 @@ def generate_mesh(kind, resolution, domain=None, seed=0):
         One of :data:`MESH_KINDS`.
     resolution : int or tuple of int
         Subdivisions per direction (grid-based kinds) or seed count
-        (Voronoi kinds).  A tuple gives one mesh per entry, returned as a
-        list in the same order and equal to the meshes of separate calls;
-        the Voronoi kinds build them together (see the module docstring).
+        (Voronoi kinds): a positive integer, numpy integers included;
+        anything else (a float, a bool, a list) is a ValueError.  A tuple
+        gives one mesh per entry, returned as a list in the same order and
+        equal to the meshes of separate calls; the Voronoi kinds build them
+        together (see the module docstring).
     domain : array_like, optional
         CCW corners of a convex domain; defaults to the unit square.
         Grid-based kinds require a quadrilateral.
@@ -76,8 +82,9 @@ def generate_mesh(kind, resolution, domain=None, seed=0):
     if kind not in MESH_KINDS:
         raise ValueError(f"unknown mesh kind {kind!r}; expected one of {MESH_KINDS}")
     resolutions = resolution if isinstance(resolution, tuple) else (resolution,)
-    if any(n < 1 for n in resolutions):
-        raise ValueError("resolution must be >= 1")
+    if not all(map(_is_count, resolutions)):
+        raise ValueError("resolution must be a positive integer or a tuple "
+                         f"of them, not {resolution!r}")
     domain = UNIT_SQUARE if domain is None else np.asarray(domain, dtype=float)
 
     if kind.startswith("poly_voronoi"):
@@ -94,6 +101,12 @@ def generate_mesh(kind, resolution, domain=None, seed=0):
         mesh.metadata.update(kind=kind, resolution=int(n), seed=int(seed))
         _check_partition(mesh, domain)
     return meshes if isinstance(resolution, tuple) else meshes[0]
+
+
+def _is_count(n):
+    """True for a positive integer, numpy integers included (not bools)."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) \
+        and n >= 1
 
 
 def _check_partition(mesh, domain):
@@ -264,6 +277,8 @@ def _clip_sets(seed_sets, domain):
     does not depend on the other sets, so its loop is the same, bit for
     bit, whichever sets it is clipped with.
     """
+    from scipy.spatial import cKDTree
+
     domain = np.asarray(domain, dtype=float)
     sets = [np.asarray(s, dtype=float).reshape(-1, 2) for s in seed_sets]
     sizes = np.array([len(s) for s in sets], dtype=int)
@@ -425,6 +440,10 @@ def _relax(seed_sets, domain, iterations):
 def _mesh_from_cells(pts, counts, domain):
     """Weld CCW coordinate loops, laid out flat with their vertex counts,
     into a conforming mesh."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
+
     if not len(counts):
         raise MeshError("no cells to mesh")
     scale = np.linalg.norm(domain.max(axis=0) - domain.min(axis=0))

@@ -14,7 +14,7 @@ import numpy as np
 from . import postproc
 from .assembly import SOLVER_TOL, SolverError, assemble, solve
 from .element import STABILIZATIONS, projection_field
-from .generators import MESH_KINDS, UNIT_SQUARE, generate_mesh
+from .generators import MESH_KINDS, UNIT_SQUARE, _is_count, generate_mesh
 from .mesh import cook_domain
 from .postproc import von_mises_field, write_vtk_polydata
 from .problems import COOK_PROBE_POINT, problem_cook, problem_test_a, \
@@ -62,8 +62,10 @@ class RunConfig:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.kind not in MESH_KINDS:
             raise ValueError(f"unknown mesh kind {self.kind!r}")
-        if len(self.levels) == 0 or any(n < 1 for n in self.levels):
-            raise ValueError("levels must be positive integers")
+        if not isinstance(self.levels, tuple) or not self.levels \
+                or not all(map(_is_count, self.levels)):
+            raise ValueError("levels must be a non-empty tuple of positive "
+                             f"integers, not {self.levels!r}")
         if any(k not in COOK_KINDS for k in self.cook_kinds):
             raise ValueError(f"cook kinds must be among {tuple(COOK_KINDS)}")
         if self.stabilization not in STABILIZATIONS:
@@ -82,15 +84,20 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-def make_problem(problem_id, nu=1.0 / 3.0):
+def make_problem(problem_id, nu=None):
+    """The problem of an id; ``nu`` is the Poisson ratio of ``cook``
+    (1/3 when None) and must be None for every other problem."""
+    if problem_id == "cook":
+        return problem_cook() if nu is None else problem_cook(nu)
+    if nu is not None:
+        raise ValueError(f"a Poisson ratio applies only to the cook problem, "
+                         f"not to {problem_id!r}")
     if problem_id == "test-a":
         return problem_test_a()
     if problem_id == "test-b":
         return problem_test_b()
     if problem_id == "test-inc":
         return problem_test_incompressible()
-    if problem_id == "cook":
-        return problem_cook(nu)
     raise ValueError(f"unknown problem {problem_id!r}")
 
 

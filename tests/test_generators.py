@@ -77,6 +77,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             generate_mesh("quad_structured", 0)
 
+    @pytest.mark.parametrize("resolution", [
+        [4, 8], 4.0, (4, 8.0), True, "4", (4, 0), np.float64(4)],
+        ids=["list", "float", "float_in_tuple", "bool", "str",
+             "zero_in_tuple", "numpy_float"])
+    def test_resolution_not_an_integer(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be a positive "
+                           "integer") as exc:
+            generate_mesh("poly_voronoi_cvt", resolution)
+        assert repr(resolution) in str(exc.value)
+
+    def test_numpy_integer_resolutions(self):
+        meshes = generate_mesh("poly_voronoi_random",
+                               (np.int32(4), np.int64(9)), seed=1)
+        for mesh, ref in zip(meshes, generate_mesh("poly_voronoi_random",
+                                                   (4, 9), seed=1)):
+            _assert_same_mesh(mesh, ref)
+        assert generate_mesh("quad_structured", np.uint8(3)).n_cells == 9
+
 
 class TestVoronoi:
     def test_cells_partition_domain(self):

@@ -1,17 +1,24 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import vemhr
 from vemhr import quadrature, runner
 from vemhr.assembly import TractionBC, assemble, solve
 from vemhr.cli import main
 from vemhr.material import from_lame
-from vemhr.mesh import MeshError, load_mesh
+from vemhr.generators import generate_mesh
+from vemhr.mesh import MeshError, cook_domain, load_mesh, save_mesh
 from vemhr.postproc import CSV_HEADER, ROUNDOFF_FLOOR
 from vemhr.problems import ProblemSpec, problem_cook, problem_test_a, \
     problem_test_b, problem_test_incompressible
 from vemhr.runner import (COOK_KINDS, RunConfig, convergence_study,
-                          cook_csv_text, mesh_for_level, run_convergence,
-                          run_cook)
+                          cook_csv_text, make_problem, mesh_for_level,
+                          run_convergence, run_cook)
 
 STUDY_KINDS = ("quad_structured", "hex_structured", "tri_unstructured",
                "poly_voronoi_random", "poly_voronoi_cvt")
@@ -59,6 +66,26 @@ class TestRunner:
             RunConfig(levels=()).validate()
         with pytest.raises(ValueError):
             run_convergence(RunConfig(problem="cook"))
+        with pytest.raises(ValueError):
+            make_problem("test-a", 0.3)
+        cook = make_problem("cook").material
+        assert (cook.lam, cook.mu) == (problem_cook().material.lam,
+                                       problem_cook().material.mu)
+
+    @pytest.mark.parametrize("levels", [
+        (2.0, 4.0), (2, 4.0), (2, 0), (True, 2), [2, 4], 4, ("2", "4")],
+        ids=["floats", "float", "zero", "bool", "list", "int", "str"])
+    def test_levels_not_integers(self, levels):
+        config = RunConfig(kind="poly_voronoi_random", levels=levels)
+        for call in (config.validate, lambda: run_convergence(config)):
+            with pytest.raises(ValueError, match="levels must be") as exc:
+                call()
+            assert repr(levels) in str(exc.value)
+
+    def test_numpy_integer_levels(self):
+        rows, _, failures = run_convergence(RunConfig(
+            kind="poly_voronoi_random", levels=(np.int64(2), np.int32(3))))
+        assert not failures and [r["level"] for r in rows] == [2, 3]
 
     def test_cook_rows_and_vtk(self, tmp_path):
         cfg = RunConfig(problem="cook", cook_kinds=("quad",),
@@ -256,6 +283,26 @@ class TestCli:
                      "--out", str(out_path)]) == 0
         assert out_path.read_text().startswith("vemhr-solution v1")
 
+    def test_nu_only_with_cook(self, tmp_path, capsys):
+        mesh_path = tmp_path / "m.msh"
+        save_mesh(mesh_path, generate_mesh("quad_structured", 2,
+                                           domain=cook_domain()))
+        out = tmp_path / "s.txt"
+        solve_args = ["--mesh", str(mesh_path), "--out", str(out)]
+        assert main(["solve", "--problem", "test-a", "--nu", "0.7",
+                     *solve_args]) == 2
+        assert "only to the cook problem" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem = test-b\nnu = 0.3\n")
+        assert main(["solve", "--config", str(cfg), *solve_args]) == 2
+        assert not out.exists()
+        # without --nu, cook solves at nu = 1/3
+        assert main(["solve", "--problem", "cook", *solve_args]) == 0
+        default = out.read_bytes()
+        assert main(["solve", "--problem", "cook", "--nu", repr(1.0 / 3.0),
+                     *solve_args]) == 0
+        assert out.read_bytes() == default
+
     def test_convergence_command(self, tmp_path):
         csv = tmp_path / "c.csv"
         assert main(["convergence", "--problem", "test-a", "--kind",
@@ -390,3 +437,63 @@ class TestCli:
             "problem", "kind", "levels", "cook_kinds", "cook_nus",
             "stabilization", "seed", "csv_path", "vtk_path"]
         assert RunConfig().solver_tol == 1e-10
+
+
+# A fresh interpreter imports vemhr, solves Cook on a mesh file through the
+# CLI, records which scipy modules are loaded, then generates meshes.
+COLD_START = """
+import json, sys
+import numpy as np
+import vemhr, vemhr.cli, vemhr.runner
+
+mesh_path, out_path, arrays_path = sys.argv[1:]
+code = vemhr.cli.main(["solve", "--problem", "cook", "--mesh", mesh_path,
+                       "--out", out_path])
+after_solve = [m for m in MODULES if m in sys.modules]
+meshes = [vemhr.generate_mesh(kind, n) for kind, n in KINDS]
+np.savez(arrays_path, **{f"{i}_{name}": getattr(mesh, name)
+                         for i, mesh in enumerate(meshes) for name in ARRAYS})
+print(json.dumps({"exit": code, "after_solve": after_solve,
+                  "after_generate": [m for m in MODULES if m in sys.modules]}))
+"""
+COLD_KINDS = (("poly_voronoi_cvt", 9), ("hex_structured", 4))
+MESH_ARRAYS = ("vertices", "cell_offsets", "cell_vertex_ids", "cell_edge_ids",
+               "edge_nodes")
+GENERATOR_MODULES = ("scipy.spatial", "scipy.sparse.csgraph")
+
+
+class TestColdStart:
+    @pytest.fixture(scope="class")
+    def cold(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("cold")
+        mesh_path = tmp / "cook.msh"
+        save_mesh(mesh_path, generate_mesh("quad_structured", 4,
+                                           domain=cook_domain()))
+        script = (f"KINDS = {COLD_KINDS!r}\nARRAYS = {MESH_ARRAYS!r}\n"
+                  f"MODULES = {GENERATOR_MODULES!r}\n" + COLD_START)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(vemhr.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(mesh_path),
+             str(tmp / "cook.txt"), str(tmp / "meshes.npz")],
+            env=env, capture_output=True, text=True, check=True)
+        report = json.loads(proc.stdout.splitlines()[-1])
+        return report, tmp
+
+    def test_solve_loads_no_generator_modules(self, cold):
+        report, tmp = cold
+        assert report["exit"] == 0
+        assert (tmp / "cook.txt").read_text().startswith("vemhr-solution v1")
+        assert report["after_solve"] == []
+
+    def test_generation_after_cold_solve(self, cold):
+        report, tmp = cold
+        assert report["after_generate"] == list(GENERATOR_MODULES)
+        with np.load(tmp / "meshes.npz") as arrays:
+            for i, (kind, n) in enumerate(COLD_KINDS):
+                mesh = generate_mesh(kind, n)
+                for name in MESH_ARRAYS:
+                    ref = getattr(mesh, name)
+                    got = arrays[f"{i}_{name}"]
+                    assert got.dtype == ref.dtype, (kind, name)
+                    assert np.array_equal(got, ref), (kind, name)
