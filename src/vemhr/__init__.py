@@ -20,8 +20,7 @@ from .material import (IsotropicMaterial, from_lame,
                        from_young_poisson_plane_strain, sym_dot,
                        von_mises_plane_strain)
 from .mesh import (PolyMesh, QualityReport, build_topology, check_assumptions,
-                   cook_domain, load_mesh, mesh_checksum, polygon_metrics,
-                   save_mesh)
+                   cook_domain, load_mesh, mesh_checksum, save_mesh)
 from .postproc import (convergence_rates, equilibrium_residuals, error_div,
                        error_sigma, error_u, probe_displacement,
                        von_mises_field, write_convergence_csv,
@@ -29,8 +28,7 @@ from .postproc import (convergence_rates, equilibrium_residuals, error_div,
 from .problems import (ProblemSpec, problem_cook, problem_test_a,
                        problem_test_b, problem_test_incompressible,
                        verify_exact_bundle)
-from .quadrature import (QUADRATURE_DEGREE, EdgeRule, PolygonRule, edge_rule,
-                         mesh_polygon_quadrature, polygon_rule)
+from .quadrature import QUADRATURE_DEGREE, mesh_polygon_quadrature
 from .runner import RunConfig, cook_reference, run_convergence, run_cook
 
 __version__ = "0.1.0"

@@ -75,13 +75,6 @@ class DofMap:
     def size(self):
         return self.n_stress + self.n_displacement
 
-    def edge_dofs(self, e):
-        return np.arange(3 * e, 3 * e + 3)
-
-    def cell_dofs(self, c):
-        base = self.n_stress + 3 * c
-        return np.arange(base, base + 3)
-
 
 @dataclass(frozen=True)
 class DisplacementBC:

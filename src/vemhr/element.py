@@ -20,7 +20,7 @@ import numpy as np
 
 from .material import tensor_to_matrix
 from .mesh import loop_groups, perp
-from .quadrature import QUADRATURE_DEGREE, edge_rule, mesh_polygon_quadrature
+from .quadrature import EDGE_NODES, EDGE_WEIGHTS, mesh_polygon_quadrature
 
 __all__ = [
     "STABILIZATIONS",
@@ -107,22 +107,21 @@ class CellGroup:
         P /= self.areas[:, None, None]
         self.projection_map = P
 
-    def a_matrices(self, material, stabilization="stab1", kappa=None):
+    def a_matrices(self, material, stabilization="stab1"):
         """Stabilized local energy matrices, shape (m, 3n, 3n).
 
         Consistency part |E| * (D Pi_i : Pi_j) plus the boundary penalty
         kappa * w_e * int_e [(chi_i - Pi_i) n] . [(chi_j - Pi_j) n] with
-        w_e = h_E ("stab1") or w_e = h_e ("stab1bis").  The cell-side signs
-        cancel inside the penalty, so it is evaluated in the global frame.
-        ``kappa`` defaults to the material's compliance-trace scale.
+        w_e = h_E ("stab1") or w_e = h_e ("stab1bis") and kappa the
+        material's compliance-trace scale.  The cell-side signs cancel
+        inside the penalty, so it is evaluated in the global frame.
         """
         if stabilization not in STABILIZATIONS:
             raise ValueError(f"unknown stabilization {stabilization!r}")
         P = self.projection_map
         G = material.energy_matrix
         A = P.transpose(0, 2, 1) @ (G @ P) * self.areas[:, None, None]
-        if kappa is None:
-            kappa = material.kappa
+        kappa = material.kappa
         # rows 2j, 2j + 1 of T: (chi - Pi) n_j on edge j, (m, 2n, 3n)
         m, n = len(self.cells), self.n_edges
         N = self.normals
@@ -180,13 +179,12 @@ def _edge_moments(mesh, edges, field):
     perp(x - midpoint) gives d through the coefficient |e|^2/12
     (n . perp(t) = 1 for straight edges).
     """
-    rule = edge_rule(QUADRATURE_DEGREE)
-    pts = _edge_points(mesh, edges, rule.nodes)
+    pts = _edge_points(mesh, edges, EDGE_NODES)
     tv = field(pts)
-    c = np.einsum("q,eqa->ea", rule.weights, tv)
+    c = np.einsum("q,eqa->ea", EDGE_WEIGHTS, tv)
     arm = perp(pts - mesh.edge_midpoints[edges][:, None, :])
     d = 12.0 / mesh.edge_lengths[edges] * np.einsum(
-        "q,eqa->e", rule.weights, (tv - c[:, None, :]) * arm)
+        "q,eqa->e", EDGE_WEIGHTS, (tv - c[:, None, :]) * arm)
     return np.column_stack([c, d])
 
 
@@ -233,7 +231,7 @@ def projection_field(mesh, edge_dof_table):
 
 def body_load_vector(mesh, f):
     """Loads of all cells against their rigid-motion bases, (n_cells, 3)."""
-    pts, wts, owner = mesh_polygon_quadrature(mesh, QUADRATURE_DEGREE)
+    pts, wts, owner = mesh_polygon_quadrature(mesh)
     fv = np.asarray(f(pts), dtype=float)
     xi = perp(pts - mesh.centroids[owner])
     out = np.zeros((mesh.n_cells, 3))

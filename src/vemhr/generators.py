@@ -33,7 +33,7 @@ import numbers
 
 import numpy as np
 
-from .mesh import MeshError, _next_slot, build_topology, shoelace
+from .mesh import MeshError, _next_slot, _offsets, build_topology, shoelace
 # Re-exported: perfbench/tracing.py wraps the shape report under this name.
 from .mesh import check_assumptions  # noqa: F401
 
@@ -343,13 +343,6 @@ def _clip_sets(seed_sets, domain):
     offsets = _offsets(counts)
     take = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], counts)
     return ids[order], points[take], counts
-
-
-def _offsets(counts):
-    """CSR offsets of loops with the given vertex counts."""
-    offsets = np.zeros(len(counts) + 1, dtype=int)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets
 
 
 def _nearest(tree, points, k):

@@ -15,7 +15,6 @@ Cells are stored flat (CSR): cell c owns positions ``cell_offsets[c]`` to
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +22,6 @@ __all__ = [
     "perp",
     "shoelace",
     "loop_groups",
-    "polygon_metrics",
     "PolyMesh",
     "build_topology",
     "MeshError",
@@ -58,11 +56,11 @@ def _reject(bad, message):
         raise MeshError(message.format(int(np.argmax(bad))))
 
 
-def _flatten(loops):
-    """CSR offsets and the concatenation of a sequence of per-cell arrays."""
-    offsets = np.zeros(len(loops) + 1, dtype=int)
-    np.cumsum([len(loop) for loop in loops], out=offsets[1:])
-    return offsets, np.concatenate(loops)
+def _offsets(counts):
+    """CSR offsets of loops with the given entry counts."""
+    offsets = np.zeros(len(counts) + 1, dtype=int)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
 
 
 def _slot_cells(offsets):
@@ -122,21 +120,12 @@ def _cell_geometry(points, offsets):
     return areas, centroids, diameters, tensors
 
 
-def polygon_metrics(coords):
-    """Area, centroid, diameter and second moment of a simple CCW polygon:
-    the one-cell case of the mesh geometry, exact for any simple polygon."""
-    coords = np.asarray(coords, dtype=float)
-    a, c, h, q = _cell_geometry(coords, np.array([0, len(coords)]))
-    return float(a[0]), c[0], float(h[0]), float(np.trace(q[0]))
-
-
 class PolyMesh:
     """Immutable polygonal mesh with signed cell/edge incidence tables.
 
     Construction is done by :func:`build_topology`; all derived geometric
     quantities (areas, centroids, diameters, second moments, edge frames)
-    are precomputed here from the flat cell arrays.  ``cell_vertices``,
-    ``cell_edges`` and ``cell_signs`` give per-cell views into them.
+    are precomputed here from the flat cell arrays.
     """
 
     def __init__(self, vertices, cell_offsets, cell_vertex_ids, cell_edge_ids,
@@ -164,21 +153,6 @@ class PolyMesh:
          self.moment_tensors) = _cell_geometry(
             self.vertices[self.cell_vertex_ids], self.cell_offsets)
         self.second_moments = np.trace(self.moment_tensors, axis1=1, axis2=2)
-
-    @cached_property
-    def cell_vertices(self):
-        """Per-cell CCW vertex loops (views into ``cell_vertex_ids``)."""
-        return np.split(self.cell_vertex_ids, self.cell_offsets[1:-1])
-
-    @cached_property
-    def cell_edges(self):
-        """Per-cell edge ids in loop order (views into ``cell_edge_ids``)."""
-        return np.split(self.cell_edge_ids, self.cell_offsets[1:-1])
-
-    @cached_property
-    def cell_signs(self):
-        """Per-cell edge signs (views into ``cell_edge_signs``)."""
-        return np.split(self.cell_edge_signs, self.cell_offsets[1:-1])
 
     @property
     def n_vertices(self):
@@ -261,8 +235,8 @@ def build_topology(vertices, cell_vertex_loops):
     loops = list(cell_vertex_loops)
     if not loops:
         raise MeshError("mesh has no cells")
-    offsets, ids = _flatten(loops)
-    ids = ids.astype(int)
+    offsets = _offsets([len(loop) for loop in loops])
+    ids = np.concatenate(loops).astype(int)
     nv = len(vertices)
     cell = _slot_cells(offsets)
     _reject(np.diff(offsets) < 3, "cell {} has fewer than 3 vertices")

@@ -17,7 +17,7 @@ from .element import (_edge_points, _sample, body_load_vector,
                       divergence_field, projection_field)
 from .material import tensor_to_matrix, von_mises_plane_strain
 from .mesh import _format_loops, _format_rows, perp
-from .quadrature import QUADRATURE_DEGREE, edge_rule, mesh_polygon_quadrature
+from .quadrature import EDGE_NODES, EDGE_WEIGHTS, mesh_polygon_quadrature
 
 __all__ = [
     "RateTable",
@@ -46,21 +46,20 @@ def error_sigma(mesh, solution, sigma_exact, kappa):
     compliance scale used in the stabilization (homogeneous material).
     """
     table = _edge_dof_table(solution)
-    rule = edge_rule(QUADRATURE_DEGREE)
-    pts = _edge_points(mesh, np.arange(mesh.n_edges), rule.nodes)
+    pts = _edge_points(mesh, np.arange(mesh.n_edges), EDGE_NODES)
     smat = tensor_to_matrix(_sample(sigma_exact, pts))
     t_exact = np.einsum("eqab,eb->eqa", smat, mesh.edge_normals)
     t_h = (table[:, None, :2]
-           + table[:, 2, None, None] * rule.nodes[None, :, None]
+           + table[:, 2, None, None] * EDGE_NODES[None, :, None]
            * mesh.edge_normals[:, None, :])
-    misfit = ((t_exact - t_h) ** 2).sum(axis=2) @ rule.weights
+    misfit = ((t_exact - t_h) ** 2).sum(axis=2) @ EDGE_WEIGHTS
     return float(np.sqrt((kappa * mesh.edge_lengths**2 * misfit).sum()))
 
 
 def _rigid_motion_l2_error(mesh, motions, exact):
     """L2 norm of ``exact`` (a vectorized field, None meaning zero) minus
     the per-cell rigid motions a + b perp(x - x_C), rows (a_x, a_y, b)."""
-    pts, wts, owner = mesh_polygon_quadrature(mesh, QUADRATURE_DEGREE)
+    pts, wts, owner = mesh_polygon_quadrature(mesh)
     approx = (motions[owner, :2]
               + motions[owner, 2, None] * perp(pts - mesh.centroids[owner]))
     exact = 0.0 if exact is None else np.asarray(exact(pts))

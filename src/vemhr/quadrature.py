@@ -1,4 +1,5 @@
-"""Gauss quadrature on edges and polygons.
+"""The Gauss quadrature of every load, boundary-data, interpolation and
+error-norm integral: one rule on edges and one on polygons.
 
 Edges use a dimensionless arc coordinate s in [-1/2, 1/2] with s = 0 at the
 midpoint, so edge weights sum to 1 and physical integrals carry an extra
@@ -9,56 +10,33 @@ cells that are not (their geometry is exact without quadrature); the rules
 here raise ``ValueError`` on such cells.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
-from .mesh import _next_slot, _slot_cells, shoelace
+from .mesh import _next_slot, _slot_cells
 
 __all__ = [
     "QUADRATURE_DEGREE",
-    "EdgeRule",
-    "PolygonRule",
-    "edge_rule",
-    "triangle_rule",
-    "polygon_rule",
+    "EDGE_NODES",
+    "EDGE_WEIGHTS",
+    "TRIANGLE_POINTS",
+    "TRIANGLE_WEIGHTS",
     "mesh_polygon_quadrature",
 ]
 
-# Degree of every load, boundary-data, interpolation and error-norm rule.
+# Polynomial degree the polygon rule integrates exactly (the edge rule
+# reaches 7).
 QUADRATURE_DEGREE = 6
 
 
-@dataclass(frozen=True)
-class EdgeRule:
-    """Gauss-Legendre rule on s in [-1/2, 1/2]; weights sum to 1."""
-
-    degree: int
-    nodes: np.ndarray
-    weights: np.ndarray
+def _frozen(values):
+    array = np.asarray(values, dtype=float)
+    array.setflags(write=False)
+    return array
 
 
-@dataclass(frozen=True)
-class PolygonRule:
-    """Quadrature points inside a polygon; weights sum to the polygon area."""
-
-    degree: int
-    points: np.ndarray
-    weights: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def edge_rule(degree: int) -> EdgeRule:
-    """Gauss-Legendre rule exact for polynomials in s up to ``degree``."""
-    if degree < 0:
-        raise ValueError(f"quadrature degree must be >= 0, got {degree}")
-    n = max(1, -(-(degree + 1) // 2))
-    x, w = np.polynomial.legendre.leggauss(n)
-    rule = EdgeRule(degree=degree, nodes=0.5 * x, weights=0.5 * w)
-    rule.nodes.setflags(write=False)
-    rule.weights.setflags(write=False)
-    return rule
+# 4-point Gauss-Legendre rule on s in [-1/2, 1/2]; weights sum to 1.
+EDGE_NODES, EDGE_WEIGHTS = (
+    _frozen(0.5 * a) for a in np.polynomial.legendre.leggauss(4))
 
 
 def _orbit3(a):
@@ -71,67 +49,25 @@ def _orbit6(a, b):
     return [(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)]
 
 
-# Symmetric triangle rules with positive weights (barycentric coordinates,
-# weights normalized to sum to 1 over the reference triangle).
-_TRI_RULES = {
-    1: ([(1 / 3, 1 / 3, 1 / 3)], [1.0]),
-    2: (_orbit3(1 / 6), [1 / 3] * 3),
-    4: (
-        _orbit3(0.445948490915965) + _orbit3(0.091576213509771),
-        [0.223381589678011] * 3 + [0.109951743655322] * 3,
-    ),
-    5: (
-        [(1 / 3, 1 / 3, 1 / 3)]
-        + _orbit3(0.470142064105115)
-        + _orbit3(0.101286507323456),
-        [0.225]
-        + [0.132394152788506] * 3
-        + [0.125939180544827] * 3,
-    ),
-    6: (
-        _orbit3(0.249286745170910)
-        + _orbit3(0.063089014491502)
-        + _orbit6(0.310352451033785, 0.053145049844816),
-        [0.116786275726379] * 3
-        + [0.050844906370207] * 3
-        + [0.082851075618374] * 6,
-    ),
-}
+# Symmetric 12-point triangle rule with positive weights: barycentric
+# coordinates, weights normalized to sum to 1 over the reference triangle.
+TRIANGLE_POINTS = _frozen(
+    _orbit3(0.249286745170910)
+    + _orbit3(0.063089014491502)
+    + _orbit6(0.310352451033785, 0.053145049844816))
+TRIANGLE_WEIGHTS = _frozen(
+    [0.116786275726379] * 3
+    + [0.050844906370207] * 3
+    + [0.082851075618374] * 6)
 
 
-@lru_cache(maxsize=None)
-def triangle_rule(degree: int):
-    """Barycentric points and weights (summing to 1) exact up to ``degree``.
-
-    Degrees above 6 fall back to a Duffy-collapsed tensor Gauss rule, which
-    keeps all weights positive at the cost of extra points.
-    """
-    if degree < 0:
-        raise ValueError(f"quadrature degree must be >= 0, got {degree}")
-    for d in sorted(_TRI_RULES):
-        if d >= degree:
-            bary, w = _TRI_RULES[d]
-            return np.array(bary), np.array(w)
-    # Duffy map x = u, y = v(1-u): integrand picks up a (1-u) Jacobian.
-    n = -(-(degree + 2) // 2)
-    xu, wu = np.polynomial.legendre.leggauss(n)
-    u = 0.5 * (xu + 1.0)
-    wu = 0.5 * wu
-    uu, vv = np.meshgrid(u, u, indexing="ij")
-    ww = np.outer(wu, wu) * (1.0 - uu)
-    x = uu.ravel()
-    y = (vv * (1.0 - uu)).ravel()
-    bary = np.column_stack([1.0 - x - y, x, y])
-    return bary, 2.0 * ww.ravel()
-
-
-def _fan_rule(points, offsets, centroids, degree):
+def _fan_rule(points, offsets, centroids):
     """Centroid-fan rule for polygons laid out as in :func:`shoelace`, as
     ``(points, weights, cell_ids)`` ordered by cell, fan triangle, rule point.
     Fan triangles below 1e-14 of the polygon area are skipped; a negative
     one means the polygon is not star-shaped with respect to its centroid.
     """
-    bary, tw = triangle_rule(degree)
+    bary, tw = TRIANGLE_POINTS, TRIANGLE_WEIGHTS
     cell = _slot_cells(offsets)
     fan = centroids[cell]
     nxt = points[_next_slot(offsets)]
@@ -153,32 +89,20 @@ def _fan_rule(points, offsets, centroids, degree):
     return pts, wts, np.repeat(cell[keep], len(tw))
 
 
-def polygon_rule(coords, degree: int, centroid=None) -> PolygonRule:
-    """Fan-triangulation rule on a polygon given by CCW vertex coordinates
-    (the one-cell case of :func:`mesh_polygon_quadrature`)."""
-    coords = np.asarray(coords, dtype=float)
-    if centroid is None:
-        centroid = shoelace(coords)[1][0]
-    pts, wts, _ = _fan_rule(coords, np.array([0, len(coords)]),
-                            np.asarray(centroid, dtype=float)[None], degree)
-    return PolygonRule(degree=degree, points=pts, weights=wts)
-
-
-def mesh_polygon_quadrature(mesh, degree: int):
-    """Batched fan-triangulation rule over all cells of a mesh.
+def mesh_polygon_quadrature(mesh):
+    """Fan-triangulation rule over all cells of a mesh.
 
     Returns ``(points, weights, cell_ids)`` with one flat read-only array
     per field so integrands can be evaluated in a single vectorized call;
     per-cell sums are recovered by grouping on ``cell_ids`` (the ids are
-    nondecreasing).  Cached on the mesh per degree (meshes are immutable).
+    nondecreasing).  Built once and cached on the mesh (meshes are
+    immutable).
     """
-    cached = getattr(mesh, "_fan_rules", None)
-    if cached is None:
-        cached = mesh._fan_rules = {}
-    if degree not in cached:
+    rule = getattr(mesh, "_quadrature_rule", None)
+    if rule is None:
         rule = _fan_rule(mesh.vertices[mesh.cell_vertex_ids],
-                         mesh.cell_offsets, mesh.centroids, degree)
+                         mesh.cell_offsets, mesh.centroids)
         for array in rule:
             array.setflags(write=False)
-        cached[degree] = rule
-    return cached[degree]
+        mesh._quadrature_rule = rule
+    return rule

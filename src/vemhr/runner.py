@@ -7,6 +7,7 @@ edge lengths across families.  All runs are deterministic given the config
 """
 
 import io
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from .mesh import cook_domain
 from .postproc import von_mises_field, write_vtk_polydata
 from .problems import COOK_PROBE_POINT, problem_cook, problem_test_a, \
     problem_test_b, problem_test_incompressible, verify_exact_bundle
-from .quadrature import QUADRATURE_DEGREE, mesh_polygon_quadrature
+from .quadrature import mesh_polygon_quadrature
 
 __all__ = [
     "RunConfig",
@@ -68,6 +69,15 @@ class RunConfig:
                              f"integers, not {self.levels!r}")
         if any(k not in COOK_KINDS for k in self.cook_kinds):
             raise ValueError(f"cook kinds must be among {tuple(COOK_KINDS)}")
+        if not isinstance(self.cook_nus, tuple) or not self.cook_nus \
+                or not all(_is_real(nu) and 0.0 <= nu < 0.5
+                           for nu in self.cook_nus):
+            raise ValueError("cook_nus must be a non-empty tuple of Poisson "
+                             f"ratios in [0, 0.5), not {self.cook_nus!r}")
+        if not (isinstance(self.seed, numbers.Integral) and _is_real(self.seed)
+                and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer, not "
+                             f"{self.seed!r}")
         if self.stabilization not in STABILIZATIONS:
             raise ValueError(f"unknown stabilization {self.stabilization!r}")
         return self
@@ -82,6 +92,11 @@ class RunConfig:
                                  for v in value)
             lines.append(f"{name} = {value}")
         return "\n".join(lines) + "\n"
+
+
+def _is_real(x):
+    """True for a real number, numpy scalars included (not bools)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def make_problem(problem_id, nu=None):
@@ -173,7 +188,7 @@ def _same_domain(a, b):
 def _study_row(mesh, problem, solution, level):
     f_l2 = 0.0
     if problem.body_force is not None:
-        pts, wts, _ = mesh_polygon_quadrature(mesh, QUADRATURE_DEGREE)
+        pts, wts, _ = mesh_polygon_quadrature(mesh)
         fv = problem.body_force(pts)
         f_l2 = float(np.sqrt(wts @ (fv**2).sum(axis=1)))
     row = {

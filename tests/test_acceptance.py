@@ -29,7 +29,7 @@ from vemhr.postproc import (convergence_rates, error_sigma,
                             least_squares_slope)
 from vemhr.problems import (ProblemSpec, problem_cook, problem_test_a,
                             problem_test_b, problem_test_incompressible)
-from vemhr.quadrature import QUADRATURE_DEGREE, mesh_polygon_quadrature
+from vemhr.quadrature import mesh_polygon_quadrature
 from vemhr.runner import (RunConfig, convergence_study, cook_reference,
                           mesh_for_level, run_cook)
 from vemhr.assembly import DisplacementBC
@@ -81,7 +81,7 @@ def cook_runs():
 
 
 def rm_projection(mesh, u):
-    pts, wts, owner = mesh_polygon_quadrature(mesh, QUADRATURE_DEGREE)
+    pts, wts, owner = mesh_polygon_quadrature(mesh)
     uv = u(pts)
     out = np.zeros((mesh.n_cells, 3))
     np.add.at(out[:, 0], owner, wts * uv[:, 0])
@@ -279,12 +279,12 @@ def test_criterion_8_unisolvence_and_compatibility():
     worst_solve = 0.0
     for trial in range(1000):
         mesh = random_star_polygon(rng)
-        ne = len(mesh.cell_edges[0])
-        assert np.array_equal(mesh.cell_edges[0], np.arange(ne))
+        ne = mesh.n_edges
+        assert np.array_equal(mesh.cell_edge_ids, np.arange(ne))
         # moment matrix: DOFs -> (mean, rotational first moment) per edge
         M = np.zeros((3 * ne, 3 * ne))
         xc = mesh.centroids[0]
-        for k, e in enumerate(mesh.cell_edges[0]):
+        for k, e in enumerate(mesh.cell_edge_ids):
             L = mesh.edge_lengths[e]
             n = mesh.edge_normals[e]
             pe, qe = mesh.vertices[mesh.edge_nodes[e]]
@@ -306,8 +306,8 @@ def test_criterion_8_unisolvence_and_compatibility():
         lhs = np.array([mesh.areas[0] * dv[0], mesh.areas[0] * dv[1],
                         mesh.second_moments[0] * dv[2]])
         ref = np.zeros(3)
-        for k, e in enumerate(mesh.cell_edges[0]):
-            sign = mesh.cell_signs[0][k]
+        for k, (e, sign) in enumerate(zip(mesh.cell_edge_ids,
+                                          mesh.cell_edge_signs)):
             L = mesh.edge_lengths[e]
             n = mesh.edge_normals[e]
             pe, qe = mesh.vertices[mesh.edge_nodes[e]]

@@ -10,7 +10,7 @@ from vemhr.material import from_lame, sym_dot
 from vemhr.mesh import MeshError, build_topology, perp
 from vemhr.postproc import error_u
 from vemhr.problems import ProblemSpec
-from vemhr.quadrature import polygon_rule
+from vemhr.quadrature import mesh_polygon_quadrature
 from vemhr.generators import generate_mesh
 
 SQUARE = build_topology([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]])
@@ -28,10 +28,15 @@ def random_polygon_mesh(seed, n_min=3, n_max=9):
     return build_topology(verts, [list(range(k))])
 
 
+def cell_slice(mesh, flat, c):
+    """Cell c's piece of a flat CSR array (``cell_edge_ids`` etc.)."""
+    return flat[mesh.cell_offsets[c]:mesh.cell_offsets[c + 1]]
+
+
 def table_of(mesh, dofs):
     """Global (n_edges, 3) DOF table of a one-cell mesh from its cell-local
     DOF vector: the edge ids of a single cell follow its loop order."""
-    assert np.array_equal(mesh.cell_edges[0], np.arange(mesh.n_edges))
+    assert np.array_equal(mesh.cell_edge_ids, np.arange(mesh.n_edges))
     return np.asarray(dofs, dtype=float).reshape(-1, 3)
 
 
@@ -42,9 +47,9 @@ def div_moments(mesh, table):
                             mesh.second_moments * dv[:, 2]])
 
 
-def a_matrix(mesh, material, stabilization="stab1", kappa=None):
+def a_matrix(mesh, material, stabilization="stab1"):
     """Energy matrix of a one-cell mesh."""
-    return cell_groups(mesh)[0].a_matrices(material, stabilization, kappa)[0]
+    return cell_groups(mesh)[0].a_matrices(material, stabilization)[0]
 
 
 def b_matrix(mesh):
@@ -66,8 +71,9 @@ def boundary_rm_integral(mesh, cell, dofs, which):
     s = 0.5 * x
     w = 0.5 * w
     total = 0.0
-    for k, e in enumerate(mesh.cell_edges[cell]):
-        sign = mesh.cell_signs[cell][k]
+    edges = cell_slice(mesh, mesh.cell_edge_ids, cell)
+    signs = cell_slice(mesh, mesh.cell_edge_signs, cell)
+    for k, (e, sign) in enumerate(zip(edges, signs)):
         pe, qe = mesh.vertices[mesh.edge_nodes[e]]
         pts = mesh.edge_midpoints[e] + s[:, None] * (qe - pe)
         c = dofs[3 * k:3 * k + 2]
@@ -154,7 +160,7 @@ class TestDivReconstruction:
         # int_E div . r equals the signed boundary integral of the traction
         mesh = random_polygon_mesh(seed)
         rng = np.random.default_rng(1000 + seed)
-        dofs = rng.standard_normal(3 * len(mesh.cell_edges[0]))
+        dofs = rng.standard_normal(3 * mesh.n_edges)
         lhs = div_moments(mesh, table_of(mesh, dofs))[0]
         rhs = np.array([boundary_rm_integral(mesh, 0, dofs, i)
                         for i in range(3)])
@@ -273,17 +279,6 @@ class TestLocalEnergyMatrix:
         with pytest.raises(ValueError):
             a_matrix(SQUARE, from_lame(1.0, 1.0), "stab2")
 
-    def test_kappa_override_scales_stabilization(self):
-        mat = from_lame(1.0, 1.0)
-        base = a_matrix(SQUARE, mat, kappa=0.0)
-        one = a_matrix(SQUARE, mat, kappa=1.0)
-        two = a_matrix(SQUARE, mat, kappa=2.0)
-        assert_allclose(two - base, 2.0 * (one - base), rtol=1e-13,
-                        atol=1e-14)
-        assert_allclose(a_matrix(SQUARE, mat),
-                        base + mat.kappa * (one - base), rtol=1e-13,
-                        atol=1e-14)
-
     @staticmethod
     def per_edge_reference(g, material, stabilization):
         """A_E cell by cell and edge by edge, as the formula reads."""
@@ -320,7 +315,7 @@ class TestLocalEnergyMatrix:
     def test_dimensional_scaling(self, scale):
         # A_E(c * mesh) = c^2 A_E(mesh) for a fixed material
         mesh = random_polygon_mesh(11)
-        scaled = build_topology(scale * mesh.vertices, [mesh.cell_vertices[0]])
+        scaled = build_topology(scale * mesh.vertices, [mesh.cell_vertex_ids])
         mat = from_lame(2.0, 0.7)
         assert_allclose(a_matrix(scaled, mat),
                         scale**2 * a_matrix(mesh, mat), rtol=1e-12)
@@ -464,14 +459,14 @@ class TestInterpolation:
             return np.stack([2.5 * y**2, 2 * x - 2 * y], axis=-1)
 
         lhs = div_moments(mesh, interpolate_global(mesh, tau))
-        for c in range(mesh.n_cells):
-            rule = polygon_rule(mesh.cell_coords(c), 8,
-                                centroid=mesh.centroids[c])
-            fv = div_tau(rule.points)
-            xi = perp(rule.points - mesh.centroids[c])
-            rhs = np.array([rule.weights @ fv[:, 0], rule.weights @ fv[:, 1],
-                            rule.weights @ np.einsum("qa,qa->q", fv, xi)])
-            assert_allclose(lhs[c], rhs, rtol=1e-10, atol=1e-12)
+        points, weights, cells = mesh_polygon_quadrature(mesh)
+        fv = div_tau(points)
+        xi = perp(points - mesh.centroids[cells])
+        rhs = np.column_stack([
+            np.bincount(cells, weights * fv[:, 0]),
+            np.bincount(cells, weights * fv[:, 1]),
+            np.bincount(cells, weights * np.einsum("qa,qa->q", fv, xi))])
+        assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
 
 
 class TestFieldHelpers:
@@ -483,6 +478,8 @@ class TestFieldHelpers:
         table = rng.standard_normal((mesh.n_edges, 3))
         proj = projection_field(mesh, table)
         for c in range(mesh.n_cells):
-            alone = build_topology(mesh.vertices, [mesh.cell_vertices[c]])
+            alone = build_topology(
+                mesh.vertices, [cell_slice(mesh, mesh.cell_vertex_ids, c)])
             assert_allclose(proj[c], projection_field(
-                alone, table[mesh.cell_edges[c]])[0], atol=1e-13)
+                alone, table[cell_slice(mesh, mesh.cell_edge_ids, c)])[0],
+                atol=1e-13)

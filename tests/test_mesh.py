@@ -11,8 +11,8 @@ from numpy.testing import assert_allclose
 from vemhr.generators import MESH_KINDS, generate_mesh
 from vemhr.mesh import (MeshError, build_topology, check_assumptions,
                         cook_domain, load_mesh, mesh_checksum, perp,
-                        polygon_metrics, save_mesh, write_mesh_text)
-from vemhr.quadrature import polygon_rule
+                        save_mesh, write_mesh_text)
+from vemhr.quadrature import mesh_polygon_quadrature
 
 SQUARE_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -21,42 +21,52 @@ def unit_square_mesh():
     return build_topology(SQUARE_VERTS, [[0, 1, 2, 3]])
 
 
+def per_cell(mesh, flat):
+    """Per-cell pieces of a flat CSR array (``cell_vertex_ids`` etc.)."""
+    return np.split(flat, mesh.cell_offsets[1:-1])
+
+
+def one_cell(coords):
+    return build_topology(coords, [list(range(len(coords)))])
+
+
 class TestPolygonMetrics:
     def test_unit_square(self):
-        area, centroid, diameter, m = polygon_metrics(SQUARE_VERTS)
-        assert_allclose(area, 1.0)
-        assert_allclose(centroid, [0.5, 0.5])
-        assert_allclose(diameter, np.sqrt(2.0))
+        mesh = one_cell(SQUARE_VERTS)
+        assert_allclose(mesh.areas[0], 1.0)
+        assert_allclose(mesh.centroids[0], [0.5, 0.5])
+        assert_allclose(mesh.diameters[0], np.sqrt(2.0))
         # analytic: 2 * int_0^1 (x - 1/2)^2 dx = 1/6
-        assert_allclose(m, 1.0 / 6.0, rtol=1e-14)
+        assert_allclose(mesh.second_moments[0], 1.0 / 6.0, rtol=1e-14)
 
     def test_right_triangle(self):
-        tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        area, centroid, _, _ = polygon_metrics(tri)
-        assert_allclose(area, 0.5)
-        assert_allclose(centroid, [1.0 / 3.0, 1.0 / 3.0])
+        mesh = one_cell(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        assert_allclose(mesh.areas[0], 0.5)
+        assert_allclose(mesh.centroids[0], [1.0 / 3.0, 1.0 / 3.0])
 
     def test_clockwise_rejected(self):
         with pytest.raises(MeshError):
-            polygon_metrics(SQUARE_VERTS[::-1])
+            one_cell(SQUARE_VERTS[::-1])
 
     @pytest.mark.parametrize("kind", MESH_KINDS)
     def test_mesh_geometry_matches_fan_quadrature(self, kind):
-        # reference: degree-2 centroid-fan rule, exact for these integrands
+        # reference: the centroid-fan rule, exact for these integrands
         mesh = generate_mesh(kind, 16 if kind.startswith("poly") else 4,
                              seed=2)
-        for c in range(mesh.n_cells):
-            rule = polygon_rule(mesh.cell_coords(c), 2)
-            area = rule.weights.sum()
-            xi = rule.points - mesh.centroids[c]
-            q = np.einsum("q,qa,qb->ab", rule.weights, xi, xi)
-            h = mesh.diameters[c]
-            assert_allclose(mesh.areas[c], area, rtol=1e-13)
-            assert_allclose(mesh.centroids[c],
-                            rule.weights @ rule.points / area,
-                            rtol=0, atol=1e-13 * h)
-            assert_allclose(mesh.moment_tensors[c], q, rtol=0,
-                            atol=1e-13 * np.trace(q))
+        points, weights, cells = mesh_polygon_quadrature(mesh)
+        area = np.bincount(cells, weights)
+        centroid = np.column_stack(
+            [np.bincount(cells, weights * points[:, a]) for a in range(2)])
+        xi = points - mesh.centroids[cells]
+        q = np.zeros((mesh.n_cells, 2, 2))
+        np.add.at(q, cells, weights[:, None, None] * xi[:, :, None]
+                  * xi[:, None, :])
+        assert_allclose(mesh.areas, area, rtol=1e-13)
+        assert np.all(np.abs(mesh.centroids - centroid / area[:, None])
+                      <= 1e-13 * mesh.diameters[:, None])
+        trace = np.trace(q, axis1=1, axis2=2)
+        assert np.all(np.abs(mesh.moment_tensors - q)
+                      <= 1e-13 * trace[:, None, None])
 
 
 class TestBuildTopology:
@@ -65,7 +75,7 @@ class TestBuildTopology:
         assert mesh.n_cells == 1
         assert mesh.n_edges == 4
         assert len(mesh.boundary_edges) == 4
-        assert set(np.abs(mesh.cell_signs[0])) == {1.0}
+        assert set(np.abs(mesh.cell_edge_signs)) == {1.0}
 
     def test_two_quads(self):
         verts = [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
@@ -89,9 +99,9 @@ class TestBuildTopology:
         mesh = build_topology(verts, [[0, 1, 2], [1, 3, 2]])
         e = mesh.interior_edges[0]
         signs = []
-        for c in range(2):
-            k = list(mesh.cell_edges[c]).index(e)
-            signs.append(mesh.cell_signs[c][k])
+        for edges, cell_signs in zip(per_cell(mesh, mesh.cell_edge_ids),
+                                     per_cell(mesh, mesh.cell_edge_signs)):
+            signs.append(cell_signs[list(edges).index(e)])
         assert sorted(signs) == [-1.0, 1.0]
 
     def test_nonmanifold_rejected(self):
@@ -121,9 +131,8 @@ class TestBuildTopology:
     def test_discrete_divergence_theorem(self):
         # sum of sign * |e| * n over each cell boundary vanishes
         mesh = generate_mesh("poly_voronoi_random", 25, seed=3)
-        for c in range(mesh.n_cells):
-            e = mesh.cell_edges[c]
-            s = mesh.cell_signs[c]
+        for e, s in zip(per_cell(mesh, mesh.cell_edge_ids),
+                        per_cell(mesh, mesh.cell_edge_signs)):
             flux = (s[:, None] * mesh.edge_lengths[e, None]
                     * mesh.edge_normals[e]).sum(0)
             assert np.abs(flux).max() < 1e-13
@@ -185,7 +194,8 @@ class TestMeshIO:
         back = load_mesh(path)
         assert np.array_equal(back.vertices, mesh.vertices)
         assert all(np.array_equal(a, b) for a, b in
-                   zip(back.cell_vertices, mesh.cell_vertices))
+                   zip(per_cell(back, back.cell_vertex_ids),
+                       per_cell(mesh, mesh.cell_vertex_ids)))
         assert mesh_checksum(back) == mesh_checksum(mesh)
         save_mesh(tmp_path / "m2.msh", back)
         assert (tmp_path / "m.msh").read_text() == \
@@ -198,7 +208,7 @@ class TestMeshIO:
         lines += [" ".join(f"{v:.17g}" for v in row) for row in mesh.vertices]
         lines.append(str(mesh.n_cells))
         lines += [" ".join(str(int(v)) for v in loop)
-                  for loop in mesh.cell_vertices]
+                  for loop in per_cell(mesh, mesh.cell_vertex_ids)]
         return "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("kind", MESH_KINDS)
@@ -224,7 +234,7 @@ class TestMeshIO:
                              seed=seed)
         try:
             mesh = build_topology(scale * mesh.vertices + shift,
-                                  mesh.cell_vertices)
+                                  per_cell(mesh, mesh.cell_vertex_ids))
         except MeshError:
             assume(False)  # the map rounded a tiny edge away
         with tempfile.TemporaryDirectory() as tmp:
@@ -246,8 +256,7 @@ class TestMeshIO:
         ids = np.array([0, 1, 2, 4, 3])
         stand_in = SimpleNamespace(
             vertices=values, cell_offsets=offsets, cell_vertex_ids=ids,
-            n_vertices=len(values), n_cells=len(offsets) - 1,
-            cell_vertices=[ids[:3], ids[3:]])
+            n_vertices=len(values), n_cells=len(offsets) - 1)
         assert write_mesh_text(stand_in) == self.reference_text(stand_in)
 
     def test_bad_header_rejected(self, tmp_path):

@@ -54,8 +54,8 @@ class TestErrorSigma:
                          problem.material.kappa)
         # rebuild the same mesh with permuted cell order
         order = rng.permutation(mesh.n_cells)
-        permuted = build_topology(mesh.vertices,
-                                  [mesh.cell_vertices[c] for c in order])
+        loops = np.split(mesh.cell_vertex_ids, mesh.cell_offsets[1:-1])
+        permuted = build_topology(mesh.vertices, [loops[c] for c in order])
         sol2 = solve(assemble(permuted, problem))
         e2 = error_sigma(permuted, sol2, problem.exact.stress,
                          problem.material.kappa)
@@ -209,9 +209,9 @@ class TestWriters:
         assert "VECTORS displacement double" in text
         assert "SCALARS von_mises double 1" in text
         polys = text.index(f"POLYGONS {mesh.n_cells} "
-                           f"{sum(len(l) + 1 for l in mesh.cell_vertices)}")
+                           f"{len(mesh.cell_vertex_ids) + mesh.n_cells}")
         first = text[polys + 1].split()
-        assert int(first[0]) == len(mesh.cell_vertices[0])
+        assert int(first[0]) == mesh.cell_offsets[1]
 
     @staticmethod
     def vtk_reference(mesh, cell_data, title):

@@ -4,8 +4,9 @@ from numpy.testing import assert_allclose
 
 from vemhr.generators import generate_mesh
 from vemhr.mesh import build_topology
-from vemhr.quadrature import (edge_rule, mesh_polygon_quadrature,
-                              polygon_rule, triangle_rule)
+from vemhr.quadrature import (EDGE_NODES, EDGE_WEIGHTS, QUADRATURE_DEGREE,
+                              TRIANGLE_POINTS, TRIANGLE_WEIGHTS,
+                              mesh_polygon_quadrature)
 
 
 def edge_monomial_integral(p):
@@ -35,46 +36,47 @@ def polygon_monomial_integral(coords, p, q):
 
 
 class TestEdgeRule:
-    def test_degree_one_is_midpoint(self):
-        rule = edge_rule(1)
-        assert_allclose(rule.nodes, [0.0])
-        assert_allclose(rule.weights, [1.0])
-
     def test_s_squared(self):
-        rule = edge_rule(3)
-        assert_allclose(rule.weights @ rule.nodes**2, 1.0 / 12.0, rtol=1e-14)
+        assert_allclose(EDGE_WEIGHTS @ EDGE_NODES**2, 1.0 / 12.0, rtol=1e-14)
 
     def test_odd_integrand_vanishes(self):
-        rule = edge_rule(3)
-        assert_allclose(rule.weights @ rule.nodes, 0.0, atol=1e-16)
+        assert_allclose(EDGE_WEIGHTS @ EDGE_NODES, 0.0, atol=1e-16)
 
-    @pytest.mark.parametrize("degree", range(9))
-    def test_monomial_exactness(self, degree):
-        rule = edge_rule(degree)
-        assert np.all(rule.weights > 0)
-        assert_allclose(rule.weights.sum(), 1.0, rtol=1e-14)
-        for p in range(degree + 1):
-            assert_allclose(rule.weights @ rule.nodes**p,
-                            edge_monomial_integral(p), atol=1e-15)
-
-    def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError):
-            edge_rule(-1)
+    @pytest.mark.parametrize("p", range(9))
+    def test_monomial_exactness(self, p):
+        # the 4-point Gauss rule is exact through s^7 and misses s^8
+        assert np.all(EDGE_WEIGHTS > 0)
+        assert_allclose(EDGE_WEIGHTS.sum(), 1.0, rtol=1e-14)
+        error = abs(EDGE_WEIGHTS @ EDGE_NODES**p - edge_monomial_integral(p))
+        if p <= 7:
+            assert error <= 1e-15
+        else:
+            assert error > 1e-6
 
 
 class TestTriangleRule:
     @pytest.mark.parametrize("degree", range(1, 9))
     def test_monomial_exactness(self, degree):
-        bary, w = triangle_rule(degree)
+        # exact for every monomial up to QUADRATURE_DEGREE, for none above
+        w = TRIANGLE_WEIGHTS
+        assert len(w) == 12
         assert np.all(w > 0)
         assert_allclose(w.sum(), 1.0, rtol=1e-12)
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        pts = bary @ verts
-        for p in range(degree + 1):
-            for q in range(degree + 1 - p):
-                val = 0.5 * (w @ (pts[:, 0] ** p * pts[:, 1] ** q))
-                assert_allclose(val, tri_monomial_integral(p, q), rtol=2e-13,
-                                atol=1e-16)
+        pts = TRIANGLE_POINTS @ verts
+
+        def relative_error(p, q):
+            ref = tri_monomial_integral(p, q)
+            val = 0.5 * (w @ (pts[:, 0] ** p * pts[:, 1] ** q))
+            return abs(val - ref) / ref
+
+        if degree <= QUADRATURE_DEGREE:
+            for p in range(degree + 1):
+                for q in range(degree + 1 - p):
+                    assert relative_error(p, q) <= 2e-13
+        else:
+            assert all(relative_error(p, degree - p) > 1e-6
+                       for p in range(degree + 1))
 
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -86,51 +88,55 @@ def regular_polygon(k, r=1.0, center=(0.3, -0.2)):
                             center[1] + r * np.sin(ang)])
 
 
+def one_cell_rule(coords):
+    """Points and weights of the mesh rule on a one-cell mesh."""
+    mesh = build_topology(coords, [list(range(len(coords)))])
+    points, weights, cells = mesh_polygon_quadrature(mesh)
+    assert not cells.any()
+    return points, weights
+
+
 class TestPolygonRule:
     def test_unit_square_area(self):
-        rule = polygon_rule(SQUARE, 2)
-        assert_allclose(rule.weights.sum(), 1.0, rtol=1e-14)
-        assert np.all(rule.weights > 0)
+        _, weights = one_cell_rule(SQUARE)
+        assert_allclose(weights.sum(), 1.0, rtol=1e-14)
+        assert np.all(weights > 0)
 
     def test_unit_square_second_moment(self):
         # int |x - x_C|^2 = 2 * int_0^1 (x - 1/2)^2 dx = 1/6
-        rule = polygon_rule(SQUARE, 2)
-        xi = rule.points - [0.5, 0.5]
-        assert_allclose(rule.weights @ (xi**2).sum(1), 1.0 / 6.0, rtol=1e-14)
+        points, weights = one_cell_rule(SQUARE)
+        xi = points - [0.5, 0.5]
+        assert_allclose(weights @ (xi**2).sum(1), 1.0 / 6.0, rtol=1e-14)
 
     def test_pentagon_centroid_symmetry(self):
-        poly = regular_polygon(5)
-        rule = polygon_rule(poly, 3)
-        centroid = rule.points.T @ rule.weights / rule.weights.sum()
-        moments = rule.weights @ (rule.points - centroid)
+        points, weights = one_cell_rule(regular_polygon(5))
+        centroid = points.T @ weights / weights.sum()
+        moments = weights @ (points - centroid)
         assert_allclose(moments, [0.0, 0.0], atol=1e-14)
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("k", [3, 5, 8])
     def test_monomial_exactness_vs_gauss_green(self, degree, k):
+        # x^p y^q with p + q <= degree on a jittered k-gon
         rng = np.random.default_rng(100 * degree + k)
         poly = regular_polygon(k)
         poly += rng.uniform(-0.08, 0.08, poly.shape)
-        rule = polygon_rule(poly, degree)
-        assert np.all(rule.weights > 0)
+        points, weights = one_cell_rule(poly)
+        assert np.all(weights > 0)
         for p in range(degree + 1):
             for q in range(degree + 1 - p):
-                val = rule.weights @ (rule.points[:, 0] ** p
-                                      * rule.points[:, 1] ** q)
+                val = weights @ (points[:, 0] ** p * points[:, 1] ** q)
                 ref = polygon_monomial_integral(poly, p, q)
                 assert_allclose(val, ref, rtol=1e-12, atol=1e-14)
-
-    def test_clockwise_polygon_rejected(self):
-        with pytest.raises(ValueError):
-            polygon_rule(SQUARE[::-1], 2)
 
 
 class TestMeshRuleCache:
     def test_built_once_per_degree_read_only(self):
+        # one rule per mesh: built on the first request, then shared
         mesh = generate_mesh("quad_structured", 3)
-        rule = mesh_polygon_quadrature(mesh, 6)
-        assert mesh_polygon_quadrature(mesh, 6) is rule
-        assert len(mesh_polygon_quadrature(mesh, 2)[1]) < len(rule[1])
+        rule = mesh_polygon_quadrature(mesh)
+        assert mesh_polygon_quadrature(mesh) is rule
+        assert len(rule[1]) == 12 * 4 * mesh.n_cells
         for array in rule:
             with pytest.raises(ValueError):
                 array[0] = 0
@@ -143,4 +149,4 @@ class TestMeshRuleCache:
             [list(range(8))])
         for _ in range(2):
             with pytest.raises(ValueError, match="star-shaped"):
-                mesh_polygon_quadrature(mesh, 6)
+                mesh_polygon_quadrature(mesh)

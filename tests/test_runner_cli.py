@@ -87,6 +87,36 @@ class TestRunner:
             kind="poly_voronoi_random", levels=(np.int64(2), np.int32(3))))
         assert not failures and [r["level"] for r in rows] == [2, 3]
 
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "0", None],
+                             ids=["float", "negative", "bool", "str", "none"])
+    def test_seed_not_a_non_negative_integer(self, seed):
+        config = RunConfig(kind="poly_voronoi_random", levels=(2,), seed=seed)
+        for call in (config.validate, lambda: run_convergence(config)):
+            with pytest.raises(ValueError, match="seed must be") as exc:
+                call()
+            assert repr(seed) in str(exc.value)
+
+    @pytest.mark.parametrize("nus", [
+        ("0.3",), (0.6,), (-0.1,), (0.5,), (float("nan"),), (True,), (),
+        [0.3], 0.3], ids=["str", "above", "negative", "half", "nan", "bool",
+                          "empty", "list", "float"])
+    def test_cook_nus_not_poisson_ratios(self, nus):
+        config = RunConfig(problem="cook", cook_kinds=("quad",), levels=(2,),
+                           cook_nus=nus)
+        for call in (config.validate, lambda: run_cook(config)):
+            with pytest.raises(ValueError, match="cook_nus must be") as exc:
+                call()
+            assert repr(nus) in str(exc.value)
+
+    def test_numpy_seed_and_nus(self):
+        rows = run_cook(RunConfig(problem="cook", cook_kinds=("cvor",),
+                                  levels=(2,), seed=np.int64(3),
+                                  cook_nus=(np.float64(0.3), 0)))
+        assert [r["nu"] for r in rows] == [0.3, 0]
+        assert rows == run_cook(RunConfig(problem="cook", cook_kinds=("cvor",),
+                                          levels=(2,), seed=3,
+                                          cook_nus=(0.3, 0.0)))
+
     def test_cook_rows_and_vtk(self, tmp_path):
         cfg = RunConfig(problem="cook", cook_kinds=("quad",),
                         levels=(2, 4), cook_nus=(1.0 / 3.0,),
@@ -315,6 +345,13 @@ class TestCli:
         assert main(["cook", "--kinds", "quad", "--levels", "2,4", "--nus",
                      "0.3333333333333333", "--csv", str(csv)]) == 0
         assert csv.read_text().count("\n") == 3
+
+    def test_cook_nus_out_of_range(self, tmp_path, capsys):
+        csv = tmp_path / "k.csv"
+        assert main(["cook", "--kinds", "quad", "--levels", "2", "--nus",
+                     "0.6", "--csv", str(csv)]) == 2
+        assert "cook_nus must be" in capsys.readouterr().err
+        assert not csv.exists()
 
     def test_validation_exit_code(self, tmp_path):
         # unknown mesh kind is an argparse choice error -> SystemExit(2)
