@@ -15,13 +15,17 @@ and pentagons along the boundary.
 Every Voronoi kind, and every Lloyd sweep behind the centroidal one, goes
 through one clipping core, :func:`_clip_sets`: it clips all cells of
 several seed sets together, one vectorised Sutherland-Hodgman half-plane
-step per neighbour rank over the cells not yet certified final by the
-security radius, each cell cut only by bisectors of its own set.  A tuple
-of resolutions therefore costs one rank loop per Lloyd sweep for all its
-meshes: ``generate_mesh(kind, (16, 64, 144))`` relaxes the three seed sets
-together and clips their final cells in one call, with the same meshes,
-bit for bit, as three separate calls.  :func:`voronoi_cells` and
-:func:`lloyd` are one-set views of the same core.
+step per neighbour rank, each cell cut only by bisectors of its own set.
+A tuple of resolutions therefore costs one rank loop per Lloyd sweep for
+all its meshes: ``generate_mesh(kind, (16, 64, 144))`` relaxes the three
+seed sets together and clips their final cells in one call, with the same
+meshes, bit for bit, as three separate calls.  At each rank the cells that
+the security radius certifies final retire before the clip step, so only
+the others are cut.  Neighbours come from a first k-nearest query of
+k = 12 (doubled for the cells that need more), equidistant seeds in
+seed-id order, so the honeycomb cells depend neither on the query size
+nor on the tree's tie-breaking.  :func:`voronoi_cells` and :func:`lloyd`
+are one-set views of the same core.
 
 ``scipy.spatial`` and ``scipy.sparse.csgraph`` are imported by the two
 functions that use them, :func:`_clip_sets` and :func:`_mesh_from_cells`,
@@ -53,7 +57,7 @@ MESH_KINDS = (
 
 _JITTER = 0.2  # fraction of the grid step used by the unstructured kinds
 _LLOYD_ITERS = 50
-_NEIGHBOURS = 24  # first k of the nearest-neighbour query in voronoi_cells
+_NEIGHBOURS = 12  # first k of the nearest-neighbour query in _clip_sets
 
 
 def generate_mesh(kind, resolution, domain=None, seed=0):
@@ -259,17 +263,19 @@ def _clip_sets(seed_sets, domain):
 
     The seeds of all sets are numbered one after the other, and all their
     cells are clipped together.  Every cell starts as the domain, and at
-    neighbour rank c = 1, 2, ... each active cell is cut by the bisector
-    half-plane of the c-th nearest seed of its set in one array step (the
-    same Sutherland-Hodgman arithmetic as :func:`vemhr.mesh._clip`; a
-    bisector that cuts nothing leaves the cell as it is).  A cell is final
-    once the security-radius certificate holds, ``dist_c**2 > 4 max |v -
-    p|**2``: no seed at distance ``dist_c`` or farther can reach a vertex
-    of it.  A cell cut below 3 vertices is empty.  Neighbours come from one
-    k-nearest query per set (k = 24, at most the set's size); the cells of
-    a set still active after k ranks query again with k doubled, up to all
-    of its seeds.  Past its last seed a set's distances read infinite, so
-    its remaining cells are final as they stand.
+    neighbour rank c = 1, 2, ... each active cell first meets the
+    security-radius certificate, ``dist_c**2 > 4 max |v - p|**2``: no seed
+    at distance ``dist_c`` or farther can reach a vertex of it, so a cell
+    that passes is final and retires before the clip step.  The others are
+    cut by the bisector half-plane of the c-th nearest seed of their set in
+    one array step (:func:`_clip_all`, the same Sutherland-Hodgman
+    arithmetic as :func:`vemhr.mesh._clip`; a bisector that cuts nothing
+    leaves the cell as it is).  A cell cut below 3 vertices is empty.
+    Neighbours come from one k-nearest query per set (k = 12, at most the
+    set's size), ordered by distance and then by seed id; the cells of a
+    set still active after k ranks query again with k doubled, up to all of
+    its seeds.  Past its last seed a set's distances read infinite, so its
+    remaining cells are final as they stand.
 
     Returns flat CSR arrays ``(ids, points, counts)``: the global seed ids
     of the non-empty cells in ascending order, their CCW loops one after
@@ -281,108 +287,168 @@ def _clip_sets(seed_sets, domain):
 
     domain = np.asarray(domain, dtype=float)
     sets = [np.asarray(s, dtype=float).reshape(-1, 2) for s in seed_sets]
-    sizes = np.array([len(s) for s in sets], dtype=int)
-    first = np.concatenate([[0], np.cumsum(sizes)])
+    sizes = [len(s) for s in sets]
+    first = _offsets(sizes)
     m = int(first[-1])
     if m == 0:
         return np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0, dtype=int)
     seeds = np.concatenate(sets)
     trees = [cKDTree(s) for s in sets]
-    # The active cells (seed ids, ascending), their CCW loops padded to a
-    # common width and their vertex counts; the sorted neighbour lists of
-    # every seed (rank 0 is the seed itself; past its set's k, distance inf
-    # and the seed itself).
+    # The active cells (seed ids, ascending), their seeds, their closed CCW
+    # loops padded to a common width (see _clip_all), the squared distance
+    # of each loop vertex from the seed (zero on padding) and the vertex
+    # counts; the squared distances and ids of every seed's sorted
+    # neighbours by rank (rank 0 is the seed itself; past its set's k,
+    # distance inf and the seed itself).
     ids = np.arange(m)
-    polys = np.broadcast_to(domain, (m,) + domain.shape).copy()
+    p = seeds
+    loops = np.broadcast_to(_items(np.vstack([domain, domain[:1]])),
+                            (m, len(domain) + 1)).copy()
+    rad2 = _squared_distance(_xy(loops), p[:, None, :])
+    rad2[:, -1] = 0.0
     counts = np.full(m, len(domain))
-    k = np.minimum(sizes, _NEIGHBOURS)
-    dists = np.full((m, k.max() + 1), np.inf)
-    nbrs = np.repeat(ids[:, None], k.max() + 1, axis=1)
-    for s in range(len(sets)):
+    k = [min(n, _NEIGHBOURS) for n in sizes]
+    dist2 = np.full((max(k) + 1, m), np.inf)
+    nbrs = np.repeat(ids[None, :], max(k) + 1, axis=0)
+    for s, (tree, pts) in enumerate(zip(trees, sets)):
         rows = slice(first[s], first[s + 1])
-        dists[rows, :k[s]], nbrs[rows, :k[s]] = _nearest(trees[s], sets[s], k[s])
-        nbrs[rows, :k[s]] += first[s]
-    finished = []  # (ids, points, counts) of the cells done at each rank
+        dist, nbr = _nearest(tree, pts, k[s])
+        dist2[:k[s], rows] = (dist ** 2).T
+        nbrs[:k[s], rows] = nbr.T + first[s]
+    finished = []  # (ids, loop items, counts) of the cells done at each rank
     rank = 1
     while len(ids):
-        for s in np.flatnonzero((k == rank) & (k < sizes)):
+        for s in range(len(sets)):
+            if not k[s] == rank < sizes[s]:
+                continue
             lo, hi = np.searchsorted(ids, first[s:s + 2])
             if lo == hi:
                 continue
             k[s] = min(2 * k[s], sizes[s])
-            extra = k[s] + 1 - dists.shape[1]
+            extra = k[s] + 1 - len(dist2)
             if extra > 0:
-                dists = np.hstack([dists, np.full((m, extra), np.inf)])
-                nbrs = np.hstack([nbrs, np.repeat(np.arange(m)[:, None], extra,
-                                                  axis=1)])
+                dist2 = np.vstack([dist2, np.full((extra, m), np.inf)])
+                nbrs = np.vstack([nbrs, np.repeat(np.arange(m)[None, :], extra,
+                                                  axis=0)])
             rows = ids[lo:hi]
-            dists[rows, :k[s]], nbrs[rows, :k[s]] = _nearest(trees[s], seeds[rows],
-                                                             k[s])
-            nbrs[rows, :k[s]] += first[s]
-        p = seeds[ids]
-        valid = np.arange(polys.shape[1]) < counts[:, None]
-        sq = polys - p[:, None, :]
-        sq *= sq
-        r2 = np.where(valid, sq[:, :, 0] + sq[:, :, 1], 0.0).max(axis=1)
-        done = dists[ids, rank] ** 2 > 4.0 * r2
+            dist, nbr = _nearest(trees[s], seeds[rows], k[s])
+            dist2[:k[s], rows] = (dist ** 2).T
+            nbrs[:k[s], rows] = nbr.T + first[s]
+        done = dist2[rank].take(ids) > 4.0 * rad2.max(axis=1)
         if done.any():
-            finished.append((ids[done], polys[done][valid[done]], counts[done]))
-        q = seeds[nbrs[ids, rank]]
+            out = done.nonzero()[0]
+            n = counts[out]
+            finished.append((ids[out], loops[out][_valid(n, loops.shape[1])],
+                             n))
+            live = (~done).nonzero()[0]
+            ids, p, loops, rad2, counts = (
+                a.take(live, axis=0) for a in (ids, p, loops, rad2, counts))
+        q = seeds.take(nbrs[rank].take(ids), axis=0)
         half = q - p
         # half . midpoint by matmul: rounded like a single ``half @ mid``
         b = np.matmul(half[:, None, :], (0.5 * (q + p))[:, :, None])[:, 0, 0]
-        polys, counts = _clip_all(polys, counts, valid, half, b)
-        live = ~done & (counts >= 3)  # the rest are finished or empty
+        loops, rad2, counts = _clip_all(loops, rad2, counts, p, half, b)
+        live = counts >= 3  # the rest are empty
         if not live.all():
-            ids, polys, counts = ids[live], polys[live], counts[live]
+            live = live.nonzero()[0]
+            ids, p, loops, rad2, counts = (
+                a.take(live, axis=0) for a in (ids, p, loops, rad2, counts))
         rank += 1
-    ids, points, counts = (np.concatenate(a) for a in zip(*finished))
+    ids, items, counts = (np.concatenate(a) for a in zip(*finished))
     order = np.argsort(ids)
     starts = _offsets(counts)[:-1][order]
     counts = counts[order]
     offsets = _offsets(counts)
     take = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], counts)
-    return ids[order], points[take], counts
+    return ids[order], _xy(items[take]), counts
 
 
 def _nearest(tree, points, k):
-    """Distances and indices of the k nearest seeds, always (n, k)."""
+    """Distances and indices of the k nearest seeds, always (n, k),
+    each row ordered by distance and then by seed id.
+
+    Only rows with an exact tie are sorted again, so that the order of
+    equidistant (lattice) seeds depends neither on the query size nor on
+    the tree's tie-breaking."""
     dists, nbrs = tree.query(points, k=k)
-    return dists.reshape(len(points), k), nbrs.reshape(len(points), k)
+    dists, nbrs = dists.reshape(len(points), k), nbrs.reshape(len(points), k)
+    tied = (dists[:, 1:] == dists[:, :-1]).any(axis=1).nonzero()[0]
+    if len(tied):
+        order = np.lexsort((nbrs[tied], dists[tied]))
+        dists[tied] = np.take_along_axis(dists[tied], order, axis=1)
+        nbrs[tied] = np.take_along_axis(nbrs[tied], order, axis=1)
+    return dists, nbrs
 
 
-def _clip_all(polys, counts, valid, normals, b):
-    """Keep the part n_i . x <= b_i of every padded loop i: one
-    Sutherland-Hodgman step per row, vertex by vertex as in ``mesh._clip``
-    (a kept vertex, then the crossing point on its outgoing edge).
-    ``valid`` marks the first ``counts[i]`` slots of each row."""
-    rows = len(polys)
-    row = np.arange(rows)
+def _items(points):
+    """A contiguous (..., 2) float array as (...) complex128 items, one per
+    point (x + iy): numpy gathers and scatters one item per point much
+    faster than a row of two floats.  No complex arithmetic is done on
+    them."""
+    return points.view(np.complex128)[..., 0]
+
+
+def _xy(items):
+    """The (..., 2) float view of :func:`_items`."""
+    return items.view(np.float64).reshape(items.shape + (2,))
+
+
+def _squared_distance(a, b):
+    """|a - b|**2 over the last axis, rounded as (dx * dx) + (dy * dy)."""
+    e = a - b
+    e *= e
+    return e[..., 0] + e[..., 1]
+
+
+def _valid(counts, width):
+    """(len(counts), width) mask of the first ``counts[i]`` slots of row i."""
+    return np.arange(width) < counts[:, None]
+
+
+def _clip_all(loops, rad2, counts, seeds, normals, b):
+    """Keep the part n_i . x <= b_i of every loop i: one Sutherland-Hodgman
+    step per row, vertex by vertex as in ``mesh._clip`` (a kept vertex,
+    then the crossing point on its outgoing edge).
+
+    ``loops`` holds the vertices as :func:`_items`.  Row i holds its
+    ``counts[i]`` vertices, then its first vertex again, then padding, so
+    on the flat slots the successor of slot j is j + 1, and ``rad2`` holds
+    the squared distance of each vertex from ``seeds[i]`` (zero on
+    padding).  Returns the rows laid out the same way, their ``rad2`` and
+    their new counts."""
+    rows, width_in = loops.shape
+    xy = _xy(loops)
     # matmul rounds each product like the ``poly @ n`` of mesh._clip
-    d = np.matmul(polys, normals[:, :, None])[:, :, 0] - b[:, None]
+    d = (np.matmul(xy, normals[:, :, None])[:, :, 0] - b[:, None]).ravel()
+    valid = _valid(counts, width_in).ravel()
     inside = d <= 0.0
-    # inside at the next vertex along each loop (padding slots are unused)
-    inside_next = np.empty_like(inside)
-    inside_next[:, :-1] = inside[:, 1:]
-    inside_next[row, counts - 1] = inside[:, 0]
     keep = valid & inside
-    cross = valid & (inside != inside_next)
-    emitted = keep.astype(int) + cross
-    ends = np.cumsum(emitted, axis=1)
+    cross = np.zeros_like(valid)
+    np.not_equal(inside[:-1], inside[1:], out=cross[:-1])
+    cross &= valid
+    emitted = np.add(keep, cross, dtype=int)
+    ends = np.cumsum(emitted.reshape(rows, width_in), axis=1)
     new_counts = ends[:, -1]
-    width = new_counts.max(initial=1)
+    width = new_counts.max(initial=0) + 1
     # flat output slot of each vertex's first emitted point; zero padding
-    # (the unused slots still go through the arithmetic)
-    first = (row * width)[:, None] + ends - emitted
-    out = np.zeros((rows * width, 2))
-    out[first[keep]] = polys[keep]
-    r, s = np.nonzero(cross)
-    s1 = s + 1
-    s1[s1 == counts[r]] = 0
-    t = d[r, s] / (d[r, s] - d[r, s1])
-    p0, p1 = polys[r, s], polys[r, s1]
-    out[first[r, s] + keep[r, s]] = p0 + t[:, None] * (p1 - p0)
-    return out.reshape(rows, width, 2), new_counts
+    base = np.arange(rows) * width
+    slot = (base[:, None] + ends).ravel() - emitted
+    out = np.zeros(rows * width, dtype=np.complex128)
+    out_rad2 = np.zeros(rows * width)
+    i = keep.nonzero()[0]
+    j = slot[i]
+    out[j] = loops.ravel()[i]
+    out_rad2[j] = rad2.ravel()[i]
+    i = cross.nonzero()[0]
+    t = d[i] / (d[i] - d[i + 1])
+    pts = xy.reshape(-1, 2)
+    p0 = pts.take(i, axis=0)
+    new = p0 + t[:, None] * (pts.take(i + 1, axis=0) - p0)
+    j = slot[i] + keep[i]
+    out[j] = _items(new)
+    out_rad2[j] = _squared_distance(new, seeds.take(i // width_in, axis=0))
+    out[base + new_counts] = out[base]  # close each loop
+    return out.reshape(rows, width), out_rad2.reshape(rows, width), new_counts
 
 
 def lloyd(seeds, domain, iterations):

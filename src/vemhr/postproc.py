@@ -38,12 +38,12 @@ def _edge_dof_table(solution):
     return solution if isinstance(solution, np.ndarray) else solution.edge_dofs
 
 
-def error_sigma(mesh, solution, sigma_exact, kappa):
+def error_sigma(mesh, solution, sigma_exact, material):
     """Energy-scaled traction error over all mesh edges.
 
     ``sigma_exact`` maps points to stress triples; the discrete traction on
-    an edge is c + d s n in the canonical frame.  ``kappa`` is the same
-    compliance scale used in the stabilization (homogeneous material).
+    an edge is c + d s n in the canonical frame.  The scale is the
+    ``material.kappa`` of the stabilization (homogeneous material).
     """
     table = _edge_dof_table(solution)
     pts = _edge_points(mesh, np.arange(mesh.n_edges), EDGE_NODES)
@@ -53,6 +53,7 @@ def error_sigma(mesh, solution, sigma_exact, kappa):
            + table[:, 2, None, None] * EDGE_NODES[None, :, None]
            * mesh.edge_normals[:, None, :])
     misfit = ((t_exact - t_h) ** 2).sum(axis=2) @ EDGE_WEIGHTS
+    kappa = material.kappa
     return float(np.sqrt((kappa * mesh.edge_lengths**2 * misfit).sum()))
 
 

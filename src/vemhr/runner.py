@@ -200,9 +200,8 @@ def _study_row(mesh, problem, solution, level):
         "f_l2": f_l2,
     }
     if problem.exact is not None:
-        kappa = problem.material.kappa
         row["E_sigma"] = postproc.error_sigma(
-            mesh, solution, problem.exact.stress, kappa)
+            mesh, solution, problem.exact.stress, problem.material)
         row["E_sigma_div"] = postproc.error_div(
             mesh, solution, problem.exact.divergence)
         row["E_u"] = postproc.error_u(

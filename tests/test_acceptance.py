@@ -229,7 +229,6 @@ def test_criterion_7_interpolation_operator():
     """Edge-moment interpolation: first-order traction accuracy and exact
     commuting divergence moments."""
     problem = problem_test_a()
-    kappa = problem.material.kappa
     slope_bad = []
     slopes = {}
     for kind in ("quad_structured", "poly_voronoi_random"):
@@ -238,7 +237,8 @@ def test_criterion_7_interpolation_operator():
             mesh = mesh_for_level(kind, n, seed=0)
             table = interpolate_global(mesh, problem.exact.stress)
             hs.append(mesh.mean_edge_length)
-            es.append(error_sigma(mesh, table, problem.exact.stress, kappa))
+            es.append(error_sigma(mesh, table, problem.exact.stress,
+                                  problem.material))
         slopes[kind] = least_squares_slope(hs[-3:], es[-3:])
         if not RATE_LO <= slopes[kind] <= RATE_HI:
             slope_bad.append((kind, slopes[kind]))

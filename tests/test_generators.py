@@ -228,7 +228,97 @@ class TestVoronoiOracle:
                             lambda tree, pts, k: ks.append(k)
                             or nearest(tree, pts, k))
         _assert_matches_oracle(seeds, generators.UNIT_SQUARE)
-        assert ks[0] == 24 and max(ks) == len(seeds)
+        assert ks[0] == generators._NEIGHBOURS and max(ks) == len(seeds)
+
+
+def _clip_sets_reference(seed_sets, domain):
+    """Seed by seed: the domain clipped with ``mesh._clip`` by the bisectors
+    of its set's seeds in rank order, until the security-radius
+    certificate holds, re-querying with k doubled past the last rank."""
+    from scipy.spatial import cKDTree
+
+    domain = np.asarray(domain, dtype=float)
+    ids, loops, first = [], [], 0
+    for seeds in seed_sets:
+        seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
+        tree = cKDTree(seeds)
+        m = len(seeds)
+        for i, p in enumerate(seeds):
+            k = min(m, generators._NEIGHBOURS)
+            dists, nbrs = generators._nearest(tree, p[None], k)
+            poly, rank = domain, 1
+            while len(poly) >= 3:
+                if rank == k < m:
+                    k = min(2 * k, m)
+                    dists, nbrs = generators._nearest(tree, p[None], k)
+                dist = dists[0, rank] if rank < k else np.inf
+                if dist**2 > 4.0 * ((poly - p)**2).sum(axis=1).max():
+                    ids.append(first + i)
+                    loops.append(poly)
+                    break
+                q = seeds[nbrs[0, rank]]
+                half = q - p
+                poly = _clip(poly, half, float(half @ (0.5 * (q + p))))
+                rank += 1
+        first += m
+    return (np.array(ids), np.concatenate(loops),
+            np.array([len(loop) for loop in loops]))
+
+
+def _assert_core_matches_reference(seed_sets, domain):
+    got = generators._clip_sets(seed_sets, domain)
+    ref = _clip_sets_reference(seed_sets, domain)
+    for name, x, y in zip(("ids", "points", "counts"), got, ref):
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("domain", [None, cook_domain()], ids=["square", "cook"])
+def test_hex_mesh_does_not_depend_on_the_first_query_size(monkeypatch, domain):
+    # equidistant lattice neighbours come in (distance, seed id) order, so
+    # the honeycomb cells are clipped in the same order whatever k is
+    meshes = {}
+    for k in (8, 12, 24):
+        monkeypatch.setattr(generators, "_NEIGHBOURS", k)
+        meshes[k] = [generate_mesh("hex_structured", n, domain=domain)
+                     for n in (3, 8, 16, 33)]
+    for k in (8, 12):
+        for mesh, ref in zip(meshes[k], meshes[24]):
+            _assert_same_mesh(mesh, ref)
+
+
+class TestClipCoreLoopReference:
+    """The vectorised clipping core equals a cell-by-cell loop, bit for bit."""
+
+    @pytest.mark.parametrize("neighbours", [None, 3], ids=["first-k", "k3"])
+    @pytest.mark.parametrize("m", [1, 2, 40, 200])
+    @pytest.mark.parametrize("domain", [generators.UNIT_SQUARE, cook_domain()],
+                             ids=["square", "cook"])
+    def test_random_seeds(self, monkeypatch, domain, m, neighbours):
+        # k = 3 sends most cells through the doubled re-query
+        if neighbours is not None:
+            monkeypatch.setattr(generators, "_NEIGHBOURS", neighbours)
+        seeds = generators._sample_seeds(domain, m, np.random.default_rng(m))
+        _assert_core_matches_reference([seeds], domain)
+
+    @pytest.mark.parametrize("n", [5, 12])
+    @pytest.mark.parametrize("domain", [generators.UNIT_SQUARE, cook_domain()],
+                             ids=["square", "cook"])
+    def test_honeycomb_lattice(self, domain, n):
+        _assert_core_matches_reference([generators._honeycomb_seeds(domain, n)],
+                                       domain)
+
+    def test_far_seed(self):
+        rng = np.random.default_rng(4)
+        seeds = np.vstack([0.5 + 0.01 * rng.standard_normal((60, 2)),
+                           [[0.02, 0.98]]])
+        _assert_core_matches_reference([seeds], generators.UNIT_SQUARE)
+
+    def test_several_sets(self):
+        domain = cook_domain()
+        sets = [generators._sample_seeds(domain, n, np.random.default_rng(n))
+                for n in (1, 16, 144)]
+        _assert_core_matches_reference(sets, domain)
 
 
 def _assert_same_mesh(a, b):

@@ -34,31 +34,33 @@ class TestErrorSigma:
     def test_exact_constant_gives_zero(self):
         sigma = np.array([1.0, -2.0, 0.5])
         table = constant_stress_dofs(UNIT, sigma)
-        assert error_sigma(UNIT, table, const_field(sigma), kappa=1.0) < 1e-13
+        material = from_lame(1.0, 1.0)
+        assert error_sigma(UNIT, table, const_field(sigma), material) < 1e-13
 
     def test_single_edge_contribution(self):
-        # (sigma - sigma_h) n = n on one unit edge, kappa = 1: term |e| * 1
+        # (sigma - sigma_h) n = n on one unit edge: term kappa * |e| * 1
         table = constant_stress_dofs(UNIT, [1.0, 1.0, 0.0])
         broken = table.copy()
         broken[0] = 0.0
         # removing edge 0's DOFs leaves misfit c = sigma n_e, |misfit| = 1
-        err = error_sigma(UNIT, broken, const_field([1.0, 1.0, 0.0]), kappa=1.0)
-        assert_allclose(err, 1.0, rtol=1e-13)
+        for material in (from_lame(1.0, 1.0), from_lame(2.0, 0.5)):
+            err = error_sigma(UNIT, broken, const_field([1.0, 1.0, 0.0]),
+                              material)
+            assert_allclose(err, np.sqrt(material.kappa), rtol=1e-13)
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(5)
         mesh = generate_mesh("poly_voronoi_random", 10, seed=6)
         problem = problem_test_a()
         sol = solve(assemble(mesh, problem))
-        e1 = error_sigma(mesh, sol, problem.exact.stress,
-                         problem.material.kappa)
+        e1 = error_sigma(mesh, sol, problem.exact.stress, problem.material)
         # rebuild the same mesh with permuted cell order
         order = rng.permutation(mesh.n_cells)
         loops = np.split(mesh.cell_vertex_ids, mesh.cell_offsets[1:-1])
         permuted = build_topology(mesh.vertices, [loops[c] for c in order])
         sol2 = solve(assemble(permuted, problem))
         e2 = error_sigma(permuted, sol2, problem.exact.stress,
-                         problem.material.kappa)
+                         problem.material)
         assert_allclose(e1, e2, rtol=1e-10)
 
 
@@ -90,7 +92,7 @@ class TestPatchErrorsVanish:
         sol = solve(assemble(mesh, dirichlet_problem(u)))
         zero3 = const_field([0.0, 0.0, 0.0])
         zero2 = lambda p: np.zeros(p.shape)
-        assert error_sigma(mesh, sol, zero3, kappa=1.0) < 1e-9
+        assert error_sigma(mesh, sol, zero3, from_lame(1.0, 1.0)) < 1e-9
         assert error_div(mesh, sol, zero2) < 1e-9
         assert error_u(mesh, sol, u) < 1e-9
 
