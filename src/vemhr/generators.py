@@ -22,10 +22,14 @@ seed sets together and clips their final cells in one call, with the same
 meshes, bit for bit, as three separate calls.  At each rank the cells that
 the security radius certifies final retire before the clip step, so only
 the others are cut.  Neighbours come from a first k-nearest query of
-k = 12 (doubled for the cells that need more), equidistant seeds in
-seed-id order, so the honeycomb cells depend neither on the query size
-nor on the tree's tie-breaking.  :func:`voronoi_cells` and :func:`lloyd`
-are one-set views of the same core.
+k = 12, equidistant seeds in seed-id order; the cells that need more query
+again with k doubled and take, from the rank they reached on, the new
+neighbours they have not used yet.  So every neighbour is used once, and
+the honeycomb cells depend neither on the query size nor on the tree's
+tie-breaking.  The core equals, bit for bit, a cell-by-cell loop of the
+scalar Sutherland-Hodgman step ``_clip`` in ``tests/test_generators.py``,
+the tests' oracle.  :func:`voronoi_cells` and :func:`lloyd` are one-set
+views of the same core.
 
 ``scipy.spatial`` and ``scipy.sparse.csgraph`` are imported by the two
 functions that use them, :func:`_clip_sets` and :func:`_mesh_from_cells`,
@@ -268,14 +272,17 @@ def _clip_sets(seed_sets, domain):
     at distance ``dist_c`` or farther can reach a vertex of it, so a cell
     that passes is final and retires before the clip step.  The others are
     cut by the bisector half-plane of the c-th nearest seed of their set in
-    one array step (:func:`_clip_all`, the same Sutherland-Hodgman
-    arithmetic as :func:`vemhr.mesh._clip`; a bisector that cuts nothing
-    leaves the cell as it is).  A cell cut below 3 vertices is empty.
-    Neighbours come from one k-nearest query per set (k = 12, at most the
-    set's size), ordered by distance and then by seed id; the cells of a
-    set still active after k ranks query again with k doubled, up to all of
-    its seeds.  Past its last seed a set's distances read infinite, so its
-    remaining cells are final as they stand.
+    one array step (:func:`_clip_all`, the Sutherland-Hodgman arithmetic
+    of the tests' oracle ``_clip``; a bisector that cuts nothing leaves the
+    cell as it is).  A cell cut below 3 vertices is empty.  Neighbours
+    come from one k-nearest query per set (k = 12, at most the set's size),
+    ordered by distance and then by seed id; the cells of a set still
+    active after k ranks query again with k doubled, up to all of its
+    seeds.  They keep their first k ranks, and the ranks from k on are the
+    new query's neighbours that the cell has not used yet, in the same
+    order, so an equidistant seed that the first query left out is used
+    once and none twice.  Past its last seed a set's distances read
+    infinite, so its remaining cells are final as they stand.
 
     Returns flat CSR arrays ``(ids, points, counts)``: the global seed ids
     of the non-empty cells in ascending order, their CCW loops one after
@@ -332,8 +339,13 @@ def _clip_sets(seed_sets, domain):
                                                   axis=0)])
             rows = ids[lo:hi]
             dist, nbr = _nearest(trees[s], seeds[rows], k[s])
-            dist2[:k[s], rows] = (dist ** 2).T
-            nbrs[:k[s], rows] = nbr.T + first[s]
+            nbr += first[s]
+            # ranks below ``rank`` stay; the rest are the new neighbours
+            # the row has not used yet, in canonical order
+            used = (nbr[:, :, None] == nbrs[:rank, rows].T[:, None, :]).any(2)
+            new = np.argsort(used, axis=1, kind="stable")[:, :k[s] - rank]
+            dist2[rank:k[s], rows] = (np.take_along_axis(dist, new, 1) ** 2).T
+            nbrs[rank:k[s], rows] = np.take_along_axis(nbr, new, 1).T
         done = dist2[rank].take(ids) > 4.0 * rad2.max(axis=1)
         if done.any():
             out = done.nonzero()[0]
@@ -407,8 +419,8 @@ def _valid(counts, width):
 
 def _clip_all(loops, rad2, counts, seeds, normals, b):
     """Keep the part n_i . x <= b_i of every loop i: one Sutherland-Hodgman
-    step per row, vertex by vertex as in ``mesh._clip`` (a kept vertex,
-    then the crossing point on its outgoing edge).
+    step per row, vertex by vertex as the tests' scalar oracle ``_clip``
+    (a kept vertex, then the crossing point on its outgoing edge).
 
     ``loops`` holds the vertices as :func:`_items`.  Row i holds its
     ``counts[i]`` vertices, then its first vertex again, then padding, so
@@ -418,7 +430,7 @@ def _clip_all(loops, rad2, counts, seeds, normals, b):
     their new counts."""
     rows, width_in = loops.shape
     xy = _xy(loops)
-    # matmul rounds each product like the ``poly @ n`` of mesh._clip
+    # matmul rounds each product like the oracle's ``poly @ n``
     d = (np.matmul(xy, normals[:, :, None])[:, :, 0] - b[:, None]).ravel()
     valid = _valid(counts, width_in).ravel()
     inside = d <= 0.0

@@ -14,7 +14,7 @@ Cells are stored flat (CSR): cell c owns positions ``cell_offsets[c]`` to
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,10 +178,6 @@ class PolyMesh:
     def mean_edge_length(self):
         return float(self.edge_lengths.mean())
 
-    def cell_coords(self, c):
-        o = self.cell_offsets
-        return self.vertices[self.cell_vertex_ids[o[c]:o[c + 1]]]
-
     def boundary_sign(self, e):
         """Outward sign of the single cell incident to a boundary edge (or
         to each of an array of them); MeshError names an interior edge."""
@@ -283,16 +279,12 @@ class QualityReport:
     """Shape-regularity diagnostics against the mesh assumptions.
 
     ``vertex_ratio`` is the minimum pairwise vertex distance over h_E, and
-    ``star_ratio`` estimates (inscribed-ball radius of the visibility
-    kernel) / h_E.  Cells below the supplied thresholds are listed in
-    ``violations``.
+    ``star_ratio`` is (radius of the largest ball in the cell's visibility
+    kernel) / h_E, 0 for a cell whose kernel has no interior.
     """
 
     vertex_ratio: np.ndarray
     star_ratio: np.ndarray
-    gamma_min: float
-    c_min: float
-    violations: list = field(default_factory=list)
 
     @property
     def min_vertex_ratio(self):
@@ -302,87 +294,43 @@ class QualityReport:
     def min_star_ratio(self):
         return float(self.star_ratio.min())
 
-    @property
-    def ok(self):
-        return not self.violations
 
+def check_assumptions(mesh):
+    """Per-cell shape-regularity report (reporting only: no cell is
+    rejected).
 
-def _kernel_polygon(coords):
-    """Visibility kernel: clip the polygon by each of its own edge lines."""
-    poly = coords
-    for i in range(len(coords)):
-        a = coords[i]
-        b = coords[(i + 1) % len(coords)]
-        t = b - a
-        n = perp(t)  # outward for a CCW loop
-        poly = _clip(poly, n, float(n @ a))
-        if len(poly) < 3:
-            return None
-    return poly
-
-
-def _clip(poly, n, b):
-    """Keep the part of a polygon with n.x <= b (Sutherland-Hodgman step)."""
-    if len(poly) == 0:
-        return poly
-    d = poly @ n - b
-    if np.all(d <= 0.0):
-        return poly
-    out = []
-    k = len(poly)
-    for i in range(k):
-        j = (i + 1) % k
-        if d[i] <= 0.0:
-            out.append(poly[i])
-        if (d[i] <= 0.0) != (d[j] <= 0.0):
-            t = d[i] / (d[i] - d[j])
-            out.append(poly[i] + t * (poly[j] - poly[i]))
-    return np.array(out) if out else np.empty((0, 2))
-
-
-def _inscribed_radius(coords):
-    """Chebyshev radius of a convex polygon via a small LP."""
+    A ball lies in the visibility kernel exactly when it lies in every
+    half-plane n_e . x <= n_e . m_e of the cell's sides (outward unit
+    normal n_e, midpoint m_e), so each cell's largest one is the Chebyshev
+    centre (x_c, r_c) of those half-planes.  The cells' LPs are
+    independent, so one LP maximising the sum of the radii solves them all.
+    """
     from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
 
-    a = coords
-    b = np.roll(coords, -1, axis=0)
-    t = b - a
-    lengths = np.linalg.norm(t, axis=1)
-    keep = lengths > 1e-12 * lengths.max()  # clipping may duplicate vertices
-    a, t, lengths = a[keep], t[keep], lengths[keep]
-    k = len(a)
-    if k < 3:
-        return 0.0
-    n = perp(t) / lengths[:, None]
-    # maximize r subject to n_i . x + r <= n_i . a_i
-    A_ub = np.column_stack([n, np.ones(k)])
-    b_ub = np.einsum("ij,ij->i", n, a)
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=A_ub, b_ub=b_ub,
-                  bounds=[(None, None)] * 3, method="highs")
-    if not res.success:
-        return 0.0
-    return max(res.x[2], 0.0)
-
-
-def check_assumptions(mesh, gamma_min=0.0, c_min=0.0):
-    """Per-cell shape-regularity report (reporting only, never raises)."""
     nc = mesh.n_cells
     vr = np.empty(nc)
-    sr = np.empty(nc)
-    for c in range(nc):
-        coords = mesh.cell_coords(c)
-        h = mesh.diameters[c]
-        diffs = coords[:, None, :] - coords[None, :, :]
+    for k, cells, slots in loop_groups(mesh.cell_offsets):
+        p = mesh.vertices[mesh.cell_vertex_ids[slots]]
+        diffs = p[:, :, None, :] - p[:, None, :, :]
         dist = np.sqrt((diffs**2).sum(-1))
-        np.fill_diagonal(dist, np.inf)
-        vr[c] = dist.min() / h
-        kernel = _kernel_polygon(coords)
-        sr[c] = 0.0 if kernel is None else _inscribed_radius(kernel) / h
-    report = QualityReport(vertex_ratio=vr, star_ratio=sr,
-                           gamma_min=gamma_min, c_min=c_min)
-    bad = np.nonzero((sr < gamma_min) | (vr < c_min))[0]
-    report.violations = [int(c) for c in bad]
-    return report
+        dist[:, np.arange(k), np.arange(k)] = np.inf
+        vr[cells] = dist.min(axis=(1, 2)) / mesh.diameters[cells]
+
+    # One row per cell side: n_e . (x_c, y_c) + r_c <= n_e . m_e.
+    e = mesh.cell_edge_ids
+    n = mesh.cell_edge_signs[:, None] * mesh.edge_normals[e]
+    columns = 3 * _slot_cells(mesh.cell_offsets)[:, None] + np.arange(3)
+    a_ub = csr_matrix((np.column_stack([n, np.ones(len(e))]).ravel(),
+                       columns.ravel(), 3 * np.arange(len(e) + 1)),
+                      shape=(len(e), 3 * nc))
+    b_ub = (n * mesh.edge_midpoints[e]).sum(axis=1)
+    res = linprog(np.tile([0.0, 0.0, -1.0], nc), A_ub=a_ub, b_ub=b_ub,
+                  bounds=(None, None), method="highs")
+    if not res.success:
+        raise RuntimeError(f"shape-regularity LP failed: {res.message}")
+    sr = np.maximum(res.x[2::3], 0.0) / mesh.diameters
+    return QualityReport(vertex_ratio=vr, star_ratio=sr)
 
 
 def cook_domain():

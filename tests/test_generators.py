@@ -4,9 +4,29 @@ from numpy.testing import assert_allclose
 
 from vemhr import generators
 from vemhr.generators import MESH_KINDS, generate_mesh, lloyd, voronoi_cells
-from vemhr.mesh import _clip, build_topology, check_assumptions, cook_domain
+from vemhr.mesh import build_topology, check_assumptions, cook_domain, perp
 
 ALL_KINDS = list(MESH_KINDS)
+
+
+def _clip(poly, n, b):
+    """Keep the part of a polygon with n.x <= b (Sutherland-Hodgman step):
+    the arithmetic of the clipping core, one cell and one line at a time."""
+    if len(poly) == 0:
+        return poly
+    d = poly @ n - b
+    if np.all(d <= 0.0):
+        return poly
+    out = []
+    k = len(poly)
+    for i in range(k):
+        j = (i + 1) % k
+        if d[i] <= 0.0:
+            out.append(poly[i])
+        if (d[i] <= 0.0) != (d[j] <= 0.0):
+            t = d[i] / (d[i] - d[j])
+            out.append(poly[i] + t * (poly[j] - poly[i]))
+    return np.array(out) if out else np.empty((0, 2))
 
 
 class TestCounts:
@@ -40,6 +60,49 @@ def test_all_kinds_valid(kind):
     assert report.min_vertex_ratio > 0.01
     assert mesh.mean_edge_length > 0
     assert mesh.metadata["kind"] == kind
+
+
+def _star_ratio_reference(coords, h):
+    """Cell by cell: clip the cell by each of its own edge lines (the
+    visibility kernel), then the Chebyshev radius of that polygon from its
+    own LP, over h; 0 when the kernel is empty."""
+    from scipy.optimize import linprog
+
+    poly = coords
+    for a, b in zip(coords, np.roll(coords, -1, axis=0)):
+        n = perp(b - a)  # outward for a CCW loop
+        poly = _clip(poly, n, float(n @ a))
+        if len(poly) < 3:
+            return 0.0
+    t = np.roll(poly, -1, axis=0) - poly
+    lengths = np.linalg.norm(t, axis=1)
+    keep = lengths > 1e-12 * lengths.max()  # clipping may repeat vertices
+    poly, t, lengths = poly[keep], t[keep], lengths[keep]
+    if len(poly) < 3:
+        return 0.0
+    n = perp(t) / lengths[:, None]
+    res = linprog([0.0, 0.0, -1.0], A_ub=np.column_stack([n, np.ones(len(n))]),
+                  b_ub=np.einsum("ij,ij->i", n, poly),
+                  bounds=[(None, None)] * 3, method="highs")
+    return max(res.x[2], 0.0) / h if res.success else 0.0
+
+
+@pytest.mark.parametrize("domain", [None, cook_domain()], ids=["square", "cook"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_report_matches_cell_by_cell_reference(kind, domain):
+    mesh = generate_mesh(kind, 16 if kind.startswith("poly_voronoi") else 4,
+                         domain=domain)
+    report = check_assumptions(mesh)
+    for c, ids in enumerate(np.split(mesh.cell_vertex_ids,
+                                     mesh.cell_offsets[1:-1])):
+        coords = mesh.vertices[ids]
+        h = mesh.diameters[c]
+        dist = np.sqrt(((coords[:, None, :] - coords[None, :, :])**2).sum(-1))
+        np.fill_diagonal(dist, np.inf)
+        assert report.vertex_ratio[c] == dist.min() / h
+        ref = _star_ratio_reference(coords, h)
+        assert ref > 0.0
+        assert abs(report.star_ratio[c] - ref) <= 1e-10 * ref
 
 
 @pytest.mark.parametrize("kind, n", [
@@ -232,9 +295,10 @@ class TestVoronoiOracle:
 
 
 def _clip_sets_reference(seed_sets, domain):
-    """Seed by seed: the domain clipped with ``mesh._clip`` by the bisectors
+    """Seed by seed: the domain clipped with :func:`_clip` by the bisectors
     of its set's seeds in rank order, until the security-radius
-    certificate holds, re-querying with k doubled past the last rank."""
+    certificate holds, re-querying with k doubled past the last rank and
+    taking the neighbours not used yet."""
     from scipy.spatial import cKDTree
 
     domain = np.asarray(domain, dtype=float)
@@ -249,8 +313,14 @@ def _clip_sets_reference(seed_sets, domain):
             poly, rank = domain, 1
             while len(poly) >= 3:
                 if rank == k < m:
+                    # ranks below k stay; then the unused new neighbours
                     k = min(2 * k, m)
-                    dists, nbrs = generators._nearest(tree, p[None], k)
+                    d, nb = generators._nearest(tree, p[None], k)
+                    fresh = ~np.isin(nb[0], nbrs[0, :rank])
+                    dists = np.concatenate(
+                        [dists[0, :rank], d[0, fresh][:k - rank]])[None]
+                    nbrs = np.concatenate(
+                        [nbrs[0, :rank], nb[0, fresh][:k - rank]])[None]
                 dist = dists[0, rank] if rank < k else np.inf
                 if dist**2 > 4.0 * ((poly - p)**2).sum(axis=1).max():
                     ids.append(first + i)
@@ -287,6 +357,23 @@ def test_hex_mesh_does_not_depend_on_the_first_query_size(monkeypatch, domain):
             _assert_same_mesh(mesh, ref)
 
 
+@pytest.mark.parametrize("domain", [None, cook_domain()], ids=["square", "cook"])
+def test_hex_mesh_with_a_small_first_query(monkeypatch, domain):
+    # below rank 7 the lattice cells re-query; equidistant neighbours that
+    # straddle the first k are each used once, so the honeycomb is the same
+    # up to the order of the clipping steps
+    meshes = {}
+    for k in (2, 3, 6, 8, 12):
+        monkeypatch.setattr(generators, "_NEIGHBOURS", k)
+        meshes[k] = [generate_mesh("hex_structured", n, domain=domain)
+                     for n in (3, 8, 16, 33)]
+    for k in (2, 3, 6, 8):
+        for mesh, ref in zip(meshes[k], meshes[12]):
+            assert (mesh.n_cells, mesh.n_edges) == (ref.n_cells, ref.n_edges)
+            assert np.abs(np.sort(mesh.areas) - np.sort(ref.areas)).max() \
+                <= 1e-12 * ref.areas.max()
+
+
 class TestClipCoreLoopReference:
     """The vectorised clipping core equals a cell-by-cell loop, bit for bit."""
 
@@ -306,6 +393,14 @@ class TestClipCoreLoopReference:
                              ids=["square", "cook"])
     def test_honeycomb_lattice(self, domain, n):
         _assert_core_matches_reference([generators._honeycomb_seeds(domain, n)],
+                                       domain)
+
+    @pytest.mark.parametrize("domain", [generators.UNIT_SQUARE, cook_domain()],
+                             ids=["square", "cook"])
+    def test_honeycomb_lattice_re_query(self, monkeypatch, domain):
+        # k = 3 ends the first query inside runs of equidistant neighbours
+        monkeypatch.setattr(generators, "_NEIGHBOURS", 3)
+        _assert_core_matches_reference([generators._honeycomb_seeds(domain, 8)],
                                        domain)
 
     def test_far_seed(self):

@@ -167,12 +167,38 @@ class TestQuality:
         report = check_assumptions(mesh)
         assert report.min_star_ratio > 0.0
         assert report.min_vertex_ratio > 0.0
-        assert report.ok
 
-    def test_thresholds_flag_cells(self):
-        report = check_assumptions(unit_square_mesh(), gamma_min=0.9,
-                                   c_min=0.9)
-        assert report.violations == [0]
+    def test_arrow_cell(self):
+        # star-shaped, not convex: the kernel is the triangle (0,0), (2,0),
+        # (1,1), inradius sqrt(2) - 1; h_E = 2 sqrt(2)
+        mesh = one_cell(np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0],
+                                  [1.0, 1.0], [0.0, 2.0]]))
+        report = check_assumptions(mesh)
+        assert_allclose(report.star_ratio[0],
+                        (np.sqrt(2.0) - 1.0) / (2.0 * np.sqrt(2.0)),
+                        rtol=1e-12)
+        assert_allclose(report.vertex_ratio[0], 0.5, rtol=1e-15)
+
+    def test_u_cell_has_an_empty_kernel(self):
+        # the inner sides x = 1 and x = 2 face away from each other
+        mesh = one_cell(np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 3.0],
+                                  [2.0, 3.0], [2.0, 1.0], [1.0, 1.0],
+                                  [1.0, 3.0], [0.0, 3.0]]))
+        assert check_assumptions(mesh).star_ratio[0] == 0.0
+
+    def test_one_lp_per_mesh(self, monkeypatch):
+        import scipy.optimize
+
+        calls = []
+        linprog = scipy.optimize.linprog
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda *args, **kw: calls.append(1)
+                            or linprog(*args, **kw))
+        for kind in ("quad_structured", "hex_structured", "poly_voronoi_cvt"):
+            mesh = generate_mesh(kind, 8)
+            report = check_assumptions(mesh)
+            assert report.star_ratio.shape == (mesh.n_cells,)
+        assert len(calls) == 3
 
 
 class TestCookDomain:
