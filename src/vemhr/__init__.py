@@ -9,9 +9,8 @@ assembly and direct solution, error norms and the benchmark drivers.
 """
 
 from .assembly import (DisplacementBC, DofMap, GlobalSystem, Solution,
-                       SolverError, TractionBC, apply_essential_traction,
-                       assemble, inf_sup_constant, load_solution,
-                       save_solution, solve)
+                       SolverError, TractionBC, assemble, inf_sup_constant,
+                       load_solution, save_solution, solve)
 from .element import (STABILIZATIONS, CellGroup, body_load_vector,
                       cell_groups, constant_stress_dofs, divergence_field,
                       interpolate_global, projection_field)

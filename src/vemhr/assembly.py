@@ -14,8 +14,7 @@ by a multiplier, the 3 displacement moments conjugate to them.  The local
 saddle points are inverted cell group by cell group, the multipliers solve a
 symmetric positive definite system on the interior edges, and one step of
 iterative refinement against the eliminated system follows.  The solve never
-forms the global matrix: the masked local saddle points it inverts, scattered
-over the cells, are the eliminated saddle point, and it applies them as such.
+forms the global matrix: it works from the local saddle points alone.
 """
 
 import time
@@ -40,7 +39,6 @@ __all__ = [
     "SolverError",
     "SOLVER_TOL",
     "assemble",
-    "apply_essential_traction",
     "solve",
     "inf_sup_constant",
     "save_solution",
@@ -95,11 +93,11 @@ class TractionBC:
 class GlobalSystem:
     """Assembled raw system plus the essential-constraint bookkeeping.
 
-    ``blocks`` holds the local (CellGroup, A_E, B_E) of every cell group;
-    ``solve`` works from them alone: its masked local saddle points are the
-    eliminated system.  The global CSR ``matrix`` and ``eliminated`` are the
-    reference for tests and diagnostics; the matrix is scattered from the
-    blocks only when first asked for.
+    ``blocks`` holds the (CellGroup, dofs, K) of every cell group (see
+    ``_local_blocks``); ``solve`` works from them and the constrained DOFs
+    alone.  The global CSR ``matrix`` and ``eliminated`` are the reference
+    for tests and diagnostics; the matrix is scattered from the blocks only
+    when first asked for.
     """
 
     mesh: object
@@ -179,101 +177,73 @@ def assemble(mesh, problem, stabilization="stab1") -> GlobalSystem:
         loads = element.body_load_vector(mesh, problem.body_force)
         rhs[dm.n_stress:] = -loads.reshape(-1)
 
-    system = GlobalSystem(mesh=mesh, dofmap=dm, rhs=rhs,
-                          constrained_dofs=np.empty(0, dtype=int),
-                          constrained_values=np.empty(0), blocks=blocks)
-
     groups = {}
     for e in mesh.boundary_edges:
         bc = problem.boundary(mesh, int(e))
         if not isinstance(bc, (DisplacementBC, TractionBC)):
             raise TypeError(f"unsupported boundary condition {bc!r}")
         groups.setdefault(bc, []).append(e)
+    fixed, values = [np.empty(0, dtype=int)], [np.empty(0)]
     for bc, edges in groups.items():
         edges = np.array(edges)
+        sign = mesh.boundary_sign(edges)
         if isinstance(bc, TractionBC):
-            apply_essential_traction(system, edges, bc.traction)
+            # sigma n is given against the outward normal, the DOFs in the
+            # canonical edge frame: the cell-side sign is folded in
+            moments = np.zeros((len(edges), 3))
+            if bc.traction is not None:
+                moments = _edge_moments(mesh, edges, lambda p: (
+                    sign[:, None, None] * _sample(bc.traction, p)))
+            fixed.append((3 * edges[:, None] + np.arange(3)).ravel())
+            values.append(moments.ravel())
         elif bc.g is not None:
             # int_e g . (chi_k n_out) for the three DOF basis fields:
             # |e| times the mean of g and |e| times int s g.n = d / 12
-            scale = mesh.boundary_sign(edges) * mesh.edge_lengths[edges]
+            scale = sign * mesh.edge_lengths[edges]
             moments = _edge_moments(mesh, edges, lambda p: _sample(bc.g, p))
             moments[:, 2] /= 12.0
             rhs[:dm.n_stress].reshape(-1, 3)[edges] = scale[:, None] * moments
-    return system
+    return GlobalSystem(mesh=mesh, dofmap=dm, rhs=rhs,
+                        constrained_dofs=np.concatenate(fixed),
+                        constrained_values=np.concatenate(values),
+                        blocks=blocks)
 
 
 def _local_blocks(mesh, material, stabilization):
-    """(CellGroup, A_E, B_E) of every cell group; the cell-side signs are
-    folded in, so the blocks act on the global edge DOFs directly."""
+    """(CellGroup, dofs, K) per cell group: the cells' global DOFs, edges
+    first (m, 3n + 3), and their saddle points K_E = [[A_E, B_E^T], [B_E, 0]]
+    with the cell-side signs folded in, so K acts on the global DOFs."""
     blocks = []
     for g in cell_groups(mesh):
-        A = g.a_matrices(material, stabilization)
-        B = g.b_matrices()
-        if not np.all(np.isfinite(A)) or not np.all(np.isfinite(B)):
+        m, nd = len(g.cells), g.ndof
+        K = np.zeros((m, nd + 3, nd + 3))
+        K[:, :nd, :nd] = g.a_matrices(material, stabilization)
+        K[:, nd:, :nd] = g.b_matrices()
+        K[:, :nd, nd:] = K[:, nd:, :nd].transpose(0, 2, 1)
+        if not np.all(np.isfinite(K)):
             raise SolverError("non-finite local matrix entries")
-        blocks.append((g, A, B))
+        items = np.column_stack([g.edge_ids, mesh.n_edges + g.cells])
+        dofs = (3 * items[:, :, None] + np.arange(3)).reshape(m, nd + 3)
+        blocks.append((g, dofs, K))
     return blocks
-
-
-def _group_dofs(g, dm):
-    """Global DOFs of a cell group: edge DOFs (m, 3n), cell DOFs (m, 3)."""
-    gdof = (3 * g.edge_ids[:, :, None] + np.arange(3)).reshape(len(g.cells),
-                                                               g.ndof)
-    cdof = dm.n_stress + 3 * g.cells[:, None] + np.arange(3)
-    return gdof, cdof
 
 
 def _scatter_blocks(mesh, blocks):
     """The saddle-point matrix [[A, B^T], [B, 0]] as COO: the local blocks
-    scattered to the global DOFs."""
+    scattered to the global DOFs, without their zero cell-cell block."""
     dm = DofMap(mesh.n_edges, mesh.n_cells)
     rows, cols, vals = [], [], []
-    for g, A, B in blocks:
-        m, nd = A.shape[0], A.shape[1]
-        gdof, cdof = _group_dofs(g, dm)
-
-        rows.append(np.broadcast_to(gdof[:, :, None], (m, nd, nd)).ravel())
-        cols.append(np.broadcast_to(gdof[:, None, :], (m, nd, nd)).ravel())
-        vals.append(A.ravel())
-        rows.append(np.broadcast_to(cdof[:, :, None], (m, 3, nd)).ravel())
-        cols.append(np.broadcast_to(gdof[:, None, :], (m, 3, nd)).ravel())
-        vals.append(B.ravel())
-        rows.append(np.broadcast_to(gdof[:, :, None], (m, nd, 3)).ravel())
-        cols.append(np.broadcast_to(cdof[:, None, :], (m, nd, 3)).ravel())
-        vals.append(B.transpose(0, 2, 1).ravel())
+    for g, dofs, K in blocks:
+        m, nd = len(dofs), g.ndof
+        rows.append(np.broadcast_to(dofs[:, :, None], (m, nd + 3, nd)).ravel())
+        cols.append(np.broadcast_to(dofs[:, None, :nd], (m, nd + 3, nd)).ravel())
+        vals.append(K[:, :, :nd].ravel())
+        rows.append(np.broadcast_to(dofs[:, :nd, None], (m, nd, 3)).ravel())
+        cols.append(np.broadcast_to(dofs[:, None, nd:], (m, nd, 3)).ravel())
+        vals.append(K[:, :nd, nd:].ravel())
     return sps.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dm.size, dm.size))
-
-
-def apply_essential_traction(system, edges, traction):
-    """Fix the three DOFs of each given boundary edge to the moments of a
-    prescribed outward traction (None means traction-free).
-
-    The field gives sigma n against the domain's outward normal; the stored
-    DOFs live in the canonical edge frame, so the cell-side sign of each
-    edge's single incident cell is folded in.  An interior edge raises
-    ``MeshError``, an edge constrained twice ``ValueError``.
-    """
-    mesh = system.mesh
-    edges = np.asarray(edges, dtype=int).reshape(-1)
-    sign = mesh.boundary_sign(edges)
-    ids, counts = np.unique(np.concatenate(
-        [np.unique(system.constrained_dofs // 3), edges]), return_counts=True)
-    if np.any(counts > 1):
-        raise ValueError(f"edge {ids[np.argmax(counts > 1)]} already "
-                         "constrained")
-    if traction is None:
-        values = np.zeros((len(edges), 3))
-    else:
-        values = _edge_moments(mesh, edges, lambda p: sign[:, None, None]
-                               * _sample(traction, p))
-    system.constrained_dofs = np.concatenate(
-        [system.constrained_dofs, (3 * edges[:, None] + np.arange(3)).ravel()])
-    system.constrained_values = np.concatenate(
-        [system.constrained_values, values.ravel()])
-    return system
 
 
 def _batch_matvec(M, v):
@@ -281,20 +251,39 @@ def _batch_matvec(M, v):
     return np.matmul(M, v[:, :, None])[:, :, 0]
 
 
+def _apply_blocks(blocks, x):
+    """sum_E K_E x_E: per cell group, the local blocks applied to the
+    gathered DOFs of x, summed over the cells."""
+    y = np.zeros(len(x))
+    for _, dofs, K in blocks:
+        y += np.bincount(dofs.ravel(), _batch_matvec(K, x[dofs]).ravel(),
+                         minlength=len(x))
+    return y
+
+
+def _eliminated_rhs(system):
+    """The right-hand side of ``GlobalSystem.eliminated`` from the local
+    blocks: the prescribed values, lifted by the unmasked blocks, moved to
+    the right, and the values themselves on their own rows."""
+    x0 = np.zeros(system.dofmap.size)
+    x0[system.constrained_dofs] = system.constrained_values
+    rhs = system.rhs - _apply_blocks(system.blocks, x0)
+    rhs[system.constrained_dofs] = system.constrained_values
+    return rhs
+
+
 class _Hybrid:
-    """The eliminated saddle point of a system, applied and inverted from its
-    local blocks by hybridisation.
+    """The eliminated saddle point of local blocks and a boolean mask of
+    fixed DOFs, applied and inverted by hybridisation.
 
-    Each cell E holds its local saddle point K_E = [[A_E, B_E^T], [B_E, 0]]
-    with the essential-traction DOFs as identity rows and their columns
-    removed.  Scattered over the cells, these K_E are the eliminated saddle
-    point of ``GlobalSystem.eliminated`` (a fixed DOF lies on one boundary
-    edge, so its identity row is counted once): ``apply(x)`` is its product
-    with x, and ``rhs`` the eliminated right-hand side, whose lift of the
-    prescribed values comes from the K_E before they are masked.
+    Each cell E holds its local saddle point K_E = [[A_E, B_E^T], [B_E, 0]].
+    Masked, with the fixed DOFs as identity rows and their columns removed,
+    the K_E scattered over the cells are the eliminated saddle point of
+    ``GlobalSystem.eliminated`` (a fixed DOF lies on one boundary edge, so
+    its identity row is counted once); only their inverses are kept.
 
-    Called on a global vector r, each cell solves K_E y_E = r_E - C_E lam
-    for its own (torn) traction DOFs and rigid motion.  C_E puts the
+    Called on a global vector r, each cell solves the masked K_E y_E = r_E -
+    C_E lam for its own (torn) traction DOFs and rigid motion.  C_E puts the
     multiplier lam_e of each interior edge on the edge's rows with the
     cell-side sign, so the two signs of an interior edge cancel and the
     glued copies satisfy the global equations.  The multipliers solve the
@@ -305,13 +294,7 @@ class _Hybrid:
     vector.
     """
 
-    def __init__(self, system):
-        mesh, dm = system.mesh, system.dofmap
-        idx, values = system.constrained_dofs, system.constrained_values
-        fixed = np.zeros(dm.size, dtype=bool)
-        fixed[idx] = True
-        x0 = np.zeros(dm.size)
-        x0[idx] = values
+    def __init__(self, mesh, blocks, fixed):
         interior = mesh.interior_edges
         n_lam = 3 * len(interior)
         # multiplier index per edge; the DOFs of unglued edges point at one
@@ -320,21 +303,14 @@ class _Hybrid:
         lam_of[interior] = np.arange(len(interior))
         half = np.ones(mesh.n_edges)
         half[interior] = 0.5
-        self.size = dm.size
+        self.blocks = blocks
+        self.fixed = fixed
         self.n_lam = n_lam
         self.groups = []
-        lift = np.zeros(dm.size)
         rows, cols, vals = [], [], []
-        for g, A, B in system.blocks:
-            m, nd = A.shape[0], A.shape[1]
-            dofs = np.concatenate(_group_dofs(g, dm), axis=1)
-            K = np.zeros((m, nd + 3, nd + 3))
-            K[:, :nd, :nd] = A
-            K[:, nd:, :nd] = B
-            K[:, :nd, nd:] = B.transpose(0, 2, 1)
-            lift += np.bincount(dofs.ravel(),
-                                _batch_matvec(K, x0[dofs]).ravel(),
-                                minlength=dm.size)
+        for g, dofs, K in blocks:
+            m, nd = len(dofs), g.ndof
+            K = K.copy()
             cell, slot = np.nonzero(fixed[dofs])
             K[cell, slot, :] = 0.0
             K[cell, :, slot] = 0.0
@@ -353,9 +329,8 @@ class _Hybrid:
             cols.append(np.broadcast_to(ldof[:, None, :], (m, nd, nd)).ravel())
             vals.append((sign[:, :, None] * Kinv[:, :nd, :nd]
                          * sign[:, None, :]).ravel())
-            self.groups.append((dofs, weight, ldof, sign, K, Kinv))
-        self.rhs = system.rhs - lift
-        self.rhs[idx] = values
+            self.groups.append((dofs, weight, ldof, sign, Kinv))
+        del K  # the last masked copy; a mesh has at least one cell
         self.lu = None
         self.lu_nnz = 0
         self.factor_s = 0.0
@@ -376,19 +351,17 @@ class _Hybrid:
             self.lu_nnz = int(self.lu.nnz)  # L.nnz + U.nnz, no factor copies
 
     def apply(self, x):
-        """The eliminated saddle point times x: per cell group, the masked
-        K_E applied to the gathered DOFs and summed over the cells."""
-        y = np.zeros(self.size)
-        for dofs, _, _, _, K, _ in self.groups:
-            y += np.bincount(dofs.ravel(), _batch_matvec(K, x[dofs]).ravel(),
-                             minlength=self.size)
+        """The eliminated saddle point times x: the unmasked blocks on x with
+        its fixed entries zeroed, and those entries on the fixed rows."""
+        y = _apply_blocks(self.blocks, np.where(self.fixed, 0.0, x))
+        y[self.fixed] = x[self.fixed]
         return y
 
     def local_solutions(self, r):
         """Per cell group, the torn local solutions y_E (m, 3n + 3) for the
         global right-hand side r."""
         z, b = [], np.zeros(self.n_lam + 1)
-        for dofs, weight, ldof, sign, _, Kinv in self.groups:
+        for dofs, weight, ldof, sign, Kinv in self.groups:
             z.append(_batch_matvec(Kinv, weight * r[dofs]))
             b += np.bincount(ldof.ravel(),
                              (sign * z[-1][:, :ldof.shape[1]]).ravel(),
@@ -398,32 +371,35 @@ class _Hybrid:
             lam[:-1] = self.lu.solve(b[:-1])
         return [zg - _batch_matvec(Kinv[:, :, :ldof.shape[1]],
                                    sign * lam[ldof])
-                for (_, _, ldof, sign, _, Kinv), zg in zip(self.groups, z)]
+                for (_, _, ldof, sign, Kinv), zg in zip(self.groups, z)]
 
     def __call__(self, r):
-        x = np.zeros(self.size)
+        x = np.zeros(len(r))
         for (dofs, weight, *_), y in zip(self.groups, self.local_solutions(r)):
             x += np.bincount(dofs.ravel(), (weight * y).ravel(),
-                             minlength=self.size)
+                             minlength=len(r))
         return x
 
 
 def solve(system) -> Solution:
     """Hybridised solve of the eliminated saddle point, one refinement step
-    against it, relative-residual check.  One ``_Hybrid`` gives the
-    eliminated rhs, the operator and its inverse, all from
-    ``system.blocks``, so the global matrix is never formed.
+    against it, relative-residual check.  The ``_Hybrid`` of the system's
+    blocks and fixed DOFs is the operator and its inverse, and
+    ``_eliminated_rhs`` the right-hand side, so the global matrix is never
+    formed.
 
     A pure traction problem (no boundary edge left without a prescribed
     traction) has the rigid motions as a kernel and raises SolverError.
     """
-    mesh = system.mesh
-    if np.all(np.isin(mesh.boundary_edges, system.constrained_dofs // 3)):
+    mesh, dm = system.mesh, system.dofmap
+    fixed = np.zeros(dm.size, dtype=bool)
+    fixed[system.constrained_dofs] = True
+    if fixed[3 * mesh.boundary_edges].all():
         raise SolverError("singular system: every boundary edge carries a "
                           "prescribed traction, so the global rigid motions "
                           "are a kernel (pure traction problem)")
-    hybrid = _Hybrid(system)
-    rhs = hybrid.rhs
+    hybrid = _Hybrid(mesh, system.blocks, fixed)
+    rhs = _eliminated_rhs(system)
     x = hybrid(rhs)
     # Near incompressibility the first pass leaves a relative residual up to
     # about 3e-8 (Cook membrane, nu = 0.499995, 64 x 64 quads); one
@@ -438,7 +414,6 @@ def solve(system) -> Solution:
     if residual > SOLVER_TOL:
         raise SolverError(f"solver residual {residual:.3e} above "
                           f"{SOLVER_TOL:.1e}")
-    dm = system.dofmap
     return Solution(
         mesh=system.mesh,
         edge_dofs=x[:dm.n_stress].reshape(dm.n_edges, 3),

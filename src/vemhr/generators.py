@@ -79,8 +79,8 @@ def generate_mesh(kind, resolution, domain=None, seed=0):
         equal to the meshes of separate calls; the Voronoi kinds build them
         together (see the module docstring).
     domain : array_like, optional
-        CCW corners of a convex domain; defaults to the unit square.
-        Grid-based kinds require a quadrilateral.
+        CCW corners of a strictly convex domain, else a ValueError; defaults
+        to the unit square.  Grid-based kinds require a quadrilateral.
     seed : int
         RNG seed for the randomized kinds; every mesh of a tuple draws from
         its own generator seeded with it.
@@ -93,7 +93,7 @@ def generate_mesh(kind, resolution, domain=None, seed=0):
     if not all(map(_is_count, resolutions)):
         raise ValueError("resolution must be a positive integer or a tuple "
                          f"of them, not {resolution!r}")
-    domain = UNIT_SQUARE if domain is None else np.asarray(domain, dtype=float)
+    domain = UNIT_SQUARE if domain is None else _convex_domain(domain)
 
     if kind.startswith("poly_voronoi"):
         meshes = _voronoi_meshes(domain, resolutions, seed,
@@ -115,6 +115,32 @@ def _is_count(n):
     """True for a positive integer, numpy integers included (not bools)."""
     return isinstance(n, numbers.Integral) and not isinstance(n, bool) \
         and n >= 1
+
+
+def _convex_domain(domain):
+    """The corners as floats, checked: an (n, 2) array of n >= 3 finite
+    corners, each a strict left turn, the turns adding up to one turn."""
+    domain = np.asarray(domain, dtype=float)
+    if domain.ndim != 2 or domain.shape[1] != 2 or len(domain) < 3 \
+            or not np.all(np.isfinite(domain)):
+        raise ValueError("domain must be an (n, 2) array of n >= 3 finite "
+                         f"corners, not {domain.tolist()}")
+    into = domain - np.roll(domain, 1, axis=0)  # the sides into each corner
+    out = np.roll(into, -1, axis=0)  # and out of it
+    cross = into[:, 0] * out[:, 1] - into[:, 1] * out[:, 0]
+    turns = np.arctan2(cross, (into * out).sum(axis=1)).sum() / (2 * np.pi)
+    if np.all(cross < 0):
+        defect = "its corners are clockwise"
+    elif np.any(cross <= 0):
+        i = int(np.argmax(cross <= 0))
+        kind = "reflex" if cross[i] < 0 else "collinear with its neighbours"
+        defect = f"corner {i} is {kind}"
+    elif not np.isclose(turns, 1.0):
+        defect = f"its boundary winds {turns:.0f} times"
+    else:
+        return domain
+    raise ValueError(f"domain must be strictly convex and counterclockwise: "
+                     f"{defect}")
 
 
 def _check_partition(mesh, domain):
@@ -254,7 +280,7 @@ def voronoi_cells(seeds, domain):
     All cells are clipped together by :func:`_clip_sets`.  Returns one CCW
     coordinate loop per seed, or None for empty cells.
     """
-    ids, points, counts = _clip_sets([seeds], domain)
+    ids, points, counts = _clip_sets([seeds], _convex_domain(domain))
     cells = [None] * len(seeds)
     for i, loop in zip(ids, np.split(points, np.cumsum(counts)[:-1])):
         cells[i] = loop
@@ -292,7 +318,6 @@ def _clip_sets(seed_sets, domain):
     """
     from scipy.spatial import cKDTree
 
-    domain = np.asarray(domain, dtype=float)
     sets = [np.asarray(s, dtype=float).reshape(-1, 2) for s in seed_sets]
     sizes = [len(s) for s in sets]
     first = _offsets(sizes)
@@ -471,7 +496,7 @@ def lloyd(seeds, domain, iterations):
     an error, the best iterate is returned with ``lloyd_converged=False``
     (a last move above 1e-6 of the diagonal).
     """
-    (relaxed,), (info,) = _relax([seeds], domain, iterations)
+    (relaxed,), (info,) = _relax([seeds], _convex_domain(domain), iterations)
     return relaxed, info
 
 
@@ -480,7 +505,6 @@ def _relax(seed_sets, domain, iterations):
     cells of every set still moving in one :func:`_clip_sets` call.  Each
     set keeps its own stopping test and diagnostics; returns the list of
     relaxed sets and the list of their dicts."""
-    domain = np.asarray(domain, dtype=float)
     sets = [np.asarray(s, dtype=float).copy() for s in seed_sets]
     scale = np.linalg.norm(domain.max(axis=0) - domain.min(axis=0))
     move = [np.inf] * len(sets)

@@ -110,12 +110,16 @@ def least_squares_slope(h, e):
 # Rates are fitted over the last this many levels.
 RATE_WINDOW = 3
 
+# Errors at or below this are solver round-off (test-a's E_sigma_div, whose
+# exact divergence is zero, sits near 1e-14), not discretisation error.
+ROUNDOFF_FLOOR = 1e-10
+
 
 @dataclass
 class RateTable:
     """Per-level errors plus least-squares slopes over the last
-    ``RATE_WINDOW`` levels (levels with exactly zero error are excluded from
-    the fit and recorded in ``excluded``)."""
+    ``RATE_WINDOW`` levels (levels with errors at or below ``ROUNDOFF_FLOOR``
+    are excluded from the fit and recorded in ``excluded``)."""
 
     h_bar: np.ndarray
     errors: dict
@@ -127,7 +131,7 @@ class RateTable:
             raise ValueError("h sequence must be strictly decreasing")
         for name, e in self.errors.items():
             e = np.asarray(e, dtype=float)
-            keep = e > 0.0
+            keep = e > ROUNDOFF_FLOOR
             self.excluded[name] = np.nonzero(~keep)[0].tolist()
             h = np.asarray(self.h_bar)[keep][-RATE_WINDOW:]
             ee = e[keep][-RATE_WINDOW:]
@@ -160,11 +164,6 @@ def von_mises_field(mesh, solution, material):
 
 CSV_HEADER = ("level", "h_bar", "n_dof", "E_sigma", "E_sigma_div", "E_u",
               "rate_sigma", "rate_div", "rate_u")
-
-
-# Errors at or below this are solver round-off (test-a's E_sigma_div, whose
-# exact divergence is zero, sits near 1e-14), not discretisation error.
-ROUNDOFF_FLOOR = 1e-10
 
 
 def convergence_csv_text(rows) -> str:

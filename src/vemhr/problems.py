@@ -41,6 +41,8 @@ __all__ = [
 
 COOK_TRACTION = 6.25
 COOK_PROBE_POINT = np.array([48.0, 60.0])
+CENTRAL_STEP = 1e-5  # of grad_central
+COMPLEX_STEP = 1e-200  # of grad_complex_step
 
 
 @dataclass(frozen=True)
@@ -181,26 +183,26 @@ def problem_cook(nu=1.0 / 3.0) -> ProblemSpec:
                        body_force=None, boundary=boundary, exact=None)
 
 
-def grad_central(field, points, step=1e-5):
+def grad_central(field, points):
     """Central finite-difference gradient; returns (..., comp, deriv)."""
     points = np.asarray(points, dtype=float)
     cols = []
     for k in range(2):
         dp = np.zeros_like(points)
-        dp[..., k] = step
+        dp[..., k] = CENTRAL_STEP
         cols.append((np.asarray(field(points + dp))
-                     - np.asarray(field(points - dp))) / (2 * step))
+                     - np.asarray(field(points - dp))) / (2 * CENTRAL_STEP))
     return np.stack(cols, axis=-1)
 
 
-def grad_complex_step(field, points, step=1e-200):
+def grad_complex_step(field, points):
     """Complex-step gradient, exact to machine precision for entire fields."""
     points = np.asarray(points, dtype=float)
     cols = []
     for k in range(2):
         dp = np.zeros(points.shape, dtype=complex)
-        dp[..., k] = 1j * step
-        cols.append(np.imag(np.asarray(field(points + dp))) / step)
+        dp[..., k] = 1j * COMPLEX_STEP
+        cols.append(np.imag(np.asarray(field(points + dp))) / COMPLEX_STEP)
     return np.stack(cols, axis=-1)
 
 

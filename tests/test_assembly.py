@@ -12,13 +12,13 @@ from numpy.testing import assert_allclose
 from vemhr import assembly
 from vemhr.assembly import (DisplacementBC, DofMap, GlobalSystem, Solution,
                             SolveReport, SolverError, TractionBC, _Hybrid,
-                            _scatter_blocks, apply_essential_traction,
-                            assemble, inf_sup_constant, load_solution,
-                            save_solution, solve, write_solution_text)
+                            _eliminated_rhs, _scatter_blocks, assemble,
+                            inf_sup_constant, load_solution, save_solution,
+                            solve, write_solution_text)
 from vemhr.element import STABILIZATIONS, constant_stress_dofs
 from vemhr.generators import MESH_KINDS, generate_mesh
 from vemhr.material import from_lame
-from vemhr.mesh import MeshError, build_topology, cook_domain
+from vemhr.mesh import build_topology, cook_domain
 from vemhr.postproc import equilibrium_residuals
 from vemhr.quadrature import mesh_polygon_quadrature
 from vemhr.problems import ProblemSpec, problem_cook, problem_test_a, \
@@ -34,6 +34,23 @@ def patch_problem(u=None):
     bc = DisplacementBC(g=u)
     return ProblemSpec(name="patch", domain=None, material=from_lame(1.0, 1.0),
                        body_force=None, boundary=lambda m, e: bc, exact=None), u
+
+
+def one_traction_edge_problem(edge, traction=None):
+    """Homogeneous material with a prescribed traction on one boundary edge
+    and zero weak displacement data on the others."""
+    bc = TractionBC(traction=traction)
+    return ProblemSpec(name="one-traction-edge", domain=None,
+                       material=from_lame(1.0, 1.0), body_force=None,
+                       boundary=lambda m, e: bc if e == edge
+                       else DisplacementBC(), exact=None)
+
+
+def hybrid_of(system):
+    """The ``_Hybrid`` that ``solve`` builds for a system."""
+    fixed = np.zeros(system.dofmap.size, dtype=bool)
+    fixed[system.constrained_dofs] = True
+    return _Hybrid(system.mesh, system.blocks, fixed)
 
 
 class TestDofMap:
@@ -118,12 +135,9 @@ class TestEquilibrium:
 
 class TestEssentialTraction:
     def test_traction_free_edge_zeroed(self):
-        problem, _ = patch_problem()
-        system = assemble(UNIT, problem)
         e = int(UNIT.boundary_edges[0])
-        system.constrained_dofs = np.empty(0, dtype=int)
-        system.constrained_values = np.empty(0)
-        apply_essential_traction(system, e, None)
+        system = assemble(UNIT, one_traction_edge_problem(e))
+        assert_allclose(system.constrained_dofs, 3 * e + np.arange(3))
         assert_allclose(system.constrained_values, np.zeros(3))
 
     def test_cantilever_loaded_edge_moments(self):
@@ -141,11 +155,20 @@ class TestEssentialTraction:
             assert_allclose(system.constrained_values[idx],
                             [0.0, 6.25, 0.0], atol=1e-12)
 
+    def test_each_traction_edge_fixed_once(self):
+        # the classifier gives every boundary edge one condition: the
+        # constrained DOFs are the 3 DOFs of each traction edge, each once
+        mesh = generate_mesh("quad_structured", 4, domain=cook_domain())
+        problem = problem_cook(1.0 / 3.0)
+        edges = [e for e in mesh.boundary_edges
+                 if isinstance(problem.boundary(mesh, int(e)), TractionBC)]
+        system = assemble(mesh, problem)
+        dofs, values = system.constrained_dofs, system.constrained_values
+        assert len(np.unique(dofs)) == len(dofs) == len(values)
+        assert np.array_equal(np.sort(dofs), (3 * np.sort(edges)[:, None]
+                                              + np.arange(3)).ravel())
+
     def test_linear_normal_traction_moment(self):
-        problem, _ = patch_problem()
-        system = assemble(UNIT, problem)
-        system.constrained_dofs = np.empty(0, dtype=int)
-        system.constrained_values = np.empty(0)
         e = 0
         n = UNIT.edge_normals[e]
         mid = UNIT.edge_midpoints[e]
@@ -155,7 +178,8 @@ class TestEssentialTraction:
             s = (p - mid) @ UNIT.edge_tangents[e]
             return sign * s[..., None] * n  # outward sense
 
-        apply_essential_traction(system, e, traction)
+        system = assemble(UNIT, one_traction_edge_problem(e, traction))
+        assert_allclose(system.constrained_dofs, [0, 1, 2])
         assert_allclose(system.constrained_values, [0.0, 0.0, 1.0],
                         atol=1e-13)
 
@@ -180,27 +204,6 @@ class TestEssentialTraction:
         solution = solve(assemble(mesh, problem))
         assert_allclose(solution.edge_dofs,
                         constant_stress_dofs(mesh, sigma0), atol=1e-11)
-
-    def test_interior_edge_rejected(self):
-        verts = [[0, 0], [1, 0], [0, 1], [1, 1]]
-        mesh = build_topology(verts, [[0, 1, 2], [1, 3, 2]])
-        problem, _ = patch_problem()
-        system = assemble(mesh, problem)
-        e = int(mesh.interior_edges[0])
-        with pytest.raises(MeshError, match=f"edge {e} is interior"):
-            apply_essential_traction(system, [0, e], None)
-
-    def test_double_constraint_rejected(self):
-        problem, _ = patch_problem()
-        system = assemble(UNIT, problem)
-        system.constrained_dofs = np.empty(0, dtype=int)
-        system.constrained_values = np.empty(0)
-        apply_essential_traction(system, 0, None)
-        with pytest.raises(ValueError, match="edge 0 already constrained"):
-            apply_essential_traction(system, [1, 0], None)
-        with pytest.raises(ValueError, match="edge 2 already constrained"):
-            apply_essential_traction(system, [2, 3, 2], None)
-        assert_allclose(system.constrained_dofs, [0, 1, 2])
 
     def test_equal_conditions_evaluated_once(self):
         # a classifier returning a fresh but equal condition per edge still
@@ -265,8 +268,11 @@ class TestSolve:
     def test_singular_local_block_reported(self):
         mesh = generate_mesh("quad_structured", 3)
         system = assemble(mesh, problem_test_a())
-        g, A, B = system.blocks[0]
-        system.blocks[0] = (g, A, np.zeros_like(B))
+        g, dofs, K = system.blocks[0]
+        K = K.copy()
+        K[:, g.ndof:, :] = 0.0
+        K[:, :, g.ndof:] = 0.0
+        system.blocks[0] = (g, dofs, K)
         with pytest.raises(SolverError, match="singular local saddle point"):
             solve(system)
 
@@ -285,8 +291,8 @@ class TestSolve:
         assert solve(assemble(UNIT, problem)).report.factor_s == 0.0
 
     def test_lu_nnz_counts_both_factors(self):
-        hybrid = _Hybrid(assemble(generate_mesh("quad_unstructured", 6, seed=1),
-                                  problem_test_b()))
+        hybrid = hybrid_of(assemble(generate_mesh("quad_unstructured", 6,
+                                                  seed=1), problem_test_b()))
         assert hybrid.lu_nnz == hybrid.lu.L.nnz + hybrid.lu.U.nnz > 0
 
     def test_lu_nnz_below_saddle_colamd(self):
@@ -373,11 +379,11 @@ class TestHybridSolve:
         # the two torn copies of every interior edge's DOFs agree
         lo = np.full(system.dofmap.n_stress, np.inf)
         hi = np.full(system.dofmap.n_stress, -np.inf)
-        for (g, _, _), y in zip(system.blocks,
-                                _Hybrid(system).local_solutions(rhs)):
-            gdof = 3 * g.edge_ids[:, :, None] + np.arange(3)
-            np.minimum.at(lo, gdof.ravel(), y[:, :g.ndof].ravel())
-            np.maximum.at(hi, gdof.ravel(), y[:, :g.ndof].ravel())
+        for (g, dofs, _), y in zip(system.blocks,
+                                   hybrid_of(system).local_solutions(rhs)):
+            gdof = dofs[:, :g.ndof].ravel()
+            np.minimum.at(lo, gdof, y[:, :g.ndof].ravel())
+            np.maximum.at(hi, gdof, y[:, :g.ndof].ravel())
         assert (hi - lo).max() <= 1e-12 * scale
 
 
@@ -406,12 +412,13 @@ class TestBlockOperator:
                           stabilization)
         assert len(system.constrained_dofs) > 0
         m, rhs = system.eliminated()
-        hybrid = _Hybrid(system)
+        hybrid = hybrid_of(system)
         x = np.random.default_rng(5).standard_normal(system.dofmap.size)
         ref = m @ x
         assert (np.abs(hybrid.apply(x) - ref).max()
                 <= 1e-14 * np.abs(ref).max())
-        assert np.abs(hybrid.rhs - rhs).max() <= 1e-14 * np.abs(rhs).max()
+        assert (np.abs(_eliminated_rhs(system) - rhs).max()
+                <= 1e-14 * np.abs(rhs).max())
 
     @pytest.mark.parametrize("kind", ["quad_structured",
                                       "poly_voronoi_random"])

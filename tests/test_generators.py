@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from vemhr import generators
 from vemhr.generators import MESH_KINDS, generate_mesh, lloyd, voronoi_cells
-from vemhr.mesh import build_topology, check_assumptions, cook_domain, perp
+from vemhr.mesh import (build_topology, check_assumptions, cook_domain, perp,
+                        shoelace)
 
 ALL_KINDS = list(MESH_KINDS)
 
@@ -149,6 +150,47 @@ class TestValidation:
                            "integer") as exc:
             generate_mesh("poly_voronoi_cvt", resolution)
         assert repr(resolution) in str(exc.value)
+
+    @pytest.mark.parametrize("domain, match", [
+        ([[0, 0], [0, 1], [1, 1], [1, 0]], "corners are clockwise"),
+        ([[0, 0], [1, 0], [2, 0], [1, 1]], "corner 1 is collinear"),
+        ([[0, 0], [1, 0], [0.3, 0.3], [0, 1]], "corner 2 is reflex")],
+        ids=["clockwise", "collinear", "non_convex"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_bad_quad_domain_rejected(self, kind, domain, match):
+        # a clockwise square leaves the Voronoi seed sampler no inside point
+        with pytest.raises(ValueError, match=match):
+            generate_mesh(kind, 4, domain=domain)
+
+    def test_voronoi_cells_and_lloyd_check_the_domain(self):
+        clockwise = [[0, 0], [0, 1], [1, 1], [1, 0]]
+        seeds = np.array([[0.3, 0.4], [0.6, 0.5]])
+        with pytest.raises(ValueError, match="corners are clockwise"):
+            voronoi_cells(seeds, clockwise)
+        with pytest.raises(ValueError, match="corners are clockwise"):
+            lloyd(seeds, clockwise, 5)
+
+    @pytest.mark.parametrize("domain, match", [
+        ([[0, 0], [1, 0]], r"\(n, 2\) array of n >= 3 finite"),
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], r"\(n, 2\) array"),
+        ([[0, 0], [1, np.nan], [0, 1]], "finite corners, not .*nan"),
+        ([[0, 0], [1, 0], [1, 1], [1, 1], [0, 1]], "corner 2 is collinear"),
+        ([[0, 0], [0, 0], [0, 0]], "corner 0 is collinear"),
+        ([[np.cos(t), np.sin(t)] for t in 0.8 * np.pi * np.arange(5)],
+         "winds 2 times")],
+        ids=["two_corners", "three_columns", "nan", "repeated_corner",
+             "zero_area", "pentagram"])
+    def test_domain_defect_named(self, domain, match):
+        with pytest.raises(ValueError, match=match):
+            generate_mesh("poly_voronoi_random", 4, domain=domain)
+
+    @pytest.mark.parametrize("domain", [generators.UNIT_SQUARE.tolist(),
+                                        cook_domain()], ids=["square", "cook"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_convex_ccw_domain_accepted(self, kind, domain):
+        mesh = generate_mesh(kind, 3, domain=domain)
+        area = shoelace(np.asarray(domain, dtype=float))[0][0]
+        assert_allclose(mesh.areas.sum(), area, rtol=1e-12)
 
     def test_numpy_integer_resolutions(self):
         meshes = generate_mesh("poly_voronoi_random",

@@ -134,6 +134,15 @@ class TestRates:
         assert table.excluded["e"] == [1]
         assert np.isfinite(table.slopes["e"])
 
+    def test_roundoff_levels_excluded(self):
+        # test-a's E_sigma_div on quad_structured levels 4, 8, 16: a slope
+        # through round-off is noise, as the CSV's blank rates say
+        h = np.array([0.25, 0.125, 0.0625])
+        table = convergence_rates(h, {"e": np.array([3.5e-15, 6.6e-15,
+                                                     1.5e-14])})
+        assert np.isnan(table.slopes["e"])
+        assert table.excluded["e"] == [0, 1, 2]
+
     def test_window(self):
         h = np.array([0.8, 0.4, 0.2, 0.1])
         e = np.array([10.0, 1.0, 0.5, 0.25])  # slope 1 on the last 3
