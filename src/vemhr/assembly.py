@@ -17,6 +17,7 @@ iterative refinement against the eliminated system follows.  The solve never
 forms the global matrix: it works from the local saddle points alone.
 """
 
+import resource
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -138,7 +139,9 @@ class GlobalSystem:
 class SolveReport:
     """``lu_nnz`` is L.nnz + U.nnz of the multiplier factor and ``factor_s``
     the seconds its ``splu`` took (0 and 0.0 without interior edges; -1 and
-    NaN when read back from a solution file)."""
+    NaN when read back from a solution file).  ``peak_rss_mb`` is the
+    process's resident-set high-water mark in MiB, read right after the
+    factor (``ru_maxrss``, which Linux gives in KiB; NaN when read back)."""
 
     n_dof: int
     n_constrained: int
@@ -146,6 +149,7 @@ class SolveReport:
     tolerance: float
     lu_nnz: int
     factor_s: float
+    peak_rss_mb: float
 
 
 @dataclass
@@ -246,6 +250,15 @@ def _scatter_blocks(mesh, blocks):
         shape=(dm.size, dm.size))
 
 
+def _local_inverse(g, K):
+    """K^-1 of a stack of local saddle points of the group g."""
+    try:
+        return np.linalg.inv(K)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"singular local saddle point on the "
+                          f"{g.n_edges}-gon cells: {exc}") from exc
+
+
 def _batch_matvec(M, v):
     """M[i] @ v[i] for stacks of matrices (m, k, l) and vectors (m, l)."""
     return np.matmul(M, v[:, :, None])[:, :, 0]
@@ -280,7 +293,12 @@ class _Hybrid:
     Masked, with the fixed DOFs as identity rows and their columns removed,
     the K_E scattered over the cells are the eliminated saddle point of
     ``GlobalSystem.eliminated`` (a fixed DOF lies on one boundary edge, so
-    its identity row is counted once); only their inverses are kept.
+    its identity row is counted once); only their inverses are kept.  Each
+    group is inverted unmasked, and then only the cells holding a fixed DOF
+    are copied, masked and inverted again, so a cell's inverse is the same
+    as from a masked copy of the whole group.  S is written once into int32
+    row and column and float64 value buffers sized to its glued pairs, and
+    the buffers go before ``splu``.
 
     Called on a global vector r, each cell solves the masked K_E y_E = r_E -
     C_E lam for its own (torn) traction DOFs and rigid motion.  C_E puts the
@@ -298,7 +316,7 @@ class _Hybrid:
         interior = mesh.interior_edges
         n_lam = 3 * len(interior)
         # multiplier index per edge; the DOFs of unglued edges point at one
-        # dummy slot n_lam, whose row and column of S are dropped
+        # dummy slot n_lam, which local_solutions drops and S never holds
         lam_of = np.full(mesh.n_edges, len(interior))
         lam_of[interior] = np.arange(len(interior))
         half = np.ones(mesh.n_edges)
@@ -307,37 +325,52 @@ class _Hybrid:
         self.fixed = fixed
         self.n_lam = n_lam
         self.groups = []
-        rows, cols, vals = [], [], []
+        nnz = 0
         for g, dofs, K in blocks:
             m, nd = len(dofs), g.ndof
-            K = K.copy()
-            cell, slot = np.nonzero(fixed[dofs])
-            K[cell, slot, :] = 0.0
-            K[cell, :, slot] = 0.0
-            K[cell, slot, slot] = 1.0
-            try:
-                Kinv = np.linalg.inv(K)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"singular local saddle point on the "
-                                  f"{g.n_edges}-gon cells: {exc}") from exc
+            Kinv = _local_inverse(g, K)
+            # only the cells holding a fixed DOF are copied and masked:
+            # identity rows, columns removed
+            held = fixed[dofs]
+            cells = np.flatnonzero(held.any(axis=1))
+            if len(cells):
+                Kc = K[cells]
+                cell, slot = np.nonzero(held[cells])
+                Kc[cell, slot, :] = 0.0
+                Kc[cell, :, slot] = 0.0
+                Kc[cell, slot, slot] = 1.0
+                Kinv[cells] = _local_inverse(g, Kc)
             ldof = np.minimum(3 * lam_of[g.edge_ids][:, :, None]
                               + np.arange(3), n_lam).reshape(m, nd)
             sign = np.repeat(g.signs, 3, axis=1)
             weight = np.ones((m, nd + 3))
             weight[:, :nd] = np.repeat(half[g.edge_ids], 3, axis=1)
-            rows.append(np.broadcast_to(ldof[:, :, None], (m, nd, nd)).ravel())
-            cols.append(np.broadcast_to(ldof[:, None, :], (m, nd, nd)).ravel())
-            vals.append((sign[:, :, None] * Kinv[:, :nd, :nd]
-                         * sign[:, None, :]).ravel())
             self.groups.append((dofs, weight, ldof, sign, Kinv))
-        del K  # the last masked copy; a mesh has at least one cell
+            glued = np.count_nonzero(ldof < n_lam, axis=1)
+            nnz += int(glued @ glued)
         self.lu = None
         self.lu_nnz = 0
         self.factor_s = 0.0
         if n_lam:
-            S = sps.csc_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                np.concatenate(cols))),
-                               shape=(n_lam + 1, n_lam + 1))[:-1, :-1]
+            # S = sum_E C_E^T K_E^-1 C_E as COO triplets of the glued pairs,
+            # written group by group into buffers allocated once
+            rows = np.empty(nnz, dtype=np.int32)
+            cols = np.empty(nnz, dtype=np.int32)
+            vals = np.empty(nnz)
+            at = 0
+            for _, _, ldof, sign, Kinv in self.groups:
+                nd = ldof.shape[1]
+                glued = ldof < n_lam
+                pair = glued[:, :, None] & glued[:, None, :]
+                end = at + np.count_nonzero(pair)
+                rows[at:end] = np.broadcast_to(ldof[:, :, None],
+                                               pair.shape)[pair]
+                cols[at:end] = np.broadcast_to(ldof[:, None, :],
+                                               pair.shape)[pair]
+                vals[at:end] = (sign[:, :, None] * Kinv[:, :nd, :nd]
+                                * sign[:, None, :])[pair]
+                at = end
+            S = sps.csc_matrix((vals, (rows, cols)), shape=(n_lam, n_lam))
             del rows, cols, vals  # the COO triplets need not outlive S
             t0 = time.perf_counter()
             try:
@@ -399,6 +432,7 @@ def solve(system) -> Solution:
                           "prescribed traction, so the global rigid motions "
                           "are a kernel (pure traction problem)")
     hybrid = _Hybrid(mesh, system.blocks, fixed)
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     rhs = _eliminated_rhs(system)
     x = hybrid(rhs)
     # Near incompressibility the first pass leaves a relative residual up to
@@ -422,7 +456,8 @@ def solve(system) -> Solution:
                            n_constrained=len(system.constrained_dofs),
                            residual=float(residual),
                            tolerance=SOLVER_TOL, lu_nnz=hybrid.lu_nnz,
-                           factor_s=hybrid.factor_s))
+                           factor_s=hybrid.factor_s,
+                           peak_rss_mb=peak_rss_mb))
 
 
 def inf_sup_constant(mesh, material, stabilization="stab1"):
@@ -491,6 +526,6 @@ def load_solution(path, mesh=None):
         raise ValueError("solution file does not match the mesh")
     report = SolveReport(n_dof=3 * (ne + nc), n_constrained=n_constrained,
                          residual=residual, tolerance=np.nan, lu_nnz=-1,
-                         factor_s=np.nan)
+                         factor_s=np.nan, peak_rss_mb=np.nan)
     return Solution(mesh=mesh, edge_dofs=edge, cell_motions=cells,
                     report=report)

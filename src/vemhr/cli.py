@@ -142,7 +142,8 @@ def _cmd_solve(args):
     solution = solve(system)
     save_solution(args.out, solution)
     print(f"wrote {args.out}: residual {solution.report.residual:.3e}, "
-          f"{solution.report.n_dof} DOFs")
+          f"{solution.report.n_dof} DOFs, peak RSS "
+          f"{solution.report.peak_rss_mb:.1f} MiB")
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ from .assembly import DisplacementBC, TractionBC
 from .material import IsotropicMaterial, from_lame, \
     from_young_poisson_plane_strain
 from .mesh import cook_domain
-from .generators import UNIT_SQUARE, _sample_seeds
+from .generators import UNIT_SQUARE, _convex_domain, _sample_seeds
 
 __all__ = [
     "ExactSolution",
@@ -208,7 +208,9 @@ def grad_complex_step(field, points):
 
 def verify_exact_bundle(problem):
     """Cross-check the hand-coded bundle against derivative oracles on 20
-    random interior points (RNG seed 1234); returns the worst relative
+    random interior points (RNG seed 1234) of the problem's domain (the
+    unit square for None; ValueError unless strictly convex and
+    counterclockwise, as in ``generate_mesh``); returns the worst relative
     deviations.
 
     The constitutive check is measured relative to the scale (lam + 2 mu)
@@ -217,7 +219,9 @@ def verify_exact_bundle(problem):
     """
     if problem.exact is None:
         raise ValueError(f"problem {problem.name} has no exact bundle")
-    pts = _sample_seeds(problem.domain, 20, np.random.default_rng(1234))
+    domain = (UNIT_SQUARE if problem.domain is None
+              else _convex_domain(problem.domain))
+    pts = _sample_seeds(domain, 20, np.random.default_rng(1234))
     exact = problem.exact
     mat = problem.material
 

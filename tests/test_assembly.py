@@ -1,8 +1,10 @@
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -290,6 +292,12 @@ class TestSolve:
         problem, _ = patch_problem()
         assert solve(assemble(UNIT, problem)).report.factor_s == 0.0
 
+    def test_peak_rss_reported(self):
+        solution = solve(assemble(generate_mesh("quad_structured", 8),
+                                  problem_test_a()))
+        assert np.isfinite(solution.report.peak_rss_mb)
+        assert solution.report.peak_rss_mb > 0.0
+
     def test_lu_nnz_counts_both_factors(self):
         hybrid = hybrid_of(assemble(generate_mesh("quad_unstructured", 6,
                                                   seed=1), problem_test_b()))
@@ -387,6 +395,91 @@ class TestHybridSolve:
         assert (hi - lo).max() <= 1e-12 * scale
 
 
+def cook_l32_system():
+    """The nearly incompressible Cook membrane on 32 x 32 quads."""
+    mesh = generate_mesh("quad_structured", 32, domain=cook_domain())
+    return assemble(mesh, problem_cook(0.499995))
+
+
+def dummy_slot_multipliers(hybrid):
+    """S from the hybrid's own inverses, scattered the plain way: every
+    cell's edge DOFs in the COO lists, the unglued ones at a dummy slot
+    n_lam, the lists concatenated, converted and the slot sliced off."""
+    rows, cols, vals = [], [], []
+    for _, _, ldof, sign, Kinv in hybrid.groups:
+        m, nd = ldof.shape
+        rows.append(np.broadcast_to(ldof[:, :, None], (m, nd, nd)).ravel())
+        cols.append(np.broadcast_to(ldof[:, None, :], (m, nd, nd)).ravel())
+        vals.append((sign[:, :, None] * Kinv[:, :nd, :nd]
+                     * sign[:, None, :]).ravel())
+    n = hybrid.n_lam + 1
+    return sps.csc_matrix((np.concatenate(vals), (np.concatenate(rows),
+                           np.concatenate(cols))), shape=(n, n))[:-1, :-1]
+
+
+class TestHybridSetUp:
+    """``_Hybrid.__init__`` masks and re-inverts copies of only the cells
+    that hold a fixed DOF, and writes S once into preallocated buffers; the
+    inverses and S are bitwise those of the plain construction."""
+
+    @staticmethod
+    def mixed_system(kind):
+        mesh = generate_mesh(kind, TestHybridSolve.SIZES[kind], seed=0)
+        return assemble(mesh, TestHybridSolve.mixed_problem())
+
+    @pytest.mark.parametrize("kind", MESH_KINDS)
+    def test_local_inverses_match_masked_copies(self, kind):
+        system = self.mixed_system(kind)
+        hybrid = hybrid_of(system)
+        held = []
+        for (g, dofs, K), (*_, Kinv) in zip(system.blocks, hybrid.groups):
+            K = K.copy()
+            cell, slot = np.nonzero(hybrid.fixed[dofs])
+            K[cell, slot, :] = 0.0
+            K[cell, :, slot] = 0.0
+            K[cell, slot, slot] = 1.0
+            assert np.linalg.inv(K).tobytes() == Kinv.tobytes()
+            held.append(hybrid.fixed[dofs].any(axis=1))
+        held = np.concatenate(held)
+        assert held.any() and not held.all()
+
+    @pytest.mark.parametrize("kind", ["cook"] + list(MESH_KINDS))
+    def test_multiplier_matrix_bytes(self, kind, monkeypatch):
+        system = (cook_l32_system() if kind == "cook"
+                  else self.mixed_system(kind))
+        factored = []
+        splu = spla.splu
+
+        def spy(S, **kwargs):
+            factored.append(S)
+            return splu(S, **kwargs)
+
+        monkeypatch.setattr(assembly.spla, "splu", spy)
+        hybrid = hybrid_of(system)
+        (S,) = factored
+        ref = dummy_slot_multipliers(hybrid)
+        assert S.shape == ref.shape == (hybrid.n_lam, hybrid.n_lam)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(S, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_set_up_transients_bounded(self):
+        # numpy's traced peak over the set-up less what the hybrid keeps;
+        # SuperLU's own allocations are not traced.  On this mesh, masking
+        # a copy of every cell and concatenating int64 COO lists takes
+        # 9.6 MiB; masked copies of the constrained cells and preallocated
+        # int32/float64 buffers take 4.8 MiB.
+        system = cook_l32_system()
+        tracemalloc.start()
+        try:
+            hybrid = hybrid_of(system)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hybrid.lu is not None
+        assert peak - retained <= 6.5 * 2**20
+
+
 class TestBlockOperator:
     """The solve path applies the eliminated saddle point from the local
     blocks; the global matrix is built only when asked for."""
@@ -462,6 +555,12 @@ class TestSolutionIO:
         save_solution(path, solve(assemble(mesh, problem_test_a())))
         assert np.isnan(load_solution(path, mesh).report.factor_s)
 
+    def test_peak_rss_not_stored(self, tmp_path):
+        mesh = generate_mesh("quad_structured", 3)
+        path = tmp_path / "sol.txt"
+        save_solution(path, solve(assemble(mesh, problem_test_a())))
+        assert np.isnan(load_solution(path, mesh).report.peak_rss_mb)
+
     @settings(max_examples=30, deadline=None)
     @given(edge=arrays(float, st.tuples(st.integers(1, 6), st.just(3))),
            cells=arrays(float, st.tuples(st.integers(1, 4), st.just(3))),
@@ -471,7 +570,8 @@ class TestSolutionIO:
         read back bit for bit; a nan reads back as a nan."""
         report = SolveReport(n_dof=3 * (len(edge) + len(cells)),
                              n_constrained=n_constrained, residual=residual,
-                             tolerance=1e-10, lu_nnz=0, factor_s=0.0)
+                             tolerance=1e-10, lu_nnz=0, factor_s=0.0,
+                             peak_rss_mb=0.0)
         text = write_solution_text(
             Solution(mesh=None, edge_dofs=edge, cell_motions=cells,
                      report=report), checksum="abc")
@@ -497,7 +597,8 @@ class TestSolutionIO:
         edge.ravel()[:len(special)] = special
         cells = np.array([[0.1, -0.0, 2.0], [np.nan, 1e-320, -7.0]])
         report = SolveReport(n_dof=27, n_constrained=3, residual=2.5e-15,
-                             tolerance=1e-10, lu_nnz=0, factor_s=0.0)
+                             tolerance=1e-10, lu_nnz=0, factor_s=0.0,
+                             peak_rss_mb=0.0)
         text = write_solution_text(
             Solution(mesh=None, edge_dofs=edge, cell_motions=cells,
                      report=report), checksum="abc")

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from vemhr.assembly import DisplacementBC, TractionBC
-from vemhr.generators import generate_mesh
+from vemhr.generators import UNIT_SQUARE, generate_mesh
 from vemhr.mesh import cook_domain
 from vemhr.problems import (COOK_TRACTION, grad_complex_step, problem_cook,
                             problem_test_a, problem_test_b,
@@ -19,6 +21,20 @@ def test_exact_bundles_self_consistent(factory):
     assert report["sigma_vs_fd"] < ORACLE_TOL
     assert report["div_sigma_vs_fd"] < ORACLE_TOL
     assert report["div_sigma_plus_f"] < ORACLE_TOL
+
+
+class TestBundleDomain:
+    def test_clockwise_domain_rejected(self):
+        clockwise = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
+        problem = dataclasses.replace(problem_test_a(), domain=clockwise)
+        with pytest.raises(ValueError, match="clockwise"):
+            verify_exact_bundle(problem)
+
+    def test_no_domain_is_unit_square(self):
+        problem = problem_test_a()
+        assert np.array_equal(problem.domain, UNIT_SQUARE)
+        assert (verify_exact_bundle(dataclasses.replace(problem, domain=None))
+                == verify_exact_bundle(problem))
 
 
 class TestProblemA:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -312,6 +313,9 @@ class TestCli:
         assert main(["solve", "--problem", "test-a", "--mesh", str(mesh_path),
                      "--out", str(out_path)]) == 0
         assert out_path.read_text().startswith("vemhr-solution v1")
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(r"wrote .*: residual \S+, \d+ DOFs, "
+                            r"peak RSS \d+\.\d MiB", last)
 
     def test_nu_only_with_cook(self, tmp_path, capsys):
         mesh_path = tmp_path / "m.msh"
