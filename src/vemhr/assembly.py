@@ -5,16 +5,18 @@ edge), then the 3 rigid-motion DOFs of every cell (a_x, a_y, b).  The system
 is the symmetric indefinite block matrix [[A, B^T], [B, 0]] with right-hand
 side [G, -F]: G collects weak displacement (Dirichlet) boundary data and F
 the body load against the rigid-motion bases.  Prescribed tractions are
-essential conditions on edge DOFs and are imposed by symmetric elimination.
+essential conditions on edge DOFs: the constrained system has identity rows
+on the fixed DOFs and the prescribed values on their right-hand side rows.
 
-The eliminated saddle point is solved by hybridisation (Fraeijs de Veubeke;
+The constrained system is solved by hybridisation (Fraeijs de Veubeke;
 Arnold & Brezzi, M2AN 19, 1985): every cell keeps its own copy of the
-traction DOFs of its edges, and the two copies on an interior edge are glued
-by a multiplier, the 3 displacement moments conjugate to them.  The local
+traction DOFs of its edges, the two copies on an interior edge are glued by
+a multiplier, the 3 displacement moments conjugate to them, and a multiplier
+of the same kind holds each fixed DOF at its prescribed value.  The local
 saddle points are inverted cell group by cell group, the multipliers solve a
-symmetric positive definite system on the interior edges, and one step of
-iterative refinement against the eliminated system follows.  The solve never
-forms the global matrix: it works from the local saddle points alone.
+symmetric positive definite system, and one step of iterative refinement
+against the constrained system follows.  The solve never forms the global
+matrix: it works from the local saddle points alone.
 """
 
 import resource
@@ -137,16 +139,19 @@ class GlobalSystem:
 
 @dataclass
 class SolveReport:
-    """``lu_nnz`` is L.nnz + U.nnz of the multiplier factor and ``factor_s``
-    the seconds its ``splu`` took (0 and 0.0 without interior edges; -1 and
-    NaN when read back from a solution file).  ``peak_rss_mb`` is the
-    process's resident-set high-water mark in MiB, read right after the
-    factor (``ru_maxrss``, which Linux gives in KiB; NaN when read back)."""
+    """``residual`` is |rhs - K x| / |rhs| of the constrained system: K the
+    saddle point with identity rows on the fixed DOFs, rhs the assembled
+    right-hand side with the prescribed values on those rows.  ``lu_nnz``
+    is L.nnz + U.nnz of the multiplier factor and ``factor_s`` the seconds
+    its ``splu`` took (0 and 0.0 only when the mesh has no interior edge and
+    no traction edge; -1 and NaN when read back from a solution file).
+    ``peak_rss_mb`` is the process's resident-set high-water mark in MiB,
+    read right after the factor (``ru_maxrss``, which Linux gives in KiB;
+    NaN when read back)."""
 
     n_dof: int
     n_constrained: int
     residual: float
-    tolerance: float
     lu_nnz: int
     factor_s: float
     peak_rss_mb: float
@@ -274,77 +279,61 @@ def _apply_blocks(blocks, x):
     return y
 
 
-def _eliminated_rhs(system):
-    """The right-hand side of ``GlobalSystem.eliminated`` from the local
-    blocks: the prescribed values, lifted by the unmasked blocks, moved to
-    the right, and the values themselves on their own rows."""
-    x0 = np.zeros(system.dofmap.size)
-    x0[system.constrained_dofs] = system.constrained_values
-    rhs = system.rhs - _apply_blocks(system.blocks, x0)
-    rhs[system.constrained_dofs] = system.constrained_values
-    return rhs
-
-
 class _Hybrid:
-    """The eliminated saddle point of local blocks and a boolean mask of
+    """The constrained saddle point of local blocks and a boolean mask of
     fixed DOFs, applied and inverted by hybridisation.
 
-    Each cell E holds its local saddle point K_E = [[A_E, B_E^T], [B_E, 0]].
-    Masked, with the fixed DOFs as identity rows and their columns removed,
-    the K_E scattered over the cells are the eliminated saddle point of
-    ``GlobalSystem.eliminated`` (a fixed DOF lies on one boundary edge, so
-    its identity row is counted once); only their inverses are kept.  Each
-    group is inverted unmasked, and then only the cells holding a fixed DOF
-    are copied, masked and inverted again, so a cell's inverse is the same
-    as from a masked copy of the whole group.  S is written once into int32
-    row and column and float64 value buffers sized to its glued pairs, and
-    the buffers go before ``splu``.
+    Each cell E holds its local saddle point K_E = [[A_E, B_E^T], [B_E, 0]];
+    scattered over the cells, the K_E are the global saddle point, and the
+    constrained system replaces its fixed rows by identity rows.  Each
+    group's K_E is inverted once, and only the inverses are kept.  S is
+    written once into int32 row and column and float64 value buffers sized
+    to its glued pairs, and the buffers go before ``splu``; with neither an
+    interior edge nor a fixed DOF there is no multiplier, nothing is
+    factored and ``lu_nnz`` stays 0.  ``solve`` reports |r - apply(x)| /
+    |r| as its residual.
 
-    Called on a global vector r, each cell solves the masked K_E y_E = r_E -
-    C_E lam for its own (torn) traction DOFs and rigid motion.  C_E puts the
-    multiplier lam_e of each interior edge on the edge's rows with the
-    cell-side sign, so the two signs of an interior edge cancel and the
-    glued copies satisfy the global equations.  The multipliers solve the
-    SPD system S lam = sum_E C_E^T K_E^-1 r_E, S = sum_E C_E^T K_E^-1 C_E.
-    r is split into the r_E with ``weight``: an interior edge's row half to
-    each of its two cells, every other row whole to its one cell; the same
-    weights average the two copies of an interior edge back into one global
-    vector.
+    Called on a global vector r, each cell solves K_E y_E = r_E - C_E lam
+    for its own (torn) traction DOFs and rigid motion.  C_E puts a
+    multiplier on the rows of every interior-edge DOF and every fixed DOF,
+    with the cell-side sign.  The two signs of an interior edge cancel, so
+    the glued copies satisfy the global equations.  A fixed DOF j lies on
+    one boundary edge, so one cell holds it, and its multiplier imposes
+    sign_j y_j = sign_j r_j; it also takes up the entry r_j of the row it
+    replaces.  The multipliers solve the SPD system S lam = sum_E C_E^T
+    K_E^-1 r_E - g, S = sum_E C_E^T K_E^-1 C_E, g the signed r_j of the
+    fixed DOFs.  r is split into the r_E with ``weight``: an interior
+    edge's row half to each of its two cells, every other row whole to its
+    one cell; the same weights average the two copies of an interior edge
+    back into one global vector.
     """
 
     def __init__(self, mesh, blocks, fixed):
         interior = mesh.interior_edges
-        n_lam = 3 * len(interior)
-        # multiplier index per edge; the DOFs of unglued edges point at one
-        # dummy slot n_lam, which local_solutions drops and S never holds
-        lam_of = np.full(mesh.n_edges, len(interior))
-        lam_of[interior] = np.arange(len(interior))
+        # multiplier index per edge DOF, interior and fixed ones in DOF
+        # order; every other DOF points at one dummy slot n_lam, which
+        # local_solutions drops and S never holds
+        has_lam = fixed[:3 * mesh.n_edges].copy()
+        has_lam.reshape(-1, 3)[interior] = True
+        n_lam = int(np.count_nonzero(has_lam))
+        lam_of = np.full(len(has_lam), n_lam)
+        lam_of[has_lam] = np.arange(n_lam)
         half = np.ones(mesh.n_edges)
         half[interior] = 0.5
         self.blocks = blocks
-        self.fixed = fixed
+        self.held = np.flatnonzero(fixed)
+        self.held_lam = lam_of[self.held]
+        self.held_sign = mesh.boundary_sign(self.held // 3)
         self.n_lam = n_lam
         self.groups = []
         nnz = 0
         for g, dofs, K in blocks:
             m, nd = len(dofs), g.ndof
-            Kinv = _local_inverse(g, K)
-            # only the cells holding a fixed DOF are copied and masked:
-            # identity rows, columns removed
-            held = fixed[dofs]
-            cells = np.flatnonzero(held.any(axis=1))
-            if len(cells):
-                Kc = K[cells]
-                cell, slot = np.nonzero(held[cells])
-                Kc[cell, slot, :] = 0.0
-                Kc[cell, :, slot] = 0.0
-                Kc[cell, slot, slot] = 1.0
-                Kinv[cells] = _local_inverse(g, Kc)
-            ldof = np.minimum(3 * lam_of[g.edge_ids][:, :, None]
-                              + np.arange(3), n_lam).reshape(m, nd)
+            ldof = lam_of[dofs[:, :nd]]
             sign = np.repeat(g.signs, 3, axis=1)
             weight = np.ones((m, nd + 3))
             weight[:, :nd] = np.repeat(half[g.edge_ids], 3, axis=1)
+            Kinv = _local_inverse(g, K)
             self.groups.append((dofs, weight, ldof, sign, Kinv))
             glued = np.count_nonzero(ldof < n_lam, axis=1)
             nnz += int(glued @ glued)
@@ -384,10 +373,10 @@ class _Hybrid:
             self.lu_nnz = int(self.lu.nnz)  # L.nnz + U.nnz, no factor copies
 
     def apply(self, x):
-        """The eliminated saddle point times x: the unmasked blocks on x with
-        its fixed entries zeroed, and those entries on the fixed rows."""
-        y = _apply_blocks(self.blocks, np.where(self.fixed, 0.0, x))
-        y[self.fixed] = x[self.fixed]
+        """The constrained saddle point times x: the blocks on x, with
+        identity rows on the fixed DOFs."""
+        y = _apply_blocks(self.blocks, x)
+        y[self.held] = x[self.held]
         return y
 
     def local_solutions(self, r):
@@ -399,6 +388,7 @@ class _Hybrid:
             b += np.bincount(ldof.ravel(),
                              (sign * z[-1][:, :ldof.shape[1]]).ravel(),
                              minlength=self.n_lam + 1)
+        b[self.held_lam] -= self.held_sign * r[self.held]
         lam = np.zeros(self.n_lam + 1)
         if self.lu is not None:
             lam[:-1] = self.lu.solve(b[:-1])
@@ -415,11 +405,12 @@ class _Hybrid:
 
 
 def solve(system) -> Solution:
-    """Hybridised solve of the eliminated saddle point, one refinement step
+    """Hybridised solve of the constrained saddle point, one refinement step
     against it, relative-residual check.  The ``_Hybrid`` of the system's
-    blocks and fixed DOFs is the operator and its inverse, and
-    ``_eliminated_rhs`` the right-hand side, so the global matrix is never
-    formed.
+    blocks and fixed DOFs is the operator and its inverse, and the
+    right-hand side is ``system.rhs`` with the prescribed values on the
+    fixed rows, so the global matrix is never formed.  The reported
+    residual is |rhs - K x| / |rhs| of that constrained system.
 
     A pure traction problem (no boundary edge left without a prescribed
     traction) has the rigid motions as a kernel and raises SolverError.
@@ -433,7 +424,8 @@ def solve(system) -> Solution:
                           "are a kernel (pure traction problem)")
     hybrid = _Hybrid(mesh, system.blocks, fixed)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    rhs = _eliminated_rhs(system)
+    rhs = system.rhs.copy()
+    rhs[system.constrained_dofs] = system.constrained_values
     x = hybrid(rhs)
     # Near incompressibility the first pass leaves a relative residual up to
     # about 3e-8 (Cook membrane, nu = 0.499995, 64 x 64 quads); one
@@ -444,7 +436,7 @@ def solve(system) -> Solution:
         raise SolverError(f"singular system: non-finite solution at DOFs "
                           f"{bad[:5].tolist()}...")
     scale = np.linalg.norm(rhs) or 1.0
-    residual = np.linalg.norm(hybrid.apply(x) - rhs) / scale
+    residual = np.linalg.norm(rhs - hybrid.apply(x)) / scale
     if residual > SOLVER_TOL:
         raise SolverError(f"solver residual {residual:.3e} above "
                           f"{SOLVER_TOL:.1e}")
@@ -454,8 +446,7 @@ def solve(system) -> Solution:
         cell_motions=x[dm.n_stress:].reshape(dm.n_cells, 3),
         report=SolveReport(n_dof=dm.size,
                            n_constrained=len(system.constrained_dofs),
-                           residual=float(residual),
-                           tolerance=SOLVER_TOL, lu_nnz=hybrid.lu_nnz,
+                           residual=float(residual), lu_nnz=hybrid.lu_nnz,
                            factor_s=hybrid.factor_s,
                            peak_rss_mb=peak_rss_mb))
 
@@ -525,7 +516,7 @@ def load_solution(path, mesh=None):
                              or (ne, nc) != (mesh.n_edges, mesh.n_cells)):
         raise ValueError("solution file does not match the mesh")
     report = SolveReport(n_dof=3 * (ne + nc), n_constrained=n_constrained,
-                         residual=residual, tolerance=np.nan, lu_nnz=-1,
+                         residual=residual, lu_nnz=-1,
                          factor_s=np.nan, peak_rss_mb=np.nan)
     return Solution(mesh=mesh, edge_dofs=edge, cell_motions=cells,
                     report=report)

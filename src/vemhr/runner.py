@@ -64,9 +64,11 @@ class RunConfig:
         if self.kind not in MESH_KINDS:
             raise ValueError(f"unknown mesh kind {self.kind!r}")
         if not isinstance(self.levels, tuple) or not self.levels \
-                or not all(map(_is_count, self.levels)):
-            raise ValueError("levels must be a non-empty tuple of positive "
-                             f"integers, not {self.levels!r}")
+                or not all(map(_is_count, self.levels)) \
+                or any(a >= b for a, b in zip(self.levels, self.levels[1:])):
+            raise ValueError("levels must be a non-empty tuple of strictly "
+                             "increasing positive integers, not "
+                             f"{self.levels!r}")
         if any(k not in COOK_KINDS for k in self.cook_kinds):
             raise ValueError(f"cook kinds must be among {tuple(COOK_KINDS)}")
         if not isinstance(self.cook_nus, tuple) or not self.cook_nus \

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 from vemhr import assembly
 from vemhr.assembly import (DisplacementBC, DofMap, GlobalSystem, Solution,
                             SolveReport, SolverError, TractionBC, _Hybrid,
-                            _eliminated_rhs, _scatter_blocks, assemble,
+                            _scatter_blocks, assemble,
                             inf_sup_constant, load_solution, save_solution,
                             solve, write_solution_text)
 from vemhr.element import STABILIZATIONS, constant_stress_dofs
@@ -394,6 +394,16 @@ class TestHybridSolve:
             np.maximum.at(hi, gdof, y[:, :g.ndof].ravel())
         assert (hi - lo).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize("kind", ["cook"] + list(MESH_KINDS))
+    def test_fixed_dofs_hold_prescribed_values(self, kind):
+        # the multipliers of the fixed DOFs hold them at their values
+        system = (cook_l32_system() if kind == "cook"
+                  else TestHybridSetUp.mixed_system(kind))
+        solution = solve(system)
+        values = system.constrained_values
+        got = solution.edge_dofs.ravel()[system.constrained_dofs]
+        assert np.abs(got - values).max() <= 1e-13 * np.abs(values).max()
+
 
 def cook_l32_system():
     """The nearly incompressible Cook membrane on 32 x 32 quads."""
@@ -418,9 +428,9 @@ def dummy_slot_multipliers(hybrid):
 
 
 class TestHybridSetUp:
-    """``_Hybrid.__init__`` masks and re-inverts copies of only the cells
-    that hold a fixed DOF, and writes S once into preallocated buffers; the
-    inverses and S are bitwise those of the plain construction."""
+    """``_Hybrid.__init__`` inverts each group's local saddle points once,
+    and writes S once into preallocated buffers; the inverses and S are
+    bitwise those of the plain construction."""
 
     @staticmethod
     def mixed_system(kind):
@@ -428,20 +438,23 @@ class TestHybridSetUp:
         return assemble(mesh, TestHybridSolve.mixed_problem())
 
     @pytest.mark.parametrize("kind", MESH_KINDS)
-    def test_local_inverses_match_masked_copies(self, kind):
+    def test_one_inverse_per_group(self, kind, monkeypatch):
         system = self.mixed_system(kind)
+        assert len(system.constrained_dofs) > 0
+        inverted = []
+        local_inverse = assembly._local_inverse
+
+        def spy(g, K):
+            inverted.append(K)
+            return local_inverse(g, K)
+
+        monkeypatch.setattr(assembly, "_local_inverse", spy)
         hybrid = hybrid_of(system)
-        held = []
-        for (g, dofs, K), (*_, Kinv) in zip(system.blocks, hybrid.groups):
-            K = K.copy()
-            cell, slot = np.nonzero(hybrid.fixed[dofs])
-            K[cell, slot, :] = 0.0
-            K[cell, :, slot] = 0.0
-            K[cell, slot, slot] = 1.0
+        assert len(inverted) == len(system.blocks)
+        for (_, _, K), K_inverted, (*_, Kinv) in zip(system.blocks, inverted,
+                                                     hybrid.groups):
+            assert K_inverted is K
             assert np.linalg.inv(K).tobytes() == Kinv.tobytes()
-            held.append(hybrid.fixed[dofs].any(axis=1))
-        held = np.concatenate(held)
-        assert held.any() and not held.all()
 
     @pytest.mark.parametrize("kind", ["cook"] + list(MESH_KINDS))
     def test_multiplier_matrix_bytes(self, kind, monkeypatch):
@@ -467,8 +480,8 @@ class TestHybridSetUp:
         # numpy's traced peak over the set-up less what the hybrid keeps;
         # SuperLU's own allocations are not traced.  On this mesh, masking
         # a copy of every cell and concatenating int64 COO lists takes
-        # 9.6 MiB; masked copies of the constrained cells and preallocated
-        # int32/float64 buffers take 4.8 MiB.
+        # 9.6 MiB; one inverse per cell and preallocated int32/float64
+        # buffers take 4.8 MiB.
         system = cook_l32_system()
         tracemalloc.start()
         try:
@@ -481,7 +494,7 @@ class TestHybridSetUp:
 
 
 class TestBlockOperator:
-    """The solve path applies the eliminated saddle point from the local
+    """The solve path applies the constrained saddle point from the local
     blocks; the global matrix is built only when asked for."""
 
     def test_solve_never_forms_global_matrix(self, monkeypatch):
@@ -504,14 +517,21 @@ class TestBlockOperator:
         system = assemble(mesh, TestHybridSolve.mixed_problem(),
                           stabilization)
         assert len(system.constrained_dofs) > 0
-        m, rhs = system.eliminated()
+        # the global matrix with identity rows on the fixed DOFs; it differs
+        # from the eliminated matrix only in the fixed columns
+        keep = np.ones(system.dofmap.size)
+        keep[system.constrained_dofs] = 0.0
+        m = sps.diags(keep) @ system.matrix + sps.diags(1.0 - keep)
         hybrid = hybrid_of(system)
         x = np.random.default_rng(5).standard_normal(system.dofmap.size)
         ref = m @ x
-        assert (np.abs(hybrid.apply(x) - ref).max()
+        y = hybrid.apply(x)
+        assert np.abs(y - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.abs(hybrid(y) - x).max() <= 1e-12 * np.abs(x).max()
+        free = keep * x
+        ref = system.eliminated()[0] @ free
+        assert (np.abs(hybrid.apply(free) - ref).max()
                 <= 1e-14 * np.abs(ref).max())
-        assert (np.abs(_eliminated_rhs(system) - rhs).max()
-                <= 1e-14 * np.abs(rhs).max())
 
     @pytest.mark.parametrize("kind", ["quad_structured",
                                       "poly_voronoi_random"])
@@ -570,7 +590,7 @@ class TestSolutionIO:
         read back bit for bit; a nan reads back as a nan."""
         report = SolveReport(n_dof=3 * (len(edge) + len(cells)),
                              n_constrained=n_constrained, residual=residual,
-                             tolerance=1e-10, lu_nnz=0, factor_s=0.0,
+                             lu_nnz=0, factor_s=0.0,
                              peak_rss_mb=0.0)
         text = write_solution_text(
             Solution(mesh=None, edge_dofs=edge, cell_motions=cells,
@@ -597,7 +617,7 @@ class TestSolutionIO:
         edge.ravel()[:len(special)] = special
         cells = np.array([[0.1, -0.0, 2.0], [np.nan, 1e-320, -7.0]])
         report = SolveReport(n_dof=27, n_constrained=3, residual=2.5e-15,
-                             tolerance=1e-10, lu_nnz=0, factor_s=0.0,
+                             lu_nnz=0, factor_s=0.0,
                              peak_rss_mb=0.0)
         text = write_solution_text(
             Solution(mesh=None, edge_dofs=edge, cell_motions=cells,

@@ -74,8 +74,10 @@ class TestRunner:
                                        problem_cook().material.mu)
 
     @pytest.mark.parametrize("levels", [
-        (2.0, 4.0), (2, 4.0), (2, 0), (True, 2), [2, 4], 4, ("2", "4")],
-        ids=["floats", "float", "zero", "bool", "list", "int", "str"])
+        (2.0, 4.0), (2, 4.0), (2, 0), (True, 2), [2, 4], 4, ("2", "4"),
+        (4, 2), (2, 2)],
+        ids=["floats", "float", "zero", "bool", "list", "int", "str",
+             "decreasing", "repeated"])
     def test_levels_not_integers(self, levels):
         config = RunConfig(kind="poly_voronoi_random", levels=levels)
         for call in (config.validate, lambda: run_convergence(config)):
@@ -343,6 +345,14 @@ class TestCli:
                      "quad_structured", "--levels", "2,4", "--csv",
                      str(csv)]) == 0
         assert csv.exists()
+
+    def test_decreasing_levels_write_nothing(self, tmp_path, capsys):
+        csv = tmp_path / "c.csv"
+        assert main(["convergence", "--problem", "test-a", "--kind",
+                     "quad_structured", "--levels", "8,4", "--csv",
+                     str(csv)]) == 2
+        assert "strictly increasing" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_cook_command(self, tmp_path):
         csv = tmp_path / "k.csv"
