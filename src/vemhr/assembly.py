@@ -15,7 +15,9 @@ a multiplier, the 3 displacement moments conjugate to them, and a multiplier
 of the same kind holds each fixed DOF at its prescribed value.  The local
 saddle points are inverted cell group by cell group, the multipliers solve a
 symmetric positive definite system, and one step of iterative refinement
-against the constrained system follows.  The solve never forms the global
+against the constrained system follows.  The multiplier system is factored
+in a nested-dissection order of the cells on large quad meshes, and under
+minimum degree on every other mesh.  The solve never forms the global
 matrix: it works from the local saddle points alone.
 """
 
@@ -30,7 +32,7 @@ import scipy.sparse.linalg as spla
 
 from . import element
 from .element import _edge_moments, _sample, cell_groups
-from .mesh import _format_rows, mesh_checksum
+from .mesh import _dissection, _format_rows, mesh_checksum
 
 __all__ = [
     "DofMap",
@@ -143,11 +145,16 @@ class SolveReport:
     saddle point with identity rows on the fixed DOFs, rhs the assembled
     right-hand side with the prescribed values on those rows.  ``lu_nnz``
     is L.nnz + U.nnz of the multiplier factor and ``factor_s`` the seconds
-    its ``splu`` took (0 and 0.0 only when the mesh has no interior edge and
-    no traction edge; -1 and NaN when read back from a solution file).
+    its ``splu`` took, with the minimum-degree ordering but not the nested
+    dissection, which is cached on the mesh (0 and 0.0 only when the mesh
+    has no interior edge and no traction edge; -1 and NaN when read back
+    from a solution file).
     ``peak_rss_mb`` is the process's resident-set high-water mark in MiB,
     read right after the factor (``ru_maxrss``, which Linux gives in KiB;
-    NaN when read back)."""
+    NaN when read back).  ``ordering`` names how the multipliers were
+    ordered for the factor: ``"nested_dissection"`` or ``"mmd"`` (see
+    ``_Hybrid``), ``""`` when there is no multiplier, None when read
+    back."""
 
     n_dof: int
     n_constrained: int
@@ -155,6 +162,7 @@ class SolveReport:
     lu_nnz: int
     factor_s: float
     peak_rss_mb: float
+    ordering: str
 
 
 @dataclass
@@ -279,6 +287,35 @@ def _apply_blocks(blocks, x):
     return y
 
 
+# Fewest cells of a quad mesh whose multipliers are ordered by nested
+# dissection; smaller meshes, and meshes with a cell of other than four
+# sides, keep SuperLU's minimum degree.  Set at the measured crossover of
+# factor plus ordering time.
+_DISSECTION_MIN_CELLS = 1024
+
+
+def _ordering(mesh):
+    """How the multiplier system of a mesh is ordered for its factor:
+    ``"nested_dissection"`` on meshes of at least ``_DISSECTION_MIN_CELLS``
+    cells that all have four sides, ``"mmd"`` on every other mesh."""
+    if (mesh.n_cells >= _DISSECTION_MIN_CELLS
+            and np.all(np.diff(mesh.cell_offsets) == 4)):
+        return "nested_dissection"
+    return "mmd"
+
+
+def _edge_positions(mesh):
+    """Postorder position of every edge's node in the cells' dissection
+    tree (``mesh._dissection``): the deepest node that holds both of the
+    edge's cells, a boundary edge's cell's leaf.  Node (l, j) sits at
+    (j + 1)(2**(D - l + 1) - 1) - 1, after every node below it."""
+    _, leaf = _dissection(mesh)
+    cells = mesh.edge_cells
+    ends = leaf[np.where(cells < 0, cells[:, ::-1], cells)]
+    up = np.frexp(ends[:, 0] ^ ends[:, 1])[1]  # D - l
+    return ((ends[:, 0] >> up) + 1) * (2 ** (up + 1) - 1) - 1
+
+
 class _Hybrid:
     """The constrained saddle point of local blocks and a boolean mask of
     fixed DOFs, applied and inverted by hybridisation.
@@ -306,18 +343,35 @@ class _Hybrid:
     edge's row half to each of its two cells, every other row whole to its
     one cell; the same weights average the two copies of an interior edge
     back into one global vector.
+
+    Two multipliers are coupled in S only when their edges share a cell,
+    so the edges between two sets of cells separate S, one edge thick:
+    George's nested dissection of a finite-element mesh (SIAM J. Numer.
+    Anal. 10, 1973), applied to the cells.  Where ``_ordering`` says
+    ``"nested_dissection"``, the multipliers are numbered by the position
+    of their edge in the cells' dissection tree (``_edge_positions``),
+    then by DOF, and S is written and factored in that numbering
+    (SuperLU's ``NATURAL`` column order); elsewhere they are numbered in
+    DOF order and SuperLU orders S by minimum degree (``MMD_AT_PLUS_A``).
+    ``ordering`` records which, ``""`` without a multiplier.
     """
 
     def __init__(self, mesh, blocks, fixed):
         interior = mesh.interior_edges
-        # multiplier index per edge DOF, interior and fixed ones in DOF
-        # order; every other DOF points at one dummy slot n_lam, which
-        # local_solutions drops and S never holds
+        # multiplier index per edge DOF, for the interior and fixed ones
+        # in DOF order, or by tree position and then DOF under nested
+        # dissection; every other DOF points at one dummy slot n_lam,
+        # which local_solutions drops and S never holds
         has_lam = fixed[:3 * mesh.n_edges].copy()
         has_lam.reshape(-1, 3)[interior] = True
         n_lam = int(np.count_nonzero(has_lam))
+        self.ordering = _ordering(mesh) if n_lam else ""
+        lam_dofs = np.flatnonzero(has_lam)
+        if self.ordering == "nested_dissection":
+            position = _edge_positions(mesh)[lam_dofs // 3]
+            lam_dofs = lam_dofs[np.argsort(position, kind="stable")]
         lam_of = np.full(len(has_lam), n_lam)
-        lam_of[has_lam] = np.arange(n_lam)
+        lam_of[lam_dofs] = np.arange(n_lam)
         half = np.ones(mesh.n_edges)
         half[interior] = 0.5
         self.blocks = blocks
@@ -361,9 +415,11 @@ class _Hybrid:
                 at = end
             S = sps.csc_matrix((vals, (rows, cols)), shape=(n_lam, n_lam))
             del rows, cols, vals  # the COO triplets need not outlive S
+            permc_spec = ("NATURAL" if self.ordering == "nested_dissection"
+                          else "MMD_AT_PLUS_A")
             t0 = time.perf_counter()
             try:
-                self.lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A",
+                self.lu = spla.splu(S, permc_spec=permc_spec,
                                     diag_pivot_thresh=0,
                                     options={"SymmetricMode": True})
             except RuntimeError as exc:
@@ -448,7 +504,8 @@ def solve(system) -> Solution:
                            n_constrained=len(system.constrained_dofs),
                            residual=float(residual), lu_nnz=hybrid.lu_nnz,
                            factor_s=hybrid.factor_s,
-                           peak_rss_mb=peak_rss_mb))
+                           peak_rss_mb=peak_rss_mb,
+                           ordering=hybrid.ordering))
 
 
 def inf_sup_constant(mesh, material, stabilization="stab1"):
@@ -517,6 +574,7 @@ def load_solution(path, mesh=None):
         raise ValueError("solution file does not match the mesh")
     report = SolveReport(n_dof=3 * (ne + nc), n_constrained=n_constrained,
                          residual=residual, lu_nnz=-1,
-                         factor_s=np.nan, peak_rss_mb=np.nan)
+                         factor_s=np.nan, peak_rss_mb=np.nan,
+                         ordering=None)
     return Solution(mesh=mesh, edge_dofs=edge, cell_motions=cells,
                     report=report)

@@ -141,9 +141,10 @@ def _cmd_solve(args):
     system = assemble(mesh, problem, stabilization=args.stabilization)
     solution = solve(system)
     save_solution(args.out, solution)
-    print(f"wrote {args.out}: residual {solution.report.residual:.3e}, "
-          f"{solution.report.n_dof} DOFs, peak RSS "
-          f"{solution.report.peak_rss_mb:.1f} MiB")
+    report = solution.report
+    print(f"wrote {args.out}: residual {report.residual:.3e}, "
+          f"{report.n_dof} DOFs, peak RSS {report.peak_rss_mb:.1f} MiB, "
+          f"ordering {report.ordering or 'none'}")
     return EXIT_OK
 
 

@@ -333,6 +333,99 @@ def check_assumptions(mesh):
     return QualityReport(vertex_ratio=vr, star_ratio=sr)
 
 
+def _hop_coordinates(mesh):
+    """(n_cells, 2) hop distances in the cell-adjacency graph (cells that
+    share an edge) from the cells on two straight boundary sides, n_cells
+    where unreachable.
+
+    A side is the boundary edges that share one outward normal.  The first
+    side's normal has the smallest x component, the second's is the one
+    closest to orthogonal to the first's; ties go to the side whose edge
+    midpoints average to the smaller x, then y.  One product of the
+    ``scipy.sparse`` adjacency matrix with the two frontiers advances both
+    searches by a hop, so no graph module is loaded.
+    """
+    from scipy.sparse import csr_matrix
+
+    nc = mesh.n_cells
+    a, b = mesh.edge_cells[mesh.interior_edges].T
+    adjacency = csr_matrix((np.ones(2 * len(a)), (np.r_[a, b], np.r_[b, a])),
+                           shape=(nc, nc))
+    bnd = mesh.boundary_edges
+    normals = mesh.boundary_sign(bnd)[:, None] * mesh.edge_normals[bnd]
+    normal, side = np.unique(np.round(normals, 9), axis=0,
+                             return_inverse=True)
+    side = side.ravel()
+    scale = np.abs(mesh.vertices).max()
+    centre = np.round(np.column_stack([
+        np.bincount(side, mesh.edge_midpoints[bnd, k]) for k in (0, 1)])
+        / (np.bincount(side)[:, None] * scale), 9)
+    first = np.lexsort((centre[:, 1], centre[:, 0], normal[:, 0]))[0]
+    tilt = np.round(np.abs(normal @ normal[first]), 9)
+    tilt[first] = np.inf
+    second = np.lexsort((centre[:, 1], centre[:, 0], tilt))[0]
+
+    hops = np.full((nc, 2), nc)
+    for k, s in enumerate((first, second)):
+        hops[mesh.edge_cells[bnd[side == s]].max(axis=1), k] = 0
+    frontier = (hops == 0).astype(float)
+    hop = 0
+    while frontier.any():
+        hop += 1
+        reached = (adjacency @ frontier > 0) & (hops == nc)
+        hops[reached] = hop
+        frontier = reached.astype(float)
+    return hops
+
+
+def _dissection(mesh):
+    """Nested dissection of the cells: ``(depth, leaf)``, the depth D of a
+    binary tree and the leaf (0 to 2**D - 1) of every cell; cached on the
+    mesh (meshes are immutable).
+
+    Node (l, j) of level l = 0 .. D holds the cells with ``leaf >> (D - l)
+    == j``; its children are (l + 1, 2j) and (l + 1, 2j + 1).  D is
+    floor(log2(n_cells / 2)), so a leaf holds about two to four cells.
+
+    The interior edges a split cuts separate everything that couples
+    unknowns through shared cells, so each part splits at the median of
+    whichever hop coordinate of ``_hop_coordinates`` cuts fewer of its
+    interior edges (the first on a tie); the cells are ordered by that
+    coordinate, then the other, then cell id.  All parts of a level split
+    together: each coordinate keeps one order of the cells, sorted by part
+    and by the coordinate within a part, and is re-sorted stably by the
+    new parts.
+    """
+    cached = getattr(mesh, "_dissection_tree", None)
+    if cached is not None:
+        return cached
+    nc = mesh.n_cells
+    a, b = mesh.edge_cells[mesh.interior_edges].T
+    hops = _hop_coordinates(mesh)
+    depth = max(int(np.log2(nc / 2)), 0)
+    orders = [np.argsort(hops[:, k] * (nc + 1) + hops[:, 1 - k],
+                         kind="stable") for k in (0, 1)]
+    part = np.zeros(nc, dtype=int)
+    ranks = np.arange(nc)
+    upper = np.empty((nc, 2), dtype=int)  # 1 above the part's median
+    for level in range(depth):
+        counts = np.bincount(part, minlength=2**level)
+        start = np.cumsum(counts) - counts
+        for k, order in enumerate(orders):
+            p = part[order]
+            upper[order, k] = ranks - start[p] >= counts[p] // 2
+        cut = np.column_stack([
+            np.bincount(part[a], upper[a, k] != upper[b, k],
+                        minlength=2**level) for k in (0, 1)])
+        part = 2 * part + upper[ranks, np.argmin(cut, axis=1)[part]]
+        inside = part[a] == part[b]
+        a, b = a[inside], b[inside]
+        orders = [order[np.argsort(part[order], kind="stable")]
+                  for order in orders]
+    mesh._dissection_tree = depth, part
+    return mesh._dissection_tree
+
+
 def cook_domain():
     """Tapered cantilever quadrilateral: vertices (0,0), (48,44), (48,60), (0,44)."""
     return np.array([[0.0, 0.0], [48.0, 44.0], [48.0, 60.0], [0.0, 44.0]])

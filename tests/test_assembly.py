@@ -20,7 +20,7 @@ from vemhr.assembly import (DisplacementBC, DofMap, GlobalSystem, Solution,
 from vemhr.element import STABILIZATIONS, constant_stress_dofs
 from vemhr.generators import MESH_KINDS, generate_mesh
 from vemhr.material import from_lame
-from vemhr.mesh import build_topology, cook_domain
+from vemhr.mesh import _dissection, build_topology, cook_domain
 from vemhr.postproc import equilibrium_residuals
 from vemhr.quadrature import mesh_polygon_quadrature
 from vemhr.problems import ProblemSpec, problem_cook, problem_test_a, \
@@ -282,6 +282,7 @@ class TestSolve:
         problem, _ = patch_problem()
         solution = solve(assemble(UNIT, problem))
         assert solution.report.lu_nnz == 0
+        assert solution.report.ordering == ""
         assert_allclose(solution.edge_dofs, constant_stress_dofs(
             UNIT, problem.material.stress([1.0, 0.0, 0.0])), atol=1e-13)
 
@@ -493,6 +494,107 @@ class TestHybridSetUp:
         assert peak - retained <= 6.5 * 2**20
 
 
+ROTATED_SQUARE = np.array([[0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.5]])
+
+
+def multiplier_edges(hybrid):
+    """The edge of every multiplier of a hybrid."""
+    edges = np.zeros(hybrid.n_lam + 1, dtype=int)
+    for dofs, _, ldof, _, _ in hybrid.groups:
+        edges[ldof] = dofs[:, :ldof.shape[1]] // 3
+    return edges[:-1]
+
+
+def tree_nodes(mesh):
+    """(level, index) of every edge's node in the cells' dissection tree,
+    level by level from the leaves: the deepest node that holds both of
+    the edge's cells (a boundary edge's cell's leaf)."""
+    depth, leaf = _dissection(mesh)
+    cells = mesh.edge_cells
+    cells = np.where(cells < 0, cells.max(axis=1)[:, None], cells)
+    la, lb = leaf[cells[:, 0]], leaf[cells[:, 1]]
+    level = np.full(mesh.n_edges, -1)
+    for up in range(depth + 1):
+        level[(level < 0) & (la >> up == lb >> up)] = depth - up
+    return level, la >> (depth - level)
+
+
+class TestNestedDissection:
+    """On quad meshes of at least ``_DISSECTION_MIN_CELLS`` cells the
+    multipliers are numbered by their edges' nodes in the cells' dissection
+    tree, and S is factored in that numbering."""
+
+    CASES = {"cook_quad": ("quad_unstructured", 32, cook_domain()),
+             "rotated_quad": ("quad_unstructured", 48, ROTATED_SQUARE)}
+
+    @staticmethod
+    def system(kind, n, domain, problem=None):
+        """The nearly incompressible Cook membrane on the Cook domain, and
+        ``problem`` (by default the mixed one) on any other."""
+        if domain is not None and np.array_equal(domain, cook_domain()):
+            problem = problem_cook(0.499995)
+        mesh = generate_mesh(kind, n, domain=domain)
+        return assemble(mesh, problem or TestHybridSolve.mixed_problem())
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_separator_property(self, case):
+        system = self.system(*self.CASES[case])
+        assert len(system.constrained_dofs) > 0
+        hybrid = hybrid_of(system)
+        assert hybrid.ordering == "nested_dissection"
+        level, index = tree_nodes(system.mesh)
+        edges = multiplier_edges(hybrid)
+        S = dummy_slot_multipliers(hybrid).tocoo()
+        # every coupling joins a node and one of its ancestors
+        li, ji = level[edges[S.row]], index[edges[S.row]]
+        lj, jj = level[edges[S.col]], index[edges[S.col]]
+        top, low = np.minimum(li, lj), np.maximum(li, lj)
+        j_top = np.where(li <= lj, ji, jj)
+        j_low = np.where(li <= lj, jj, ji)
+        assert np.all(j_low >> (low - top) == j_top)
+        # numbered in postorder: each node after every node below it
+        depth, _ = _dissection(system.mesh)
+        position = (index + 1) * (2 ** (depth - level + 1) - 1) - 1
+        assert np.all(np.diff(position[edges]) >= 0)
+
+    @pytest.mark.parametrize("n, domain", [(64, cook_domain()),
+                                           (48, ROTATED_SQUARE)],
+                             ids=["cook", "rotated"])
+    def test_fill_below_mmd(self, n, domain, monkeypatch):
+        # the Cook membrane at nu = 0.499995; test-b on the rotated square
+        system = self.system("quad_unstructured", n, domain, problem_test_b())
+        dissected = hybrid_of(system)
+        monkeypatch.setattr(assembly, "_DISSECTION_MIN_CELLS", 10**9)
+        mmd = hybrid_of(system)
+        assert (dissected.ordering, mmd.ordering) == ("nested_dissection",
+                                                      "mmd")
+        assert dissected.lu_nnz <= 0.9 * mmd.lu_nnz
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_mmd_solve(self, case, monkeypatch):
+        system = self.system(*self.CASES[case])
+        dissected = solve(system)
+        monkeypatch.setattr(assembly, "_DISSECTION_MIN_CELLS", 10**9)
+        mmd = solve(system)
+        assert dissected.report.ordering == "nested_dissection"
+        assert mmd.report.ordering == "mmd"
+        x, ref = [np.concatenate([s.edge_dofs.ravel(),
+                                  s.cell_motions.ravel()])
+                  for s in (dissected, mmd)]
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kind, n, ordering", [
+        ("quad_structured", 31, "mmd"),  # 961 cells
+        ("quad_structured", 32, "nested_dissection"),  # 1024
+        ("quad_unstructured", 32, "nested_dissection"),
+        ("tri_unstructured", 23, "mmd"),  # 1058
+        ("tri_structured", 32, "mmd"),  # 2048
+        ("poly_voronoi_random", 1024, "mmd"),
+        ("hex_structured", 32, "mmd")])  # 1067
+    def test_rule(self, kind, n, ordering):
+        assert assembly._ordering(generate_mesh(kind, n)) == ordering
+
+
 class TestBlockOperator:
     """The solve path applies the constrained saddle point from the local
     blocks; the global matrix is built only when asked for."""
@@ -581,6 +683,14 @@ class TestSolutionIO:
         save_solution(path, solve(assemble(mesh, problem_test_a())))
         assert np.isnan(load_solution(path, mesh).report.peak_rss_mb)
 
+    def test_ordering_not_stored(self, tmp_path):
+        mesh = generate_mesh("quad_structured", 3)
+        path = tmp_path / "sol.txt"
+        solution = solve(assemble(mesh, problem_test_a()))
+        assert solution.report.ordering == "mmd"
+        save_solution(path, solution)
+        assert load_solution(path, mesh).report.ordering is None
+
     @settings(max_examples=30, deadline=None)
     @given(edge=arrays(float, st.tuples(st.integers(1, 6), st.just(3))),
            cells=arrays(float, st.tuples(st.integers(1, 4), st.just(3))),
@@ -591,7 +701,7 @@ class TestSolutionIO:
         report = SolveReport(n_dof=3 * (len(edge) + len(cells)),
                              n_constrained=n_constrained, residual=residual,
                              lu_nnz=0, factor_s=0.0,
-                             peak_rss_mb=0.0)
+                             peak_rss_mb=0.0, ordering="")
         text = write_solution_text(
             Solution(mesh=None, edge_dofs=edge, cell_motions=cells,
                      report=report), checksum="abc")
@@ -618,7 +728,7 @@ class TestSolutionIO:
         cells = np.array([[0.1, -0.0, 2.0], [np.nan, 1e-320, -7.0]])
         report = SolveReport(n_dof=27, n_constrained=3, residual=2.5e-15,
                              lu_nnz=0, factor_s=0.0,
-                             peak_rss_mb=0.0)
+                             peak_rss_mb=0.0, ordering="")
         text = write_solution_text(
             Solution(mesh=None, edge_dofs=edge, cell_motions=cells,
                      report=report), checksum="abc")

@@ -317,7 +317,7 @@ class TestCli:
         assert out_path.read_text().startswith("vemhr-solution v1")
         last = capsys.readouterr().out.splitlines()[-1]
         assert re.fullmatch(r"wrote .*: residual \S+, \d+ DOFs, "
-                            r"peak RSS \d+\.\d MiB", last)
+                            r"peak RSS \d+\.\d MiB, ordering mmd", last)
 
     def test_nu_only_with_cook(self, tmp_path, capsys):
         mesh_path = tmp_path / "m.msh"
@@ -490,23 +490,31 @@ class TestCli:
         assert RunConfig().solver_tol == 1e-10
 
 
-# A fresh interpreter imports vemhr, solves Cook on a mesh file through the
-# CLI, records which scipy modules are loaded, then generates meshes.
+# A fresh interpreter imports vemhr, solves Cook on mesh files through the
+# CLI (each solution next to its mesh), records which scipy modules are
+# loaded, then generates meshes.
 COLD_START = """
-import json, sys
+import contextlib, io, json, sys
 import numpy as np
 import vemhr, vemhr.cli, vemhr.runner
 
-mesh_path, out_path, arrays_path = sys.argv[1:]
-code = vemhr.cli.main(["solve", "--problem", "cook", "--mesh", mesh_path,
-                       "--out", out_path])
+*mesh_paths, arrays_path = sys.argv[1:]
+printed = io.StringIO()
+with contextlib.redirect_stdout(printed):
+    codes = [vemhr.cli.main(["solve", "--problem", "cook", "--mesh", path,
+                             "--out", path[:-4] + ".txt"])
+             for path in mesh_paths]
 after_solve = [m for m in MODULES if m in sys.modules]
 meshes = [vemhr.generate_mesh(kind, n) for kind, n in KINDS]
 np.savez(arrays_path, **{f"{i}_{name}": getattr(mesh, name)
                          for i, mesh in enumerate(meshes) for name in ARRAYS})
-print(json.dumps({"exit": code, "after_solve": after_solve,
+print(json.dumps({"exit": codes, "printed": printed.getvalue().splitlines(),
+                  "after_solve": after_solve,
                   "after_generate": [m for m in MODULES if m in sys.modules]}))
 """
+# the Cook meshes solved cold: 16 cells under minimum degree, 1024 cells
+# under nested dissection
+COLD_MESHES = (("quad_structured", 4), ("quad_unstructured", 32))
 COLD_KINDS = (("poly_voronoi_cvt", 9), ("hex_structured", 4))
 MESH_ARRAYS = ("vertices", "cell_offsets", "cell_vertex_ids", "cell_edge_ids",
                "edge_nodes")
@@ -520,29 +528,34 @@ class TestColdStart:
     @pytest.fixture(scope="class")
     def cold(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("cold")
-        mesh_path = tmp / "cook.msh"
-        save_mesh(mesh_path, generate_mesh("quad_structured", 4,
-                                           domain=cook_domain()))
+        mesh_paths = [str(tmp / f"cook_{kind}_{n}.msh")
+                      for kind, n in COLD_MESHES]
+        for path, (kind, n) in zip(mesh_paths, COLD_MESHES):
+            save_mesh(path, generate_mesh(kind, n, domain=cook_domain()))
         script = (f"KINDS = {COLD_KINDS!r}\nARRAYS = {MESH_ARRAYS!r}\n"
                   f"MODULES = {GENERATOR_MODULES + (REPORT_MODULE,)!r}\n"
                   + COLD_START)
         env = dict(os.environ, PYTHONPATH=os.path.dirname(
             os.path.dirname(vemhr.__file__)))
         proc = subprocess.run(
-            [sys.executable, "-c", script, str(mesh_path),
-             str(tmp / "cook.txt"), str(tmp / "meshes.npz")],
+            [sys.executable, "-c", script, *mesh_paths,
+             str(tmp / "meshes.npz")],
             env=env, capture_output=True, text=True, check=True)
         report = json.loads(proc.stdout.splitlines()[-1])
-        return report, tmp
+        return report, tmp, mesh_paths
 
     def test_solve_loads_no_generator_modules(self, cold):
-        report, tmp = cold
-        assert report["exit"] == 0
-        assert (tmp / "cook.txt").read_text().startswith("vemhr-solution v1")
+        report, _, mesh_paths = cold
+        assert report["exit"] == [0, 0]
+        for path in mesh_paths:
+            with open(path[:-4] + ".txt") as fh:
+                assert fh.readline() == "vemhr-solution v1\n"
+        assert [line.rsplit(", ", 1)[1] for line in report["printed"]] == [
+            "ordering mmd", "ordering nested_dissection"]
         assert report["after_solve"] == []
 
     def test_generation_after_cold_solve(self, cold):
-        report, tmp = cold
+        report, tmp, _ = cold
         # the generator modules load with the meshes, REPORT_MODULE does not
         assert report["after_generate"] == list(GENERATOR_MODULES)
         with np.load(tmp / "meshes.npz") as arrays:
