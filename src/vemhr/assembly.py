@@ -5,7 +5,7 @@ edge), then the 3 rigid-motion DOFs of every cell (a_x, a_y, b).  The system
 is the symmetric indefinite block matrix [[A, B^T], [B, 0]] with right-hand
 side [G, -F]: G collects weak displacement (Dirichlet) boundary data and F
 the body load against the rigid-motion bases.  Prescribed tractions are
-essential conditions on edge DOFs: the constrained system has identity rows
+essential conditions on edge DOFs: the assembled system has identity rows
 on the fixed DOFs and the prescribed values on their right-hand side rows.
 
 The constrained system is solved by hybridisation (Fraeijs de Veubeke;
@@ -96,21 +96,24 @@ class TractionBC:
 
 @dataclass
 class GlobalSystem:
-    """Assembled raw system plus the essential-constraint bookkeeping.
+    """The constrained system: identity rows on the fixed DOFs
+    ``constrained_dofs``, whose ``rhs`` rows hold their prescribed values.
 
     ``blocks`` holds the (CellGroup, dofs, K) of every cell group (see
-    ``_local_blocks``); ``solve`` works from them and the constrained DOFs
-    alone.  The global CSR ``matrix`` and ``eliminated`` are the reference
-    for tests and diagnostics; the matrix is scattered from the blocks only
-    when first asked for.
+    ``_local_blocks``); ``solve`` works from them, ``rhs`` and the fixed
+    DOFs alone.  The global CSR ``matrix`` and ``eliminated`` are the
+    reference for tests and diagnostics; the matrix is scattered from the
+    blocks only when first asked for.
     """
 
     mesh: object
-    dofmap: DofMap
     rhs: np.ndarray
     constrained_dofs: np.ndarray
-    constrained_values: np.ndarray
     blocks: list
+
+    @property
+    def dofmap(self):
+        return DofMap(self.mesh.n_edges, self.mesh.n_cells)
 
     @cached_property
     def matrix(self):
@@ -120,7 +123,7 @@ class GlobalSystem:
         """Symmetric elimination of the essential DOFs.
 
         Constrained columns are moved to the right-hand side, the rows are
-        replaced by the identity, and the prescribed values become the rhs
+        replaced by the identity, and the prescribed values stay the rhs
         entries, so the reduced matrix stays symmetric.
         """
         m = self.matrix
@@ -129,13 +132,13 @@ class GlobalSystem:
         if len(idx) == 0:
             return m, rhs
         x0 = np.zeros(self.dofmap.size)
-        x0[idx] = self.constrained_values
+        x0[idx] = rhs[idx]
         rhs -= m @ x0
         keep = np.ones(self.dofmap.size)
         keep[idx] = 0.0
         Z = sps.diags(keep)
         m = (Z @ m @ Z + sps.diags(1.0 - keep)).tocsr()
-        rhs[idx] = self.constrained_values
+        rhs[idx] = x0[idx]
         return m, rhs
 
 
@@ -176,7 +179,7 @@ class Solution:
 
 
 def assemble(mesh, problem, stabilization="stab1") -> GlobalSystem:
-    """Assemble the saddle-point system of a problem on a mesh.
+    """Assemble the constrained saddle-point system of a problem on a mesh.
 
     ``problem`` provides ``material``, ``body_force`` (vectorized field or
     None) and ``boundary(mesh, edge) -> DisplacementBC | TractionBC`` for
@@ -184,7 +187,7 @@ def assemble(mesh, problem, stabilization="stab1") -> GlobalSystem:
     cell-side signs already folded in and kept as ``blocks``; the global
     matrix is scattered from them on request.  Boundary edges are grouped
     by their (hashable) condition and each field is evaluated once over its
-    group.
+    group, into the rhs rows of the group's edges.
     """
     dm = DofMap(mesh.n_edges, mesh.n_cells)
     blocks = _local_blocks(mesh, problem.material, stabilization)
@@ -200,19 +203,18 @@ def assemble(mesh, problem, stabilization="stab1") -> GlobalSystem:
         if not isinstance(bc, (DisplacementBC, TractionBC)):
             raise TypeError(f"unsupported boundary condition {bc!r}")
         groups.setdefault(bc, []).append(e)
-    fixed, values = [np.empty(0, dtype=int)], [np.empty(0)]
+    fixed = [np.empty(0, dtype=int)]
     for bc, edges in groups.items():
         edges = np.array(edges)
         sign = mesh.boundary_sign(edges)
         if isinstance(bc, TractionBC):
             # sigma n is given against the outward normal, the DOFs in the
             # canonical edge frame: the cell-side sign is folded in
-            moments = np.zeros((len(edges), 3))
-            if bc.traction is not None:
-                moments = _edge_moments(mesh, edges, lambda p: (
-                    sign[:, None, None] * _sample(bc.traction, p)))
             fixed.append((3 * edges[:, None] + np.arange(3)).ravel())
-            values.append(moments.ravel())
+            if bc.traction is not None:
+                rhs[:dm.n_stress].reshape(-1, 3)[edges] = _edge_moments(
+                    mesh, edges, lambda p: (
+                        sign[:, None, None] * _sample(bc.traction, p)))
         elif bc.g is not None:
             # int_e g . (chi_k n_out) for the three DOF basis fields:
             # |e| times the mean of g and |e| times int s g.n = d / 12
@@ -220,10 +222,8 @@ def assemble(mesh, problem, stabilization="stab1") -> GlobalSystem:
             moments = _edge_moments(mesh, edges, lambda p: _sample(bc.g, p))
             moments[:, 2] /= 12.0
             rhs[:dm.n_stress].reshape(-1, 3)[edges] = scale[:, None] * moments
-    return GlobalSystem(mesh=mesh, dofmap=dm, rhs=rhs,
-                        constrained_dofs=np.concatenate(fixed),
-                        constrained_values=np.concatenate(values),
-                        blocks=blocks)
+    return GlobalSystem(mesh=mesh, rhs=rhs,
+                        constrained_dofs=np.concatenate(fixed), blocks=blocks)
 
 
 def _local_blocks(mesh, material, stabilization):
@@ -317,8 +317,8 @@ def _edge_positions(mesh):
 
 
 class _Hybrid:
-    """The constrained saddle point of local blocks and a boolean mask of
-    fixed DOFs, applied and inverted by hybridisation.
+    """The constrained saddle point of local blocks and the indices of the
+    fixed DOFs (in any order), applied and inverted by hybridisation.
 
     Each cell E holds its local saddle point K_E = [[A_E, B_E^T], [B_E, 0]];
     scattered over the cells, the K_E are the global saddle point, and the
@@ -356,13 +356,14 @@ class _Hybrid:
     ``ordering`` records which, ``""`` without a multiplier.
     """
 
-    def __init__(self, mesh, blocks, fixed):
+    def __init__(self, mesh, blocks, held):
         interior = mesh.interior_edges
         # multiplier index per edge DOF, for the interior and fixed ones
         # in DOF order, or by tree position and then DOF under nested
         # dissection; every other DOF points at one dummy slot n_lam,
         # which local_solutions drops and S never holds
-        has_lam = fixed[:3 * mesh.n_edges].copy()
+        has_lam = np.zeros(3 * mesh.n_edges, dtype=bool)
+        has_lam[held] = True
         has_lam.reshape(-1, 3)[interior] = True
         n_lam = int(np.count_nonzero(has_lam))
         self.ordering = _ordering(mesh) if n_lam else ""
@@ -375,7 +376,7 @@ class _Hybrid:
         half = np.ones(mesh.n_edges)
         half[interior] = 0.5
         self.blocks = blocks
-        self.held = np.flatnonzero(fixed)
+        self.held = held
         self.held_lam = lam_of[self.held]
         self.held_sign = mesh.boundary_sign(self.held // 3)
         self.n_lam = n_lam
@@ -464,24 +465,20 @@ def solve(system) -> Solution:
     """Hybridised solve of the constrained saddle point, one refinement step
     against it, relative-residual check.  The ``_Hybrid`` of the system's
     blocks and fixed DOFs is the operator and its inverse, and the
-    right-hand side is ``system.rhs`` with the prescribed values on the
-    fixed rows, so the global matrix is never formed.  The reported
-    residual is |rhs - K x| / |rhs| of that constrained system.
+    right-hand side is ``system.rhs`` as assembled (never written), so the
+    global matrix is never formed.  The reported residual is
+    |rhs - K x| / |rhs| of that constrained system.
 
     A pure traction problem (no boundary edge left without a prescribed
     traction) has the rigid motions as a kernel and raises SolverError.
     """
-    mesh, dm = system.mesh, system.dofmap
-    fixed = np.zeros(dm.size, dtype=bool)
-    fixed[system.constrained_dofs] = True
-    if fixed[3 * mesh.boundary_edges].all():
+    mesh, dm, rhs = system.mesh, system.dofmap, system.rhs
+    if np.isin(3 * mesh.boundary_edges, system.constrained_dofs).all():
         raise SolverError("singular system: every boundary edge carries a "
                           "prescribed traction, so the global rigid motions "
                           "are a kernel (pure traction problem)")
-    hybrid = _Hybrid(mesh, system.blocks, fixed)
+    hybrid = _Hybrid(mesh, system.blocks, system.constrained_dofs)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    rhs = system.rhs.copy()
-    rhs[system.constrained_dofs] = system.constrained_values
     x = hybrid(rhs)
     # Near incompressibility the first pass leaves a relative residual up to
     # about 3e-8 (Cook membrane, nu = 0.499995, 64 x 64 quads); one

@@ -58,16 +58,16 @@ def error_sigma(mesh, solution, sigma_exact, material):
 
 
 def _rigid_motion_l2_error(mesh, motions, exact):
-    """L2 norm of ``exact`` (a vectorized field, None meaning zero) minus
-    the per-cell rigid motions a + b perp(x - x_C), rows (a_x, a_y, b)."""
+    """L2 norm of ``exact`` (a vectorized field) minus the per-cell rigid
+    motions a + b perp(x - x_C), rows (a_x, a_y, b)."""
     pts, wts, owner = mesh_polygon_quadrature(mesh)
     approx = (motions[owner, :2]
               + motions[owner, 2, None] * perp(pts - mesh.centroids[owner]))
-    exact = 0.0 if exact is None else np.asarray(exact(pts))
+    exact = np.asarray(exact(pts))
     return float(np.sqrt((wts * ((exact - approx) ** 2).sum(axis=1)).sum()))
 
 
-def error_div(mesh, solution, div_sigma_exact=None):
+def error_div(mesh, solution, div_sigma_exact):
     """L2 norm of div(sigma - sigma_h); the discrete divergence is the exact
     per-cell rigid motion reconstructed from the stress DOFs."""
     return _rigid_motion_l2_error(

@@ -48,13 +48,6 @@ def one_traction_edge_problem(edge, traction=None):
                        else DisplacementBC(), exact=None)
 
 
-def hybrid_of(system):
-    """The ``_Hybrid`` that ``solve`` builds for a system."""
-    fixed = np.zeros(system.dofmap.size, dtype=bool)
-    fixed[system.constrained_dofs] = True
-    return _Hybrid(system.mesh, system.blocks, fixed)
-
-
 class TestDofMap:
     def test_single_cell_square(self):
         problem, _ = patch_problem()
@@ -140,7 +133,7 @@ class TestEssentialTraction:
         e = int(UNIT.boundary_edges[0])
         system = assemble(UNIT, one_traction_edge_problem(e))
         assert_allclose(system.constrained_dofs, 3 * e + np.arange(3))
-        assert_allclose(system.constrained_values, np.zeros(3))
+        assert_allclose(system.rhs[system.constrained_dofs], np.zeros(3))
 
     def test_cantilever_loaded_edge_moments(self):
         # constant traction (0, q) on the right edge: c = (0, q), d = 0
@@ -151,11 +144,11 @@ class TestEssentialTraction:
                  if abs(mesh.edge_midpoints[e, 0] - 48.0) < 1e-9]
         assert right
         constrained = list(system.constrained_dofs)
+        values = system.rhs[system.constrained_dofs]
         for e in right:
             # the stress DOFs of edge e are 3e, 3e + 1, 3e + 2
             idx = [constrained.index(d) for d in range(3 * e, 3 * e + 3)]
-            assert_allclose(system.constrained_values[idx],
-                            [0.0, 6.25, 0.0], atol=1e-12)
+            assert_allclose(values[idx], [0.0, 6.25, 0.0], atol=1e-12)
 
     def test_each_traction_edge_fixed_once(self):
         # the classifier gives every boundary edge one condition: the
@@ -165,8 +158,8 @@ class TestEssentialTraction:
         edges = [e for e in mesh.boundary_edges
                  if isinstance(problem.boundary(mesh, int(e)), TractionBC)]
         system = assemble(mesh, problem)
-        dofs, values = system.constrained_dofs, system.constrained_values
-        assert len(np.unique(dofs)) == len(dofs) == len(values)
+        dofs = system.constrained_dofs
+        assert len(np.unique(dofs)) == len(dofs)
         assert np.array_equal(np.sort(dofs), (3 * np.sort(edges)[:, None]
                                               + np.arange(3)).ravel())
 
@@ -182,7 +175,7 @@ class TestEssentialTraction:
 
         system = assemble(UNIT, one_traction_edge_problem(e, traction))
         assert_allclose(system.constrained_dofs, [0, 1, 2])
-        assert_allclose(system.constrained_values, [0.0, 0.0, 1.0],
+        assert_allclose(system.rhs[system.constrained_dofs], [0.0, 0.0, 1.0],
                         atol=1e-13)
 
     def test_mixed_bc_patch_with_negative_sign_edge(self):
@@ -299,9 +292,22 @@ class TestSolve:
         assert np.isfinite(solution.report.peak_rss_mb)
         assert solution.report.peak_rss_mb > 0.0
 
+    def test_rhs_read_as_assembled(self):
+        # solve writes nothing to the assembled rhs, so a second solve of
+        # the same system gives the same bytes
+        system = TestHybridSetUp.mixed_system("poly_voronoi_cvt")
+        rhs = system.rhs.tobytes()
+        first = solve(system)
+        assert system.rhs.tobytes() == rhs
+        second = solve(system)
+        assert first.edge_dofs.tobytes() == second.edge_dofs.tobytes()
+        assert first.cell_motions.tobytes() == second.cell_motions.tobytes()
+        assert first.report.residual == second.report.residual
+
     def test_lu_nnz_counts_both_factors(self):
-        hybrid = hybrid_of(assemble(generate_mesh("quad_unstructured", 6,
-                                                  seed=1), problem_test_b()))
+        system = assemble(generate_mesh("quad_unstructured", 6, seed=1),
+                          problem_test_b())
+        hybrid = _Hybrid(system.mesh, system.blocks, system.constrained_dofs)
         assert hybrid.lu_nnz == hybrid.lu.L.nnz + hybrid.lu.U.nnz > 0
 
     def test_lu_nnz_below_saddle_colamd(self):
@@ -388,8 +394,9 @@ class TestHybridSolve:
         # the two torn copies of every interior edge's DOFs agree
         lo = np.full(system.dofmap.n_stress, np.inf)
         hi = np.full(system.dofmap.n_stress, -np.inf)
+        hybrid = _Hybrid(system.mesh, system.blocks, system.constrained_dofs)
         for (g, dofs, _), y in zip(system.blocks,
-                                   hybrid_of(system).local_solutions(rhs)):
+                                   hybrid.local_solutions(rhs)):
             gdof = dofs[:, :g.ndof].ravel()
             np.minimum.at(lo, gdof, y[:, :g.ndof].ravel())
             np.maximum.at(hi, gdof, y[:, :g.ndof].ravel())
@@ -401,7 +408,7 @@ class TestHybridSolve:
         system = (cook_l32_system() if kind == "cook"
                   else TestHybridSetUp.mixed_system(kind))
         solution = solve(system)
-        values = system.constrained_values
+        values = system.rhs[system.constrained_dofs]
         got = solution.edge_dofs.ravel()[system.constrained_dofs]
         assert np.abs(got - values).max() <= 1e-13 * np.abs(values).max()
 
@@ -450,7 +457,7 @@ class TestHybridSetUp:
             return local_inverse(g, K)
 
         monkeypatch.setattr(assembly, "_local_inverse", spy)
-        hybrid = hybrid_of(system)
+        hybrid = _Hybrid(system.mesh, system.blocks, system.constrained_dofs)
         assert len(inverted) == len(system.blocks)
         for (_, _, K), K_inverted, (*_, Kinv) in zip(system.blocks, inverted,
                                                      hybrid.groups):
@@ -469,13 +476,42 @@ class TestHybridSetUp:
             return splu(S, **kwargs)
 
         monkeypatch.setattr(assembly.spla, "splu", spy)
-        hybrid = hybrid_of(system)
+        hybrid = _Hybrid(system.mesh, system.blocks, system.constrained_dofs)
         (S,) = factored
         ref = dummy_slot_multipliers(hybrid)
         assert S.shape == ref.shape == (hybrid.n_lam, hybrid.n_lam)
         for name in ("indptr", "indices", "data"):
             a, b = getattr(S, name), getattr(ref, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", ["cook", "tri_unstructured",
+                                      "hex_structured", "poly_voronoi_random"])
+    def test_fixed_dof_order_irrelevant(self, kind, monkeypatch):
+        # the fixed DOFs in assembly order and sorted give the same S and
+        # the same solution, byte for byte
+        system = (cook_l32_system() if kind == "cook"
+                  else self.mixed_system(kind))
+        held = system.constrained_dofs
+        assert not np.array_equal(held, np.sort(held))
+        factored = []
+        splu = spla.splu
+
+        def spy(S, **kwargs):
+            factored.append(S)
+            return splu(S, **kwargs)
+
+        monkeypatch.setattr(assembly.spla, "splu", spy)
+        solutions = [solve(system)]
+        monkeypatch.setattr(assembly, "_Hybrid", lambda mesh, blocks, held:
+                            _Hybrid(mesh, blocks, np.sort(held)))
+        solutions.append(solve(system))
+        S, ref = factored
+        for name in ("indptr", "indices", "data"):
+            assert getattr(S, name).tobytes() == getattr(ref, name).tobytes()
+        a, b = solutions
+        assert a.edge_dofs.tobytes() == b.edge_dofs.tobytes()
+        assert a.cell_motions.tobytes() == b.cell_motions.tobytes()
+        assert a.report.residual == b.report.residual
 
     def test_set_up_transients_bounded(self):
         # numpy's traced peak over the set-up less what the hybrid keeps;
@@ -486,7 +522,8 @@ class TestHybridSetUp:
         system = cook_l32_system()
         tracemalloc.start()
         try:
-            hybrid = hybrid_of(system)
+            hybrid = _Hybrid(system.mesh, system.blocks,
+                             system.constrained_dofs)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -540,7 +577,7 @@ class TestNestedDissection:
     def test_separator_property(self, case):
         system = self.system(*self.CASES[case])
         assert len(system.constrained_dofs) > 0
-        hybrid = hybrid_of(system)
+        hybrid = _Hybrid(system.mesh, system.blocks, system.constrained_dofs)
         assert hybrid.ordering == "nested_dissection"
         level, index = tree_nodes(system.mesh)
         edges = multiplier_edges(hybrid)
@@ -563,9 +600,10 @@ class TestNestedDissection:
     def test_fill_below_mmd(self, n, domain, monkeypatch):
         # the Cook membrane at nu = 0.499995; test-b on the rotated square
         system = self.system("quad_unstructured", n, domain, problem_test_b())
-        dissected = hybrid_of(system)
+        dissected = _Hybrid(system.mesh, system.blocks,
+                            system.constrained_dofs)
         monkeypatch.setattr(assembly, "_DISSECTION_MIN_CELLS", 10**9)
-        mmd = hybrid_of(system)
+        mmd = _Hybrid(system.mesh, system.blocks, system.constrained_dofs)
         assert (dissected.ordering, mmd.ordering) == ("nested_dissection",
                                                       "mmd")
         assert dissected.lu_nnz <= 0.9 * mmd.lu_nnz
@@ -624,7 +662,7 @@ class TestBlockOperator:
         keep = np.ones(system.dofmap.size)
         keep[system.constrained_dofs] = 0.0
         m = sps.diags(keep) @ system.matrix + sps.diags(1.0 - keep)
-        hybrid = hybrid_of(system)
+        hybrid = _Hybrid(system.mesh, system.blocks, system.constrained_dofs)
         x = np.random.default_rng(5).standard_normal(system.dofmap.size)
         ref = m @ x
         y = hybrid.apply(x)
