@@ -294,26 +294,19 @@ def _apply_blocks(blocks, x):
 _DISSECTION_MIN_CELLS = 1024
 
 
-def _ordering(mesh):
-    """How the multiplier system of a mesh is ordered for its factor:
-    ``"nested_dissection"`` on meshes of at least ``_DISSECTION_MIN_CELLS``
-    cells that all have four sides, ``"mmd"`` on every other mesh."""
-    if (mesh.n_cells >= _DISSECTION_MIN_CELLS
-            and np.all(np.diff(mesh.cell_offsets) == 4)):
-        return "nested_dissection"
-    return "mmd"
-
-
-def _edge_positions(mesh):
-    """Postorder position of every edge's node in the cells' dissection
-    tree (``mesh._dissection``): the deepest node that holds both of the
-    edge's cells, a boundary edge's cell's leaf.  Node (l, j) sits at
-    (j + 1)(2**(D - l + 1) - 1) - 1, after every node below it."""
-    _, leaf = _dissection(mesh)
+def _edge_order(mesh):
+    """The postorder key (``mesh._dissection``) of each edge's node, the
+    deepest node of the cells' dissection tree that holds both its cells
+    (a boundary edge's cell's leaf), on meshes of at least
+    ``_DISSECTION_MIN_CELLS`` cells that all have four sides; else None."""
+    if (mesh.n_cells < _DISSECTION_MIN_CELLS
+            or np.any(np.diff(mesh.cell_offsets) != 4)):
+        return None
+    depth, leaf = _dissection(mesh)
     cells = mesh.edge_cells
     ends = leaf[np.where(cells < 0, cells[:, ::-1], cells)]
     up = np.frexp(ends[:, 0] ^ ends[:, 1])[1]  # D - l
-    return ((ends[:, 0] >> up) + 1) * (2 ** (up + 1) - 1) - 1
+    return (ends[:, 0] | ((1 << up) - 1)) * (depth + 1) + up
 
 
 class _Hybrid:
@@ -347,30 +340,36 @@ class _Hybrid:
     Two multipliers are coupled in S only when their edges share a cell,
     so the edges between two sets of cells separate S, one edge thick:
     George's nested dissection of a finite-element mesh (SIAM J. Numer.
-    Anal. 10, 1973), applied to the cells.  Where ``_ordering`` says
-    ``"nested_dissection"``, the multipliers are numbered by the position
-    of their edge in the cells' dissection tree (``_edge_positions``),
-    then by DOF, and S is written and factored in that numbering
-    (SuperLU's ``NATURAL`` column order); elsewhere they are numbered in
-    DOF order and SuperLU orders S by minimum degree (``MMD_AT_PLUS_A``).
-    ``ordering`` records which, ``""`` without a multiplier.
+    Anal. 10, 1973), applied to the cells.  Where ``_edge_order`` gives
+    keys, the multipliers are numbered by their edge node's key
+    r (D + 1) + (D - l), r the rightmost leaf under node (l, j), then by
+    DOF.  That is a postorder of the tree (Liu, SIAM J. Matrix Anal. Appl.
+    11, 1990): the multipliers of each subtree form one contiguous block
+    that ends with the root's, so each node comes after its descendants.
+    S is written and factored in that numbering (SuperLU's ``NATURAL``
+    column order).  Where it gives None they are numbered in DOF order and
+    SuperLU orders S by minimum degree (``MMD_AT_PLUS_A``).  ``ordering``
+    records which, ``""`` without a multiplier.
     """
 
     def __init__(self, mesh, blocks, held):
         interior = mesh.interior_edges
         # multiplier index per edge DOF, for the interior and fixed ones
-        # in DOF order, or by tree position and then DOF under nested
+        # in DOF order, or by postorder key and then DOF under nested
         # dissection; every other DOF points at one dummy slot n_lam,
         # which local_solutions drops and S never holds
         has_lam = np.zeros(3 * mesh.n_edges, dtype=bool)
         has_lam[held] = True
         has_lam.reshape(-1, 3)[interior] = True
         n_lam = int(np.count_nonzero(has_lam))
-        self.ordering = _ordering(mesh) if n_lam else ""
         lam_dofs = np.flatnonzero(has_lam)
-        if self.ordering == "nested_dissection":
-            position = _edge_positions(mesh)[lam_dofs // 3]
-            lam_dofs = lam_dofs[np.argsort(position, kind="stable")]
+        order = _edge_order(mesh) if n_lam else None
+        if order is None:
+            permc_spec, self.ordering = "MMD_AT_PLUS_A", "mmd" if n_lam else ""
+        else:
+            permc_spec, self.ordering = "NATURAL", "nested_dissection"
+            lam_dofs = lam_dofs[np.argsort(order[lam_dofs // 3],
+                                           kind="stable")]
         lam_of = np.full(len(has_lam), n_lam)
         lam_of[lam_dofs] = np.arange(n_lam)
         half = np.ones(mesh.n_edges)
@@ -416,8 +415,6 @@ class _Hybrid:
                 at = end
             S = sps.csc_matrix((vals, (rows, cols)), shape=(n_lam, n_lam))
             del rows, cols, vals  # the COO triplets need not outlive S
-            permc_spec = ("NATURAL" if self.ordering == "nested_dissection"
-                          else "MMD_AT_PLUS_A")
             t0 = time.perf_counter()
             try:
                 self.lu = spla.splu(S, permc_spec=permc_spec,

@@ -37,8 +37,13 @@ def _read_config(path):
     return values
 
 
-def _levels(text):
-    return tuple(int(t) for t in str(text).split(",") if t)
+def _comma_list(cast):
+    """The parser of a comma-separated list flag: the tuple of its items,
+    each read with ``cast``."""
+    def parse(text):
+        return tuple(cast(t) for t in text.split(",") if t)
+    parse.__name__ = f"comma-separated {cast.__name__}"
+    return parse
 
 
 def _domain(name):
@@ -77,25 +82,18 @@ def _build_parser():
     sol.add_argument("--out")
 
     conv = sub.add_parser("convergence", help="manufactured-solution study")
-    conv.add_argument("--config")
+    cook = sub.add_parser("cook", help="tapered-cantilever benchmark")
+    for study in (conv, cook):  # no defaults here: RunConfig's apply
+        study.add_argument("--config")
+        study.add_argument("--levels", type=_comma_list(int))
+        study.add_argument("--stab", dest="stabilization",
+                           choices=STABILIZATIONS)
+        study.add_argument("--seed", type=int)
+        study.add_argument("--csv", dest="csv_path")
     conv.add_argument("--problem", choices=("test-a", "test-b", "test-inc"))
     conv.add_argument("--kind", choices=MESH_KINDS)
-    conv.add_argument("--levels", default="8,16,32,64")
-    conv.add_argument("--stab", dest="stabilization", choices=STABILIZATIONS,
-                      default="stab1")
-    conv.add_argument("--seed", type=int, default=0)
-    conv.add_argument("--csv", dest="csv_path")
-
-    cook = sub.add_parser("cook", help="tapered-cantilever benchmark")
-    cook.add_argument("--config")
-    cook.add_argument("--kinds", dest="cook_kinds", default="quad,cvor,rvor")
-    cook.add_argument("--levels", default="8,16,32,64")
-    cook.add_argument("--nus", dest="cook_nus",
-                      default="0.333333333333333333,0.499995")
-    cook.add_argument("--stab", dest="stabilization", choices=STABILIZATIONS,
-                      default="stab1")
-    cook.add_argument("--seed", type=int, default=0)
-    cook.add_argument("--csv", dest="csv_path")
+    cook.add_argument("--kinds", dest="cook_kinds", type=_comma_list(str))
+    cook.add_argument("--nus", dest="cook_nus", type=_comma_list(float))
     cook.add_argument("--vtk", dest="vtk_path")
     return parser, {"mesh": gen, "solve": sol, "convergence": conv,
                     "cook": cook}
@@ -148,14 +146,19 @@ def _cmd_solve(args):
     return EXIT_OK
 
 
+def _run_config(args, **settings):
+    """The RunConfig of ``settings`` and the study flags that were given;
+    every other field keeps its default."""
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    return RunConfig(**settings, **{
+        key: val for key, val in vars(args).items()
+        if key in fields and val is not None})
+
+
 def _cmd_convergence(args):
     if args.problem is None or args.kind is None or args.csv_path is None:
         raise ValueError("convergence requires --problem, --kind and --csv")
-    config = RunConfig(problem=args.problem, kind=args.kind,
-                       levels=_levels(args.levels),
-                       stabilization=args.stabilization, seed=args.seed,
-                       csv_path=args.csv_path)
-    rows, table, failures = run_convergence(config)
+    rows, table, failures = run_convergence(_run_config(args))
     for name, slope in table.slopes.items():
         print(f"{name}: rate {slope:.3f}")
     for level, reason in failures:
@@ -167,14 +170,7 @@ def _cmd_convergence(args):
 def _cmd_cook(args):
     if args.csv_path is None:
         raise ValueError("cook requires --csv")
-    config = RunConfig(problem="cook",
-                       cook_kinds=tuple(args.cook_kinds.split(",")),
-                       levels=_levels(args.levels),
-                       cook_nus=tuple(float(t)
-                                      for t in args.cook_nus.split(",")),
-                       stabilization=args.stabilization, seed=args.seed,
-                       csv_path=args.csv_path, vtk_path=args.vtk_path)
-    rows = run_cook(config)
+    rows = run_cook(_run_config(args, problem="cook"))
     finest = {}
     for r in rows:
         finest[(r["kind"], r["nu"])] = r["v_A"]

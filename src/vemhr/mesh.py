@@ -386,6 +386,9 @@ def _dissection(mesh):
     Node (l, j) of level l = 0 .. D holds the cells with ``leaf >> (D - l)
     == j``; its children are (l + 1, 2j) and (l + 1, 2j + 1).  D is
     floor(log2(n_cells / 2)), so a leaf holds about two to four cells.
+    Keyed r (D + 1) + (D - l), r = (j + 1) 2**(D - l) - 1 its last leaf,
+    the nodes are in postorder: each subtree is one run of keys that ends
+    with its root, after its descendants (``assembly._edge_order``).
 
     The interior edges a split cuts separate everything that couples
     unknowns through shared cells, so each part splits at the median of

@@ -69,8 +69,11 @@ class RunConfig:
             raise ValueError("levels must be a non-empty tuple of strictly "
                              "increasing positive integers, not "
                              f"{self.levels!r}")
-        if any(k not in COOK_KINDS for k in self.cook_kinds):
-            raise ValueError(f"cook kinds must be among {tuple(COOK_KINDS)}")
+        if not isinstance(self.cook_kinds, tuple) or not self.cook_kinds \
+                or not all(k in tuple(COOK_KINDS) for k in self.cook_kinds):
+            raise ValueError("cook_kinds must be a non-empty tuple of "
+                             f"{'/'.join(COOK_KINDS)} names, not "
+                             f"{self.cook_kinds!r}")
         if not isinstance(self.cook_nus, tuple) or not self.cook_nus \
                 or not all(_is_real(nu) and 0.0 <= nu < 0.5
                            for nu in self.cook_nus):

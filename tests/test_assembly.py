@@ -558,8 +558,8 @@ def tree_nodes(mesh):
 
 class TestNestedDissection:
     """On quad meshes of at least ``_DISSECTION_MIN_CELLS`` cells the
-    multipliers are numbered by their edges' nodes in the cells' dissection
-    tree, and S is factored in that numbering."""
+    multipliers are numbered in a postorder of their edges' nodes in the
+    cells' dissection tree, and S is factored in that numbering."""
 
     CASES = {"cook_quad": ("quad_unstructured", 32, cook_domain()),
              "rotated_quad": ("quad_unstructured", 48, ROTATED_SQUARE)}
@@ -589,10 +589,19 @@ class TestNestedDissection:
         j_top = np.where(li <= lj, ji, jj)
         j_low = np.where(li <= lj, jj, ji)
         assert np.all(j_low >> (low - top) == j_top)
-        # numbered in postorder: each node after every node below it
+        # numbered in postorder: at every level, the multipliers of each
+        # node's subtree form one run of multiplier numbers, and the
+        # node's own multipliers end it
         depth, _ = _dissection(system.mesh)
-        position = (index + 1) * (2 ** (depth - level + 1) - 1) - 1
-        assert np.all(np.diff(position[edges]) >= 0)
+        level, index = level[edges], index[edges]
+        for top in range(depth + 1):
+            # the level-top node of every multiplier at or below that level
+            node = np.where(level >= top,
+                            index >> np.maximum(level - top, 0), -1)
+            starts = node[np.flatnonzero(np.diff(node, prepend=-2))]
+            assert np.bincount(starts[starts >= 0]).max() == 1
+            own = level == top
+            assert not np.any(own[:-1] & ~own[1:] & (node[:-1] == node[1:]))
 
     @pytest.mark.parametrize("n, domain", [(64, cook_domain()),
                                            (48, ROTATED_SQUARE)],
@@ -630,7 +639,8 @@ class TestNestedDissection:
         ("poly_voronoi_random", 1024, "mmd"),
         ("hex_structured", 32, "mmd")])  # 1067
     def test_rule(self, kind, n, ordering):
-        assert assembly._ordering(generate_mesh(kind, n)) == ordering
+        order = assembly._edge_order(generate_mesh(kind, n))
+        assert (order is None) == (ordering == "mmd")
 
 
 class TestBlockOperator:

@@ -111,6 +111,17 @@ class TestRunner:
                 call()
             assert repr(nus) in str(exc.value)
 
+    @pytest.mark.parametrize("kinds", [(), ("tri",), ["quad"], "quad"],
+                             ids=["empty", "unknown", "list", "str"])
+    def test_cook_kinds_not_kind_names(self, kinds, tmp_path):
+        config = RunConfig(problem="cook", cook_kinds=kinds, levels=(2,),
+                           csv_path=str(tmp_path / "k.csv"))
+        for call in (config.validate, lambda: run_cook(config)):
+            with pytest.raises(ValueError, match="cook_kinds must be") as exc:
+                call()
+            assert repr(kinds) in str(exc.value)
+        assert list(tmp_path.iterdir()) == []
+
     def test_numpy_seed_and_nus(self):
         rows = run_cook(RunConfig(problem="cook", cook_kinds=("cvor",),
                                   levels=(2,), seed=np.int64(3),
