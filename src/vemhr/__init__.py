@@ -12,8 +12,8 @@ from .assembly import (DisplacementBC, DofMap, GlobalSystem, Solution,
                        SolverError, TractionBC, assemble, inf_sup_constant,
                        load_solution, save_solution, solve)
 from .element import (STABILIZATIONS, CellGroup, body_load_vector,
-                      cell_groups, constant_stress_dofs, divergence_field,
-                      interpolate_global, projection_field)
+                      cell_groups, divergence_field, interpolate_global,
+                      projection_field)
 from .generators import MESH_KINDS, UNIT_SQUARE, generate_mesh
 from .material import (IsotropicMaterial, from_lame,
                        from_young_poisson_plane_strain, sym_dot,

@@ -525,10 +525,10 @@ def inf_sup_constant(mesh, material, stabilization="stab1"):
 SOLUTION_FORMAT_HEADER = "vemhr-solution v1"
 
 
-def write_solution_text(solution, checksum=None) -> str:
+def write_solution_text(solution) -> str:
     report = solution.report
     return (f"{SOLUTION_FORMAT_HEADER}\n"
-            f"mesh_checksum {checksum or mesh_checksum(solution.mesh)}\n"
+            f"mesh_checksum {mesh_checksum(solution.mesh)}\n"
             f"residual {report.residual:.17g}\n"
             f"n_constrained {report.n_constrained}\n"
             f"{len(solution.edge_dofs)}\n"

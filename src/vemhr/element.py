@@ -27,7 +27,6 @@ __all__ = [
     "CellGroup",
     "cell_groups",
     "interpolate_global",
-    "constant_stress_dofs",
     "divergence_field",
     "projection_field",
     "body_load_vector",
@@ -200,14 +199,6 @@ def interpolate_global(mesh, tau):
     (triple-valued) on every edge at once; returns (n_edges, 3)."""
     return _edge_moments(mesh, np.arange(mesh.n_edges), lambda p: np.einsum(
         "eqab,eb->eqa", tensor_to_matrix(_sample(tau, p)), mesh.edge_normals))
-
-
-def constant_stress_dofs(mesh, sigma):
-    """Global DOF table of a constant stress: c_e = sigma n_e, d_e = 0."""
-    smat = tensor_to_matrix(np.asarray(sigma, dtype=float))
-    table = np.zeros((mesh.n_edges, 3))
-    table[:, :2] = mesh.edge_normals @ smat.T
-    return table
 
 
 def divergence_field(mesh, edge_dof_table):

@@ -56,10 +56,12 @@ class IsotropicMaterial:
     D: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ValueError(f"shear modulus must be positive, got {self.mu}")
-        if self.lam < 0.0:
-            raise ValueError(f"first Lame parameter must be >= 0, got {self.lam}")
+        if not (np.isfinite(self.mu) and self.mu > 0.0):
+            raise ValueError("shear modulus must be positive and finite, "
+                             f"got {self.mu}")
+        if not (np.isfinite(self.lam) and self.lam >= 0.0):
+            raise ValueError("first Lame parameter must be finite and >= 0, "
+                             f"got {self.lam}")
         lam, mu = self.lam, self.mu
         c = np.array([[2 * mu + lam, lam, 0.0],
                       [lam, 2 * mu + lam, 0.0],
@@ -107,8 +109,9 @@ def from_lame(lam, mu) -> IsotropicMaterial:
 
 def from_young_poisson_plane_strain(young, nu) -> IsotropicMaterial:
     """Plane-strain conversion; requires 0 <= nu < 1/2."""
-    if young <= 0.0:
-        raise ValueError(f"Young modulus must be positive, got {young}")
+    if not (np.isfinite(young) and young > 0.0):
+        raise ValueError("Young modulus must be positive and finite, "
+                         f"got {young}")
     if not 0.0 <= nu < 0.5:
         raise ValueError(f"Poisson ratio must lie in [0, 0.5), got {nu}")
     lam = young * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))

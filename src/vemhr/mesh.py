@@ -286,14 +286,6 @@ class QualityReport:
     vertex_ratio: np.ndarray
     star_ratio: np.ndarray
 
-    @property
-    def min_vertex_ratio(self):
-        return float(self.vertex_ratio.min())
-
-    @property
-    def min_star_ratio(self):
-        return float(self.star_ratio.min())
-
 
 def check_assumptions(mesh):
     """Per-cell shape-regularity report (reporting only: no cell is

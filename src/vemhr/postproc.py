@@ -4,7 +4,8 @@ The traction error sums kappa * |e| * int_e |(sigma - sigma_h) n|^2 over all
 mesh edges (an energy-like measure), the divergence and displacement errors
 are plain L2 sums over cells.  Interior stress values are only ever reported
 through the cellwise mean projection, which is the one pointwise-known part
-of the discrete stress.
+of the discrete stress.  Every norm, probe and field reads the stress and
+displacement DOFs from a ``Solution`` of the same mesh.
 """
 
 import csv
@@ -34,10 +35,6 @@ __all__ = [
 ]
 
 
-def _edge_dof_table(solution):
-    return solution if isinstance(solution, np.ndarray) else solution.edge_dofs
-
-
 def error_sigma(mesh, solution, sigma_exact, material):
     """Energy-scaled traction error over all mesh edges.
 
@@ -45,7 +42,7 @@ def error_sigma(mesh, solution, sigma_exact, material):
     an edge is c + d s n in the canonical frame.  The scale is the
     ``material.kappa`` of the stabilization (homogeneous material).
     """
-    table = _edge_dof_table(solution)
+    table = solution.edge_dofs
     pts = _edge_points(mesh, np.arange(mesh.n_edges), EDGE_NODES)
     smat = tensor_to_matrix(_sample(sigma_exact, pts))
     t_exact = np.einsum("eqab,eb->eqa", smat, mesh.edge_normals)
@@ -71,14 +68,12 @@ def error_div(mesh, solution, div_sigma_exact):
     """L2 norm of div(sigma - sigma_h); the discrete divergence is the exact
     per-cell rigid motion reconstructed from the stress DOFs."""
     return _rigid_motion_l2_error(
-        mesh, divergence_field(mesh, _edge_dof_table(solution)),
-        div_sigma_exact)
+        mesh, divergence_field(mesh, solution.edge_dofs), div_sigma_exact)
 
 
 def error_u(mesh, solution, u_exact):
     """L2 displacement error against the per-cell rigid motions."""
-    cm = solution if isinstance(solution, np.ndarray) else solution.cell_motions
-    return _rigid_motion_l2_error(mesh, cm, u_exact)
+    return _rigid_motion_l2_error(mesh, solution.cell_motions, u_exact)
 
 
 def equilibrium_residuals(mesh, solution, f=None):
@@ -87,7 +82,7 @@ def equilibrium_residuals(mesh, solution, f=None):
     By construction of the scheme these vanish up to the solver residual;
     they are reported as a cheap a-posteriori sanity check.
     """
-    dv = divergence_field(mesh, _edge_dof_table(solution))
+    dv = divergence_field(mesh, solution.edge_dofs)
     target = np.zeros((mesh.n_cells, 3))
     if f is not None:
         target = body_load_vector(mesh, f)
@@ -119,7 +114,9 @@ ROUNDOFF_FLOOR = 1e-10
 class RateTable:
     """Per-level errors plus least-squares slopes over the last
     ``RATE_WINDOW`` levels (levels with errors at or below ``ROUNDOFF_FLOOR``
-    are excluded from the fit and recorded in ``excluded``)."""
+    are excluded from the fit and recorded in ``excluded``).  ``h_bar``
+    must be positive, finite and strictly decreasing, and every error list
+    must hold one finite, non-negative value per level."""
 
     h_bar: np.ndarray
     errors: dict
@@ -127,13 +124,22 @@ class RateTable:
     excluded: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if np.any(np.diff(self.h_bar) >= 0):
-            raise ValueError("h sequence must be strictly decreasing")
+        h_bar = np.asarray(self.h_bar)
+        if not np.all(np.isfinite(h_bar) & (h_bar > 0)) \
+                or np.any(np.diff(h_bar) >= 0):
+            raise ValueError("h sequence must be positive, finite and "
+                             f"strictly decreasing, got {h_bar.tolist()}")
         for name, e in self.errors.items():
             e = np.asarray(e, dtype=float)
+            if e.shape != h_bar.shape:
+                raise ValueError(f"{name}: {e.size} errors for "
+                                 f"{h_bar.size} levels")
+            if not np.all(np.isfinite(e) & (e >= 0)):
+                raise ValueError(f"{name}: errors must be finite and "
+                                 f"non-negative, got {e.tolist()}")
             keep = e > ROUNDOFF_FLOOR
             self.excluded[name] = np.nonzero(~keep)[0].tolist()
-            h = np.asarray(self.h_bar)[keep][-RATE_WINDOW:]
+            h = h_bar[keep][-RATE_WINDOW:]
             ee = e[keep][-RATE_WINDOW:]
             self.slopes[name] = (least_squares_slope(h, ee)
                                  if len(ee) >= 2 else float("nan"))
@@ -152,14 +158,13 @@ def probe_displacement(mesh, solution, point):
         raise ValueError("empty mesh")
     point = np.asarray(point, dtype=float)
     c = int(np.argmin(((mesh.centroids - point) ** 2).sum(axis=1)))
-    cm = solution if isinstance(solution, np.ndarray) else solution.cell_motions
-    return cm[c, :2].copy()
+    return solution.cell_motions[c, :2].copy()
 
 
 def von_mises_field(mesh, solution, material):
     """Von Mises stress of the per-cell mean projection, one value per cell."""
     return von_mises_plane_strain(
-        projection_field(mesh, _edge_dof_table(solution)), material)
+        projection_field(mesh, solution.edge_dofs), material)
 
 
 CSV_HEADER = ("level", "h_bar", "n_dof", "E_sigma", "E_sigma_div", "E_u",
@@ -167,10 +172,11 @@ CSV_HEADER = ("level", "h_bar", "n_dof", "E_sigma", "E_sigma_div", "E_u",
 
 
 def convergence_csv_text(rows) -> str:
-    """Serialize per-level dicts with the fixed schema.  Incremental rates
-    are blank on the first level and wherever either of the two errors is
-    at or below ``ROUNDOFF_FLOOR``: a rate between round-off values is noise,
-    and its digits would change with any last-bit change of the solve."""
+    """Serialize per-level dicts with the fixed schema.  An error at or
+    below ``ROUNDOFF_FLOOR`` is written as zero, and incremental rates are
+    blank on the first level and wherever either of the two errors is at or
+    below the floor: round-off values and the rates between them are noise,
+    and their digits would change with any last-bit change of the solve."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -182,9 +188,10 @@ def convergence_csv_text(rows) -> str:
             for k, key in enumerate(("E_sigma", "E_sigma_div", "E_u")):
                 if min(row[key], prev[key]) > ROUNDOFF_FLOOR:
                     rates[k] = f"{np.log(row[key] / prev[key]) / dh:.6f}"
+        errors = [row[key] if row[key] > ROUNDOFF_FLOOR else 0.0
+                  for key in ("E_sigma", "E_sigma_div", "E_u")]
         writer.writerow([row["level"], f"{row['h_bar']:.12e}", row["n_dof"],
-                         f"{row['E_sigma']:.12e}", f"{row['E_sigma_div']:.12e}",
-                         f"{row['E_u']:.12e}", *rates])
+                         *(f"{e:.12e}" for e in errors), *rates])
         prev = row
     return buf.getvalue()
 
@@ -198,7 +205,7 @@ def write_vtk_polydata(path, mesh, cell_data=None, title="vemhr output"):
     """Legacy ASCII VTK polydata with per-cell data.
 
     2-column arrays are written as VECTORS (zero-padded to 3 components),
-    1-dimensional arrays as SCALARS.
+    1-dimensional arrays as SCALARS; each array has one row per cell.
     """
     offsets = mesh.cell_offsets
     # each polygon line is the vertex count followed by the vertex ids
@@ -212,9 +219,13 @@ def write_vtk_polydata(path, mesh, cell_data=None, title="vemhr output"):
         parts.append(f"CELL_DATA {mesh.n_cells}\n")
         for name, arr in cell_data.items():
             arr = np.asarray(arr, dtype=float)
+            if arr.shape not in ((mesh.n_cells,), (mesh.n_cells, 2)):
+                raise ValueError(f"cell data {name!r} of shape {arr.shape}: "
+                                 f"need ({mesh.n_cells},) or "
+                                 f"({mesh.n_cells}, 2)")
             if arr.ndim == 2:
                 parts += [f"VECTORS {name} double\n",
-                          _format_rows(arr[:, :2], "%.12e", " 0.0\n")]
+                          _format_rows(arr, "%.12e", " 0.0\n")]
             else:
                 parts += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n",
                           _format_rows(arr.reshape(-1, 1), "%.12e")]

@@ -54,12 +54,19 @@ class ExactSolution:
 
 @dataclass(frozen=True)
 class ProblemSpec:
+    """``domain`` holds the corners as an (n, 2) float array, checked like
+    ``generate_mesh``'s (ValueError unless strictly convex and
+    counterclockwise)."""
+
     name: str
     domain: np.ndarray
     material: IsotropicMaterial
     body_force: object
     boundary: object
     exact: ExactSolution = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "domain", _convex_domain(self.domain))
 
 
 def _dirichlet(g):
@@ -208,10 +215,8 @@ def grad_complex_step(field, points):
 
 def verify_exact_bundle(problem):
     """Cross-check the hand-coded bundle against derivative oracles on 20
-    random interior points (RNG seed 1234) of the problem's domain (the
-    unit square for None; ValueError unless strictly convex and
-    counterclockwise, as in ``generate_mesh``); returns the worst relative
-    deviations.
+    random interior points (RNG seed 1234) of the problem's domain;
+    returns the worst relative deviations.
 
     The constitutive check is measured relative to the scale (lam + 2 mu)
     max|eps|, which keeps the finite-difference oracle meaningful when
@@ -219,9 +224,7 @@ def verify_exact_bundle(problem):
     """
     if problem.exact is None:
         raise ValueError(f"problem {problem.name} has no exact bundle")
-    domain = (UNIT_SQUARE if problem.domain is None
-              else _convex_domain(problem.domain))
-    pts = _sample_seeds(domain, 20, np.random.default_rng(1234))
+    pts = _sample_seeds(problem.domain, 20, np.random.default_rng(1234))
     exact = problem.exact
     mat = problem.material
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import postproc
 from .assembly import SOLVER_TOL, SolverError, assemble, solve
 from .element import STABILIZATIONS, projection_field
-from .generators import MESH_KINDS, UNIT_SQUARE, _is_count, generate_mesh
+from .generators import MESH_KINDS, _is_count, generate_mesh
 from .mesh import cook_domain
 from .postproc import von_mises_field, write_vtk_polydata
 from .problems import COOK_PROBE_POINT, problem_cook, problem_test_a, \
@@ -151,7 +151,7 @@ def convergence_study(problems, kind, levels, config: RunConfig):
     if not problems:
         raise ValueError("a convergence study needs at least one problem")
     domain = problems[0].domain
-    if not all(_same_domain(p.domain, domain) for p in problems[1:]):
+    if not all(np.array_equal(p.domain, domain) for p in problems[1:]):
         raise ValueError("the problems of one study must share a domain")
     try:
         meshes = generate_mesh(
@@ -182,12 +182,6 @@ def convergence_study(problems, kind, levels, config: RunConfig):
                 continue
             rows.append(_study_row(mesh, problem, solution, level))
     return results
-
-
-def _same_domain(a, b):
-    a = UNIT_SQUARE if a is None else np.asarray(a, dtype=float)
-    b = UNIT_SQUARE if b is None else np.asarray(b, dtype=float)
-    return np.array_equal(a, b)
 
 
 def _study_row(mesh, problem, solution, level):

@@ -19,10 +19,10 @@ tables.
 import numpy as np
 import pytest
 
-from vemhr.assembly import assemble, solve
-from vemhr.element import (constant_stress_dofs, divergence_field,
-                           interpolate_global, projection_field)
-from vemhr.generators import MESH_KINDS, generate_mesh
+from vemhr.assembly import Solution, assemble, solve
+from vemhr.element import (divergence_field, interpolate_global,
+                           projection_field)
+from vemhr.generators import MESH_KINDS, UNIT_SQUARE, generate_mesh
 from vemhr.material import from_lame
 from vemhr.mesh import build_topology, perp
 from vemhr.postproc import (convergence_rates, error_sigma,
@@ -80,6 +80,13 @@ def cook_runs():
     return rows, refs
 
 
+def constant_stress_table(mesh, sigma):
+    """Edge DOFs of a constant stress: its edge-moment interpolant."""
+    sigma = np.asarray(sigma, dtype=float)
+    return interpolate_global(
+        mesh, lambda p: np.broadcast_to(sigma, p.shape[:-1] + (3,)))
+
+
 def rm_projection(mesh, u):
     pts, wts, owner = mesh_polygon_quadrature(mesh)
     uv = u(pts)
@@ -100,7 +107,7 @@ def test_criterion_1_patch_all_families():
     u = lambda p: p @ grad.T
     sigma0 = mat.stress([1.0, 0.0, 0.0])
     bc = DisplacementBC(g=u)
-    problem = ProblemSpec(name="patch", domain=None, material=mat,
+    problem = ProblemSpec(name="patch", domain=UNIT_SQUARE, material=mat,
                           body_force=None, boundary=lambda m, e: bc,
                           exact=None)
     worst = {}
@@ -108,7 +115,8 @@ def test_criterion_1_patch_all_families():
         n = 16 if kind.startswith("poly_voronoi") else 4
         mesh = generate_mesh(kind, n, seed=0)
         solution = solve(assemble(mesh, problem))
-        dof_err = (np.abs(solution.edge_dofs - constant_stress_dofs(mesh, sigma0)).max()
+        dof_err = (np.abs(solution.edge_dofs
+                          - constant_stress_table(mesh, sigma0)).max()
                    / np.abs(sigma0).max())
         proj = rm_projection(mesh, u)
         delta = solution.cell_motions - proj
@@ -237,7 +245,9 @@ def test_criterion_7_interpolation_operator():
             mesh = mesh_for_level(kind, n, seed=0)
             table = interpolate_global(mesh, problem.exact.stress)
             hs.append(mesh.mean_edge_length)
-            es.append(error_sigma(mesh, table, problem.exact.stress,
+            interpolant = Solution(mesh=mesh, edge_dofs=table,
+                                   cell_motions=None, report=None)
+            es.append(error_sigma(mesh, interpolant, problem.exact.stress,
                                   problem.material))
         slopes[kind] = least_squares_slope(hs[-3:], es[-3:])
         if not RATE_LO <= slopes[kind] <= RATE_HI:
@@ -321,7 +331,7 @@ def test_criterion_8_unisolvence_and_compatibility():
 
         # constant reproduction
         sigma = rng.standard_normal(3)
-        table = constant_stress_dofs(mesh, sigma)
+        table = constant_stress_table(mesh, sigma)
         dev = max(np.abs(divergence_field(mesh, table)[0]).max()
                   / np.abs(sigma).max(),
                   np.abs(projection_field(mesh, table)[0] - sigma).max()

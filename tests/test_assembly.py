@@ -17,10 +17,10 @@ from vemhr.assembly import (DisplacementBC, DofMap, GlobalSystem, Solution,
                             _scatter_blocks, assemble,
                             inf_sup_constant, load_solution, save_solution,
                             solve, write_solution_text)
-from vemhr.element import STABILIZATIONS, constant_stress_dofs
-from vemhr.generators import MESH_KINDS, generate_mesh
+from vemhr.element import STABILIZATIONS, interpolate_global
+from vemhr.generators import MESH_KINDS, UNIT_SQUARE, generate_mesh
 from vemhr.material import from_lame
-from vemhr.mesh import _dissection, build_topology, cook_domain
+from vemhr.mesh import _dissection, build_topology, cook_domain, mesh_checksum
 from vemhr.postproc import equilibrium_residuals
 from vemhr.quadrature import mesh_polygon_quadrature
 from vemhr.problems import ProblemSpec, problem_cook, problem_test_a, \
@@ -29,20 +29,28 @@ from vemhr.problems import ProblemSpec, problem_cook, problem_test_a, \
 UNIT = generate_mesh("quad_structured", 1)
 
 
+def constant_stress_table(mesh, sigma):
+    """Edge DOFs of a constant stress: its edge-moment interpolant."""
+    sigma = np.asarray(sigma, dtype=float)
+    return interpolate_global(
+        mesh, lambda p: np.broadcast_to(sigma, p.shape[:-1] + (3,)))
+
+
 def patch_problem(u=None):
     """Homogeneous material with weak displacement data u on every edge."""
     if u is None:
         u = lambda p: np.stack([p[..., 0], 0 * p[..., 1]], axis=-1)
     bc = DisplacementBC(g=u)
-    return ProblemSpec(name="patch", domain=None, material=from_lame(1.0, 1.0),
-                       body_force=None, boundary=lambda m, e: bc, exact=None), u
+    return ProblemSpec(name="patch", domain=UNIT_SQUARE,
+                       material=from_lame(1.0, 1.0), body_force=None,
+                       boundary=lambda m, e: bc, exact=None), u
 
 
 def one_traction_edge_problem(edge, traction=None):
     """Homogeneous material with a prescribed traction on one boundary edge
     and zero weak displacement data on the others."""
     bc = TractionBC(traction=traction)
-    return ProblemSpec(name="one-traction-edge", domain=None,
+    return ProblemSpec(name="one-traction-edge", domain=UNIT_SQUARE,
                        material=from_lame(1.0, 1.0), body_force=None,
                        boundary=lambda m, e: bc if e == edge
                        else DisplacementBC(), exact=None)
@@ -82,7 +90,7 @@ class TestAssemble:
         system = assemble(mesh, problem)
         dm = system.dofmap
         x = np.zeros(dm.size)
-        x[:dm.n_stress] = constant_stress_dofs(mesh, [2.0, 1.0, -0.5]).ravel()
+        x[:dm.n_stress] = constant_stress_table(mesh, [2.0, 1.0, -0.5]).ravel()
         assert np.abs((system.matrix @ x)[dm.n_stress:]).max() < 1e-13
 
 
@@ -101,7 +109,7 @@ class TestPatchExactness:
                         0.5 * (grad[0, 1] + grad[1, 0])])
         sigma0 = problem.material.stress(eps)
         assert_allclose(solution.edge_dofs,
-                        constant_stress_dofs(mesh, sigma0), atol=1e-11)
+                        constant_stress_table(mesh, sigma0), atol=1e-11)
 
     def test_rigid_motion_gives_zero_stress(self):
         mesh = generate_mesh("quad_structured", 3)
@@ -194,11 +202,12 @@ class TestEssentialTraction:
                 return TractionBC(traction=left_traction)
             return DisplacementBC(g=u)
 
-        problem = ProblemSpec(name="mixed-patch", domain=None, material=mat,
-                              body_force=None, boundary=boundary, exact=None)
+        problem = ProblemSpec(name="mixed-patch", domain=UNIT_SQUARE,
+                              material=mat, body_force=None,
+                              boundary=boundary, exact=None)
         solution = solve(assemble(mesh, problem))
         assert_allclose(solution.edge_dofs,
-                        constant_stress_dofs(mesh, sigma0), atol=1e-11)
+                        constant_stress_table(mesh, sigma0), atol=1e-11)
 
     def test_equal_conditions_evaluated_once(self):
         # a classifier returning a fresh but equal condition per edge still
@@ -211,7 +220,7 @@ class TestEssentialTraction:
 
         mesh = generate_mesh("quad_structured", 3)
         problem = ProblemSpec(
-            name="t", domain=None, material=from_lame(1.0, 1.0),
+            name="t", domain=UNIT_SQUARE, material=from_lame(1.0, 1.0),
             body_force=None, exact=None,
             boundary=lambda m, e: (TractionBC(traction=traction)
                                    if m.edge_midpoints[e, 1] > 1 - 1e-12
@@ -235,7 +244,7 @@ class TestSolve:
         mat = from_lame(1.0, 1.0)
         bc = TractionBC(traction=lambda p: np.broadcast_to(
             np.array([1.0, 0.0]), p.shape))
-        problem = ProblemSpec(name="bad", domain=None, material=mat,
+        problem = ProblemSpec(name="bad", domain=UNIT_SQUARE, material=mat,
                               body_force=None, boundary=lambda m, e: bc,
                               exact=None)
         with pytest.raises(SolverError):
@@ -276,7 +285,7 @@ class TestSolve:
         solution = solve(assemble(UNIT, problem))
         assert solution.report.lu_nnz == 0
         assert solution.report.ordering == ""
-        assert_allclose(solution.edge_dofs, constant_stress_dofs(
+        assert_allclose(solution.edge_dofs, constant_stress_table(
             UNIT, problem.material.stress([1.0, 0.0, 0.0])), atol=1e-13)
 
     def test_factor_seconds_reported(self):
@@ -343,7 +352,7 @@ def pure_traction_problem(balanced):
     else:
         bc = constant_traction(np.array([1.0, 0.0]))
         boundary = lambda m, e: bc
-    return ProblemSpec(name="pure-traction", domain=None,
+    return ProblemSpec(name="pure-traction", domain=UNIT_SQUARE,
                        material=from_lame(1.0, 1.0), body_force=None,
                        boundary=boundary, exact=None)
 
@@ -367,7 +376,7 @@ class TestHybridSolve:
             [p[..., 1] ** 2, np.sin(p[..., 0])], axis=-1))
         bcs = [left, disp, bottom, disp]
         return ProblemSpec(
-            name="mixed", domain=None, material=from_lame(2.0, 1.0),
+            name="mixed", domain=UNIT_SQUARE, material=from_lame(2.0, 1.0),
             body_force=lambda p: np.stack(
                 [1.0 + p[..., 0], p[..., 0] * p[..., 1]], axis=-1),
             boundary=lambda m, e: bcs[unit_side(m, e)], exact=None)
@@ -750,9 +759,11 @@ class TestSolutionIO:
                              n_constrained=n_constrained, residual=residual,
                              lu_nnz=0, factor_s=0.0,
                              peak_rss_mb=0.0, ordering="")
+        # the format does not tie the table sizes to the mesh; only
+        # load_solution(path, mesh) checks them
         text = write_solution_text(
-            Solution(mesh=None, edge_dofs=edge, cell_motions=cells,
-                     report=report), checksum="abc")
+            Solution(mesh=UNIT, edge_dofs=edge, cell_motions=cells,
+                     report=report))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "sol.txt")
             with open(path, "w") as fh:
@@ -778,9 +789,9 @@ class TestSolutionIO:
                              lu_nnz=0, factor_s=0.0,
                              peak_rss_mb=0.0, ordering="")
         text = write_solution_text(
-            Solution(mesh=None, edge_dofs=edge, cell_motions=cells,
-                     report=report), checksum="abc")
-        lines = ["vemhr-solution v1", "mesh_checksum abc",
+            Solution(mesh=UNIT, edge_dofs=edge, cell_motions=cells,
+                     report=report))
+        lines = ["vemhr-solution v1", f"mesh_checksum {mesh_checksum(UNIT)}",
                  f"residual {2.5e-15:.17g}", "n_constrained 3", "7"]
         lines += [" ".join(f"{v:.17g}" for v in row) for row in edge]
         lines.append("2")
@@ -853,7 +864,7 @@ class TestNonStarCell:
         solution = solve(assemble(mesh, problem))
         eps = np.array([grad[0, 0], grad[1, 1],
                         0.5 * (grad[0, 1] + grad[1, 0])])
-        assert_allclose(solution.edge_dofs, constant_stress_dofs(
+        assert_allclose(solution.edge_dofs, constant_stress_table(
             mesh, problem.material.stress(eps)), rtol=0, atol=1e-12)
         assert equilibrium_residuals(mesh, solution).max() < 1e-13
 

@@ -2,18 +2,24 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vemhr.assembly import DisplacementBC, assemble
-from vemhr.element import (body_load_vector, cell_groups,
-                           constant_stress_dofs, divergence_field,
+from vemhr.assembly import DisplacementBC, Solution, assemble
+from vemhr.element import (body_load_vector, cell_groups, divergence_field,
                            interpolate_global, projection_field)
 from vemhr.material import from_lame, sym_dot
 from vemhr.mesh import MeshError, build_topology, perp
 from vemhr.postproc import error_u
 from vemhr.problems import ProblemSpec
 from vemhr.quadrature import mesh_polygon_quadrature
-from vemhr.generators import generate_mesh
+from vemhr.generators import UNIT_SQUARE, generate_mesh
 
 SQUARE = build_topology([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]])
+
+
+def constant_stress_table(mesh, sigma):
+    """Edge DOFs of a constant stress: its edge-moment interpolant."""
+    sigma = np.asarray(sigma, dtype=float)
+    return interpolate_global(
+        mesh, lambda p: np.broadcast_to(sigma, p.shape[:-1] + (3,)))
 
 
 def random_polygon_mesh(seed, n_min=3, n_max=9):
@@ -103,7 +109,8 @@ def edge_moments_oracle(mesh, tau):
 def dirichlet_rhs(mesh, edge, g):
     """Weak displacement data of one edge, read off the assembled rhs."""
     bc = DisplacementBC(g=g)
-    problem = ProblemSpec(name="t", domain=None, material=from_lame(1.0, 1.0),
+    problem = ProblemSpec(name="t", domain=UNIT_SQUARE,
+                          material=from_lame(1.0, 1.0),
                           body_force=None, boundary=lambda m, e: bc,
                           exact=None)
     return assemble(mesh, problem).rhs[3 * edge:3 * edge + 3]
@@ -115,8 +122,10 @@ class TestRigidMotionBasis:
         # (c2, -c1), anchored at the centroid
         xc = SQUARE.centroids[0]
         assert_allclose(perp(np.array([1.0, 1.0]) - xc), [0.5, -0.5])
-        assert error_u(SQUARE, np.array([[0.0, 0.0, 1.0]]),
-                       lambda p: perp(p - xc)) < 1e-15
+        motion = Solution(mesh=SQUARE, edge_dofs=None,
+                          cell_motions=np.array([[0.0, 0.0, 1.0]]),
+                          report=None)
+        assert error_u(SQUARE, motion, lambda p: perp(p - xc)) < 1e-15
 
     def test_orthogonality(self):
         # translations are L2-orthogonal to the rotation about the centroid
@@ -125,14 +134,16 @@ class TestRigidMotionBasis:
 
     def test_rotation_mass_is_second_moment(self):
         xc = SQUARE.centroids[0]
-        val = error_u(SQUARE, np.zeros((1, 3)), lambda p: perp(p - xc))
+        rest = Solution(mesh=SQUARE, edge_dofs=None,
+                        cell_motions=np.zeros((1, 3)), report=None)
+        val = error_u(SQUARE, rest, lambda p: perp(p - xc))
         assert_allclose(val**2, 1.0 / 6.0, rtol=1e-14)
         assert_allclose(SQUARE.second_moments[0], 1.0 / 6.0, rtol=1e-14)
 
 
 class TestDivReconstruction:
     def test_identity_tractions_divergence_free(self):
-        table = constant_stress_dofs(SQUARE, [1, 1, 0])
+        table = constant_stress_table(SQUARE, [1, 1, 0])
         assert_allclose(divergence_field(SQUARE, table)[0], np.zeros(3),
                         atol=1e-14)
 
@@ -170,7 +181,7 @@ class TestDivReconstruction:
 class TestMeanStress:
     def test_reproduces_constants(self):
         sigma = np.array([1.0, 2.0, 0.0])
-        table = constant_stress_dofs(SQUARE, sigma)
+        table = constant_stress_table(SQUARE, sigma)
         assert_allclose(projection_field(SQUARE, table)[0], sigma, atol=1e-14)
 
     def test_linear_field_mean(self):
@@ -189,7 +200,7 @@ class TestMeanStress:
         mesh = random_polygon_mesh(200 + seed)
         rng = np.random.default_rng(seed)
         sigma = rng.standard_normal(3)
-        table = constant_stress_dofs(mesh, sigma)
+        table = constant_stress_table(mesh, sigma)
         assert_allclose(projection_field(mesh, table)[0], sigma, rtol=1e-12,
                         atol=1e-13)
         assert_allclose(divergence_field(mesh, table)[0], np.zeros(3),
@@ -257,15 +268,15 @@ class TestLocalEnergyMatrix:
             A = a_matrix(mesh, mat)
             s0 = rng.standard_normal(3)
             t0 = rng.standard_normal(3)
-            ds = constant_stress_dofs(mesh, s0).ravel()
-            dt = constant_stress_dofs(mesh, t0).ravel()
+            ds = constant_stress_table(mesh, s0).ravel()
+            dt = constant_stress_table(mesh, t0).ravel()
             exact = mesh.areas[0] * sym_dot(mat.strain(s0), t0)
             assert_allclose(ds @ A @ dt, exact, rtol=1e-12)
 
     def test_identity_energy_value(self):
         # |E| (D Id : Id) = 1/2 on the unit square with unit Lame pair
         mat = from_lame(1.0, 1.0)
-        d = constant_stress_dofs(SQUARE, [1, 1, 0]).ravel()
+        d = constant_stress_table(SQUARE, [1, 1, 0]).ravel()
         assert_allclose(d @ a_matrix(SQUARE, mat) @ d, 0.5, rtol=1e-13)
 
     @pytest.mark.parametrize("variant", ["stab1", "stab1bis"])
@@ -341,7 +352,7 @@ class TestLocalCoupling:
                         atol=1e-14)
 
     def test_constants_in_kernel(self):
-        dofs = constant_stress_dofs(SQUARE, [3.0, -1.0, 2.0]).ravel()
+        dofs = constant_stress_table(SQUARE, [3.0, -1.0, 2.0]).ravel()
         assert_allclose(b_matrix(SQUARE) @ dofs, np.zeros(3), atol=1e-13)
 
     def test_full_rank(self):
@@ -404,7 +415,7 @@ class TestDirichletBoundaryTerm:
                               [[0, 1, 2], [1, 3, 2]])
         asked = []
         bc = DisplacementBC(g=lambda p: np.zeros(p.shape))
-        problem = ProblemSpec(name="t", domain=None,
+        problem = ProblemSpec(name="t", domain=UNIT_SQUARE,
                               material=from_lame(1.0, 1.0), body_force=None,
                               boundary=lambda m, e: asked.append(e) or bc,
                               exact=None)
@@ -419,8 +430,12 @@ class TestInterpolation:
     def test_constant_exact(self):
         sigma = np.array([2.0, -1.0, 0.5])
         tau = lambda p: np.broadcast_to(sigma, p.shape[:-1] + (3,))
-        assert_allclose(interpolate_global(SQUARE, tau),
-                        constant_stress_dofs(SQUARE, sigma), atol=1e-14)
+        # c_e = sigma n_e and d_e = 0 on every edge
+        expected = np.zeros((SQUARE.n_edges, 3))
+        expected[:, :2] = SQUARE.edge_normals @ np.array([[2.0, 0.5],
+                                                          [0.5, -1.0]])
+        assert_allclose(interpolate_global(SQUARE, tau), expected,
+                        atol=1e-14)
 
     def test_moment_coefficient(self):
         # traction s n on a unit edge: c = 0, d = 1 (coefficient |e|^2/12);

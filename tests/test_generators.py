@@ -57,8 +57,8 @@ def test_all_kinds_valid(kind):
     mesh = generate_mesh(kind, n, seed=0)
     assert abs(mesh.areas.sum() - 1.0) < 1e-10
     report = check_assumptions(mesh)
-    assert report.min_star_ratio > 0.05
-    assert report.min_vertex_ratio > 0.01
+    assert report.star_ratio.min() > 0.05
+    assert report.vertex_ratio.min() > 0.01
     assert mesh.mean_edge_length > 0
     assert mesh.metadata["kind"] == kind
 

@@ -68,6 +68,27 @@ class TestPlaneStrainConversion:
             from_young_poisson_plane_strain(70.0, 0.5)
 
 
+class TestNonFiniteRejected:
+    # NaN passes every sign check, so without the finiteness test these
+    # would build materials whose kappa is NaN
+    @pytest.mark.parametrize("lam, mu", [(np.nan, 1.0), (1.0, np.nan),
+                                         (np.inf, 1.0), (1.0, np.inf)])
+    def test_lame(self, lam, mu):
+        with pytest.raises(ValueError, match="finite"):
+            from_lame(lam, mu)
+
+    @pytest.mark.parametrize("young, nu", [(np.nan, 0.3), (np.inf, 0.3),
+                                           (70.0, np.nan)])
+    def test_young_poisson(self, young, nu):
+        with pytest.raises(ValueError):
+            from_young_poisson_plane_strain(young, nu)
+
+    def test_overflowing_lame_rejected(self):
+        # a finite but huge Young modulus overflows lam to inf
+        with pytest.raises(ValueError, match="finite"):
+            from_young_poisson_plane_strain(1e308, 0.49)
+
+
 class TestKappa:
     def test_unit_lame_value(self):
         # invert C = [[3,1,0],[1,3,0],[0,0,2]] by hand: tr(D) = 3/8+3/8+1/2

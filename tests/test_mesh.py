@@ -166,8 +166,8 @@ class TestQuality:
     def test_convex_cells_positive_ratio(self):
         mesh = generate_mesh("poly_voronoi_cvt", 16, seed=1)
         report = check_assumptions(mesh)
-        assert report.min_star_ratio > 0.0
-        assert report.min_vertex_ratio > 0.0
+        assert report.star_ratio.min() > 0.0
+        assert report.vertex_ratio.min() > 0.0
 
     def test_arrow_cell(self):
         # star-shaped, not convex: the kernel is the triangle (0,0), (2,0),

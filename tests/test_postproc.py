@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vemhr.assembly import DisplacementBC, assemble, solve
-from vemhr.element import constant_stress_dofs
-from vemhr.generators import generate_mesh
+from vemhr.assembly import DisplacementBC, Solution, assemble, solve
+from vemhr.element import interpolate_global
+from vemhr.generators import UNIT_SQUARE, generate_mesh
 from vemhr.material import from_lame
 from vemhr.mesh import build_topology
-from vemhr.postproc import (convergence_csv_text, convergence_rates,
-                            error_div, error_sigma, error_u,
+from vemhr.postproc import (ROUNDOFF_FLOOR, convergence_csv_text,
+                            convergence_rates, error_div, error_sigma, error_u,
                             least_squares_slope, probe_displacement,
                             von_mises_field, write_vtk_polydata)
 from vemhr.problems import ProblemSpec, problem_test_a
@@ -23,9 +23,20 @@ def const_field(vec):
     return lambda p: np.broadcast_to(vec, p.shape[:-1] + (len(vec),))
 
 
+def dofs_solution(mesh, edge_dofs=None, cell_motions=None):
+    """A solution holding the given DOF tables (zeros where not given)."""
+    return Solution(
+        mesh=mesh,
+        edge_dofs=(np.zeros((mesh.n_edges, 3)) if edge_dofs is None
+                   else np.asarray(edge_dofs, dtype=float)),
+        cell_motions=(np.zeros((mesh.n_cells, 3)) if cell_motions is None
+                      else np.asarray(cell_motions, dtype=float)),
+        report=None)
+
+
 def dirichlet_problem(u, material=None):
     bc = DisplacementBC(g=u)
-    return ProblemSpec(name="t", domain=None,
+    return ProblemSpec(name="t", domain=UNIT_SQUARE,
                        material=material or from_lame(1.0, 1.0),
                        body_force=None, boundary=lambda m, e: bc, exact=None)
 
@@ -33,19 +44,18 @@ def dirichlet_problem(u, material=None):
 class TestErrorSigma:
     def test_exact_constant_gives_zero(self):
         sigma = np.array([1.0, -2.0, 0.5])
-        table = constant_stress_dofs(UNIT, sigma)
+        sol = dofs_solution(UNIT, interpolate_global(UNIT, const_field(sigma)))
         material = from_lame(1.0, 1.0)
-        assert error_sigma(UNIT, table, const_field(sigma), material) < 1e-13
+        assert error_sigma(UNIT, sol, const_field(sigma), material) < 1e-13
 
     def test_single_edge_contribution(self):
         # (sigma - sigma_h) n = n on one unit edge: term kappa * |e| * 1
-        table = constant_stress_dofs(UNIT, [1.0, 1.0, 0.0])
-        broken = table.copy()
+        broken = interpolate_global(UNIT, const_field([1.0, 1.0, 0.0]))
         broken[0] = 0.0
         # removing edge 0's DOFs leaves misfit c = sigma n_e, |misfit| = 1
         for material in (from_lame(1.0, 1.0), from_lame(2.0, 0.5)):
-            err = error_sigma(UNIT, broken, const_field([1.0, 1.0, 0.0]),
-                              material)
+            err = error_sigma(UNIT, dofs_solution(UNIT, broken),
+                              const_field([1.0, 1.0, 0.0]), material)
             assert_allclose(err, np.sqrt(material.kappa), rtol=1e-13)
 
     def test_relabeling_invariance(self):
@@ -67,9 +77,10 @@ class TestErrorSigma:
 class TestErrorU:
     def test_projection_remainder(self):
         # u = (x, 0), u_h = (0.5, 0): error^2 = int (x - 1/2)^2 = 1/12
-        cm = np.array([[0.5, 0.0, 0.0]])
+        sol = dofs_solution(UNIT, cell_motions=[[0.5, 0.0, 0.0]])
         u = lambda p: np.stack([p[..., 0], 0 * p[..., 1]], axis=-1)
-        assert_allclose(error_u(UNIT, cm, u), np.sqrt(1.0 / 12.0), rtol=1e-13)
+        assert_allclose(error_u(UNIT, sol, u), np.sqrt(1.0 / 12.0),
+                        rtol=1e-13)
 
     def test_rigid_exact_solution_zero_error(self):
         mesh = generate_mesh("quad_structured", 3)
@@ -109,7 +120,7 @@ class TestErrorDiv:
         mesh = generate_mesh("quad_structured", 4)
         f = const_field([0.7, -0.3])
         bc = DisplacementBC(g=None)
-        problem = ProblemSpec(name="rm-load", domain=None,
+        problem = ProblemSpec(name="rm-load", domain=UNIT_SQUARE,
                               material=from_lame(1.0, 1.0), body_force=f,
                               boundary=lambda m, e: bc, exact=None)
         sol = solve(assemble(mesh, problem))
@@ -153,6 +164,24 @@ class TestRates:
         with pytest.raises(ValueError):
             convergence_rates([0.1, 0.2], {"e": [1.0, 2.0]})
 
+    @pytest.mark.parametrize("h", [[np.nan, 0.5, 0.25], [1.0, 0.0, -1.0]])
+    def test_non_finite_or_non_positive_h_rejected(self, h):
+        # a NaN h compares false with everything, so it passed the order test
+        with pytest.raises(ValueError, match="h sequence must be positive"):
+            convergence_rates(h, {"e": [1.0, 0.5, 0.25]})
+
+    def test_length_mismatch_names_the_key(self):
+        with pytest.raises(ValueError, match="E: 1 errors for 2 levels"):
+            convergence_rates([0.5, 0.25], {"E": [1.0]})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_non_finite_or_negative_error_names_the_key(self, bad):
+        # a NaN level used to be dropped as round-off and left out of the fit
+        with pytest.raises(ValueError, match="E_u: errors must be finite"):
+            convergence_rates([0.5, 0.25, 0.125],
+                              {"E_sigma": [1.0, 0.5, 0.25],
+                               "E_u": [1.0, bad, 0.1]})
+
     def test_least_squares_slope_needs_two(self):
         with pytest.raises(ValueError):
             least_squares_slope([0.1], [1.0])
@@ -168,7 +197,8 @@ class TestProbe:
     def test_nearest_centroid_selection(self):
         mesh = generate_mesh("quad_structured", 2)
         cm = np.arange(mesh.n_cells * 3, dtype=float).reshape(-1, 3)
-        val = probe_displacement(mesh, cm, [0.9, 0.9])
+        val = probe_displacement(mesh, dofs_solution(mesh, cell_motions=cm),
+                                 [0.9, 0.9])
         c = int(np.argmin(((mesh.centroids - [0.9, 0.9]) ** 2).sum(1)))
         assert_allclose(val, cm[c, :2])
 
@@ -176,8 +206,8 @@ class TestProbe:
 class TestVonMisesField:
     def test_zero_stress(self):
         mesh = generate_mesh("quad_structured", 2)
-        table = np.zeros((mesh.n_edges, 3))
-        assert_allclose(von_mises_field(mesh, table, from_lame(1.0, 1.0)),
+        assert_allclose(von_mises_field(mesh, dofs_solution(mesh),
+                                        from_lame(1.0, 1.0)),
                         np.zeros(mesh.n_cells))
 
     def test_pure_shear_constant(self):
@@ -205,6 +235,34 @@ class TestWriters:
         rates = lines[2].split(",")[-3:]
         assert_allclose([float(r) for r in rates], [1.0, 2.0, 1.0],
                         atol=1e-12)
+
+    def test_csv_roundoff_errors_written_as_zero(self):
+        # test-a's E_sigma_div is solver round-off: values that differ only
+        # in their last digits must give the same bytes
+        def rows(div):
+            return [{"level": n, "h_bar": h, "n_dof": 10 * n, "E_sigma": e,
+                     "E_sigma_div": d, "E_u": 2 * e}
+                    for n, h, e, d in zip((8, 16), (0.2, 0.1), (1.0, 0.5),
+                                          div)]
+        text = convergence_csv_text(rows((3.0147e-14, 2.1e-14)))
+        assert text == convergence_csv_text(rows((3.0149e-14, 2.3e-14)))
+        assert text == convergence_csv_text(rows((ROUNDOFF_FLOOR, 0.0)))
+        for line in text.strip().split("\n")[1:]:
+            fields = line.split(",")
+            assert fields[4] == "0.000000000000e+00"
+            assert fields[7] == ""  # rate_div
+        above = convergence_csv_text(rows((2.0 * ROUNDOFF_FLOOR, 0.5)))
+        assert above.split("\n")[1].split(",")[4] == "2.000000000000e-10"
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (4, 3), (4, 1), (4, 2, 1),
+                                       ()])
+    def test_vtk_cell_data_shape_checked(self, tmp_path, shape):
+        mesh = generate_mesh("quad_structured", 2)  # 4 cells
+        path = tmp_path / "out.vtk"
+        with pytest.raises(ValueError, match="cell data 'bad'"):
+            write_vtk_polydata(path, mesh, {"ok": np.zeros(mesh.n_cells),
+                                            "bad": np.ones(shape)})
+        assert not path.exists()
 
     def test_vtk_structure(self, tmp_path):
         mesh = generate_mesh("quad_structured", 2)

@@ -12,7 +12,7 @@ from vemhr import quadrature, runner
 from vemhr.assembly import TractionBC, assemble, solve
 from vemhr.cli import main
 from vemhr.material import from_lame
-from vemhr.generators import generate_mesh
+from vemhr.generators import UNIT_SQUARE, generate_mesh
 from vemhr.mesh import MeshError, cook_domain, load_mesh, save_mesh
 from vemhr.postproc import CSV_HEADER, ROUNDOFF_FLOOR
 from vemhr.problems import ProblemSpec, problem_cook, problem_test_a, \
@@ -220,7 +220,7 @@ class TestRunner:
         # tractions on every edge out of equilibrium: singular system
         bc = TractionBC(traction=lambda p: np.broadcast_to(
             np.array([1.0, 0.0]), p.shape))
-        problem = ProblemSpec(name="bad", domain=None,
+        problem = ProblemSpec(name="bad", domain=UNIT_SQUARE,
                               material=from_lame(1.0, 1.0), body_force=None,
                               boundary=lambda m, e: bc, exact=None)
         [(rows, failures)] = convergence_study([problem], "quad_structured",
@@ -233,7 +233,7 @@ class TestRunner:
         def boundary(mesh, edge):
             raise TypeError("classifier bug")
 
-        problem = ProblemSpec(name="bug", domain=None,
+        problem = ProblemSpec(name="bug", domain=UNIT_SQUARE,
                               material=from_lame(1.0, 1.0), body_force=None,
                               boundary=boundary, exact=None)
         with pytest.raises(TypeError, match="classifier bug"):
@@ -305,8 +305,10 @@ class TestRunner:
                               "quad_structured", (1,), RunConfig())
         with pytest.raises(ValueError, match="at least one problem"):
             convergence_study([], "quad_structured", (1,), RunConfig())
-        # no domain is the unit square
-        free = ProblemSpec(name="free", domain=None,
+        # equal corners are one domain, whatever array holds them
+        free = ProblemSpec(name="free",
+                           domain=np.array([[0.0, 0.0], [1.0, 0.0],
+                                            [1.0, 1.0], [0.0, 1.0]]),
                            material=from_lame(1.0, 1.0), body_force=None,
                            boundary=problem_test_a().boundary, exact=None)
         results = convergence_study([free, problem_test_a()],
