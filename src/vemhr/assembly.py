@@ -45,7 +45,6 @@ __all__ = [
     "SOLVER_TOL",
     "assemble",
     "solve",
-    "inf_sup_constant",
     "save_solution",
     "load_solution",
 ]
@@ -502,26 +501,6 @@ def solve(system) -> Solution:
                            ordering=hybrid.ordering))
 
 
-def inf_sup_constant(mesh, material, stabilization="stab1"):
-    """Smallest singular value of the divergence coupling measured in the
-    discrete norms: beta_h^2 = lambda_min(B H^-1 B^T, M_u) with H the
-    energy-plus-divergence Gram matrix of the stress space and M_u the
-    displacement mass matrix.  Dense; intended as a diagnostic on modest
-    meshes."""
-    import scipy.linalg as sla
-
-    ns = 3 * mesh.n_edges
-    full = _scatter_blocks(
-        mesh, _local_blocks(mesh, material, stabilization)).toarray()
-    A, B = full[:ns, :ns], full[ns:, :ns]
-    mu_diag = np.column_stack([mesh.areas, mesh.areas,
-                               mesh.second_moments]).ravel()
-    H = A + B.T @ (B / mu_diag[:, None])
-    S = B @ sla.solve(H, B.T, assume_a="pos")
-    evals = sla.eigh(S, np.diag(mu_diag), eigvals_only=True)
-    return float(np.sqrt(max(evals.min(), 0.0)))
-
-
 SOLUTION_FORMAT_HEADER = "vemhr-solution v1"
 
 
@@ -542,9 +521,11 @@ def save_solution(path, solution):
         fh.write(write_solution_text(solution))
 
 
-def load_solution(path, mesh=None):
-    """Read a solution file (ValueError if truncated, overlong or
-    non-numeric); if a mesh is given, its checksum and sizes are verified."""
+def load_solution(path, mesh):
+    """Read the solution file of a mesh: a ValueError if the file is
+    truncated, overlong or non-numeric, holds a negative count or residual
+    or a non-finite DOF or residual (no solve writes one), or does not
+    match the mesh's checksum and sizes."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != SOLUTION_FORMAT_HEADER:
@@ -560,11 +541,17 @@ def load_solution(path, mesh=None):
                          dtype=float)
     except (IndexError, ValueError) as exc:
         raise ValueError(f"malformed solution file {path}: {exc}") from exc
+    if min(n_constrained, ne, nc, residual) < 0:
+        raise ValueError(f"negative count or residual in solution file "
+                         f"{path}")
     if (edge.shape != (ne, 3) or cells.shape != (nc, 3)
             or len(lines) != 6 + ne + nc):
         raise ValueError(f"truncated or overlong solution file: {path}")
-    if mesh is not None and (mesh_checksum(mesh) != checksum
-                             or (ne, nc) != (mesh.n_edges, mesh.n_cells)):
+    if not (np.isfinite(residual) and np.isfinite(edge).all()
+            and np.isfinite(cells).all()):
+        raise ValueError(f"non-finite value in solution file {path}")
+    if (mesh_checksum(mesh) != checksum
+            or (ne, nc) != (mesh.n_edges, mesh.n_cells)):
         raise ValueError("solution file does not match the mesh")
     report = SolveReport(n_dof=3 * (ne + nc), n_constrained=n_constrained,
                          residual=residual, lu_nnz=-1,

@@ -3,9 +3,9 @@
 Subcommands: ``mesh gen``, ``solve``, ``convergence`` and ``cook``.  Every
 flag can also be given in a flat ``key = value`` config file passed with
 ``--config``, keyed by the flag's destination (the :class:`RunConfig` field
-name, so the ``.cfg`` sidecar of a run replays it); explicit flags win over
-config values.  Exit codes: 0 on success, 2 for validation errors, 3 for
-solver failures.
+name, so the ``.cfg`` sidecar of a run replays it; a key given twice is a
+validation error); explicit flags win over config values.  Exit codes: 0 on
+success, 2 for validation errors, 3 for solver failures.
 """
 
 import argparse
@@ -33,7 +33,11 @@ def _read_config(path):
             if "=" not in line:
                 raise ValueError(f"bad config line: {raw.rstrip()}")
             key, val = (t.strip() for t in line.split("=", 1))
-            values[key.replace("-", "_")] = val
+            key = key.replace("-", "_")
+            if key in values:
+                raise ValueError(f"key {key} given twice in config file "
+                                 f"{path}")
+            values[key] = val
     return values
 
 

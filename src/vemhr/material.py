@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "CONTRACTION_WEIGHTS",
-    "sym_dot",
     "tensor_to_matrix",
     "IsotropicMaterial",
     "from_lame",
@@ -21,13 +20,6 @@ __all__ = [
 ]
 
 CONTRACTION_WEIGHTS = np.array([1.0, 1.0, 2.0])
-
-
-def sym_dot(s, t):
-    """Double contraction of symmetric tensors in triple form."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return (s * t * CONTRACTION_WEIGHTS).sum(axis=-1)
 
 
 def tensor_to_matrix(t):
@@ -80,14 +72,6 @@ class IsotropicMaterial:
     @property
     def kappa(self):
         return 0.5 * float(np.trace(self.D))
-
-    @property
-    def young(self):
-        return self.mu * (3 * self.lam + 2 * self.mu) / (self.lam + self.mu)
-
-    @property
-    def poisson(self):
-        return 0.5 * self.lam / (self.lam + self.mu)
 
     def stress(self, strain):
         """Apply C to strain triples (batched on leading axes)."""

@@ -64,11 +64,14 @@ def _rigid_motion_l2_error(mesh, motions, exact):
     return float(np.sqrt((wts * ((exact - approx) ** 2).sum(axis=1)).sum()))
 
 
-def error_div(mesh, solution, div_sigma_exact):
-    """L2 norm of div(sigma - sigma_h); the discrete divergence is the exact
-    per-cell rigid motion reconstructed from the stress DOFs."""
+def error_div(mesh, solution, f=None):
+    """L2 norm of div(sigma - sigma_h) for an exact stress in equilibrium
+    with the body force f (zero f allowed), so div sigma = -f; the discrete
+    divergence is the exact per-cell rigid motion reconstructed from the
+    stress DOFs."""
     return _rigid_motion_l2_error(
-        mesh, divergence_field(mesh, solution.edge_dofs), div_sigma_exact)
+        mesh, divergence_field(mesh, solution.edge_dofs),
+        lambda p: np.zeros(p.shape) if f is None else -np.asarray(f(p)))
 
 
 def error_u(mesh, solution, u_exact):

@@ -31,7 +31,6 @@ __all__ = [
     "convergence_study",
     "run_convergence",
     "run_cook",
-    "cook_reference",
     "cook_csv_text",
 ]
 
@@ -141,7 +140,9 @@ def convergence_study(problems, kind, levels, config: RunConfig):
     raises ``ValueError`` (a ``MeshError`` included), the levels are
     generated one at a time, so a bad mesh fails its level alone, for every
     problem; a singular system fails one (problem, level).  The problems
-    must share a domain.
+    must share a domain, and the exact bundle of each problem that has one
+    must pass ``verify_exact_bundle`` within ``ORACLE_TOL`` before any mesh
+    is built (a ValueError naming the problem otherwise).
 
     Each row carries the three error norms plus equilibrium by-products:
     the largest per-cell norm of div sigma_h + Pi_RM f and the L2 norm of
@@ -153,6 +154,13 @@ def convergence_study(problems, kind, levels, config: RunConfig):
     domain = problems[0].domain
     if not all(np.array_equal(p.domain, domain) for p in problems[1:]):
         raise ValueError("the problems of one study must share a domain")
+    for problem in problems:
+        if problem.exact is not None:
+            report = verify_exact_bundle(problem)
+            if max(report["sigma_vs_fd"],
+                   report["div_sigma_plus_f"]) > ORACLE_TOL:
+                raise ValueError(f"exact bundle of {problem.name} "
+                                 f"inconsistent: {report}")
     try:
         meshes = generate_mesh(
             kind, tuple(_resolution(kind, level) for level in levels),
@@ -202,7 +210,7 @@ def _study_row(mesh, problem, solution, level):
         row["E_sigma"] = postproc.error_sigma(
             mesh, solution, problem.exact.stress, problem.material)
         row["E_sigma_div"] = postproc.error_div(
-            mesh, solution, problem.exact.divergence)
+            mesh, solution, problem.body_force)
         row["E_u"] = postproc.error_u(
             mesh, solution, problem.exact.displacement)
     return row
@@ -212,15 +220,12 @@ def run_convergence(config: RunConfig):
     """Solve a manufactured problem over a refinement sequence and collect
     the three error norms; returns (rows, RateTable, failures) and writes
     the CSV.  The study is the one-problem case of
-    :func:`convergence_study`: all levels from one ``generate_mesh`` call."""
+    :func:`convergence_study`: the exact bundle is checked first, then all
+    levels come from one ``generate_mesh`` call."""
     config.validate()
     problem = make_problem(config.problem)
     if problem.exact is None:
         raise ValueError(f"problem {config.problem} has no exact solution")
-    report = verify_exact_bundle(problem)
-    if max(report["sigma_vs_fd"], report["div_sigma_plus_f"]) > ORACLE_TOL:
-        raise ValueError(f"exact bundle inconsistent: {report}")
-
     [(rows, failures)] = convergence_study([problem], config.kind,
                                            config.levels, config)
     if config.csv_path:
@@ -232,14 +237,6 @@ def run_convergence(config: RunConfig):
         [r["h_bar"] for r in rows],
         {k: [r[k] for r in rows] for k in ("E_sigma", "E_sigma_div", "E_u")})
     return rows, table, failures
-
-
-def cook_reference(nu):
-    """Overkill tip displacement on the 128 x 128 structured quad mesh."""
-    mesh = generate_mesh("quad_structured", 128, domain=cook_domain())
-    solution = solve(assemble(mesh, problem_cook(nu)))
-    return float(postproc.probe_displacement(mesh, solution,
-                                             COOK_PROBE_POINT)[1])
 
 
 def run_cook(config: RunConfig):

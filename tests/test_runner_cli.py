@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -299,6 +300,20 @@ class TestRunner:
                 (3, "MeshError: generated cells do not tile the domain")]
             assert rows == [clean_rows[0], clean_rows[2]]
 
+    def test_study_rejects_an_inconsistent_bundle(self, monkeypatch):
+        # test-b with its load doubled: the stated stress no longer balances
+        # the load, and the study fails before it builds a mesh
+        problem = problem_test_b()
+        f = problem.body_force
+        doubled = dataclasses.replace(problem,
+                                      body_force=lambda p: 2.0 * f(p))
+        monkeypatch.setattr(runner, "generate_mesh",
+                            lambda *a, **kw: pytest.fail("mesh built"))
+        with pytest.raises(ValueError,
+                           match="test-b inconsistent.*div_sigma_plus_f"):
+            convergence_study([problem_test_a(), doubled], "quad_structured",
+                              (4, 8), RunConfig())
+
     def test_study_problems_share_a_domain(self):
         with pytest.raises(ValueError, match="share a domain"):
             convergence_study([problem_test_a(), problem_cook(1.0 / 3.0)],
@@ -495,6 +510,17 @@ class TestCli:
                      str(out)]) == 2
         assert "seeed" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_duplicated_config_key(self, tmp_path, capsys):
+        # the last value does not silently win: nothing runs
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem = test-a\nkind = quad_structured\n"
+                       "levels = 2,4\nlevels = 4,8\n")
+        csv = tmp_path / "c.csv"
+        assert main(["convergence", "--config", str(cfg), "--csv",
+                     str(csv)]) == 2
+        assert "key levels given twice" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_run_config_fields(self):
         assert [f for f in RunConfig.__dataclass_fields__] == [
