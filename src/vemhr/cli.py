@@ -14,7 +14,7 @@ import sys
 
 from .assembly import SolverError, assemble, save_solution, solve
 from .element import STABILIZATIONS
-from .generators import MESH_KINDS, generate_mesh
+from .generators import MESH_KINDS, _check_partition, generate_mesh
 from .mesh import MeshError, cook_domain, load_mesh, save_mesh
 from .runner import PROBLEM_IDS, RunConfig, run_convergence, run_cook
 
@@ -140,6 +140,7 @@ def _cmd_solve(args):
         raise ValueError("solve requires --problem, --mesh and --out")
     problem = make_problem(args.problem, args.nu)
     mesh = load_mesh(args.mesh)
+    _check_partition(mesh, problem.domain)
     system = assemble(mesh, problem, stabilization=args.stabilization)
     solution = solve(system)
     save_solution(args.out, solution)

@@ -144,9 +144,23 @@ def _convex_domain(domain):
 
 
 def _check_partition(mesh, domain):
+    """MeshError unless the cells tile the convex ``domain``: every vertex
+    lies in it, within 1e-9 of its diameter, and the cell areas add up to
+    its area."""
+    side = np.roll(domain, -1, axis=0) - domain
+    rel = mesh.vertices[:, None, :] - domain
+    # distance of each vertex inside each side's line, negative outside
+    depth = ((side[:, 0] * rel[..., 1] - side[:, 1] * rel[..., 0])
+             / np.hypot(side[:, 0], side[:, 1])).min(axis=1)
+    diameter = np.linalg.norm(domain[:, None] - domain, axis=-1).max()
+    if np.any(depth < -1e-9 * diameter):
+        v = int(np.argmin(depth))
+        raise MeshError("the cells do not tile the domain: vertex "
+                        f"{v} at {mesh.vertices[v].tolist()} lies outside it")
     target = shoelace(domain)[0][0]
     if abs(mesh.areas.sum() - target) > 1e-10 * target:
-        raise MeshError("generated cells do not tile the domain")
+        raise MeshError("the cells do not tile the domain: their areas add "
+                        f"up to {mesh.areas.sum():.12g}, not {target:.12g}")
 
 
 def _bilinear(domain, xi, eta):

@@ -2,11 +2,14 @@
 
 Symmetric 2x2 tensors are stored as triples (t11, t22, t12) with the double
 contraction s : t = s11 t11 + s22 t22 + 2 s12 t12, i.e. the weight matrix
-diag(1, 1, 2).  The stiffness matrix maps strain triples to stress triples,
-so its shear entry is 2*mu (not mu); the compliance is its plain inverse.
+diag(1, 1, 2).  The compliance matrix D maps stress triples to strain
+triples, so its shear entry is 1/(2 mu) (not 1/mu).  The method is written
+in the compliance alone, a(sigma, tau) = D sigma : tau, so there is no
+stiffness matrix.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +38,8 @@ def tensor_to_matrix(t):
 
 @dataclass(frozen=True)
 class IsotropicMaterial:
-    """Lame pair with precomputed stiffness C, compliance D and kappa.
+    """A Lame pair; the compliance D and kappa are derived from it, so a
+    material compares and hashes by (lam, mu).
 
     ``kappa`` is half the trace of the 3x3 compliance matrix in the triple
     convention; it sets the scale of the boundary stabilization and of the
@@ -44,8 +48,6 @@ class IsotropicMaterial:
 
     lam: float
     mu: float
-    C: np.ndarray = field(init=False, repr=False)
-    D: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.mu) and self.mu > 0.0):
@@ -54,31 +56,26 @@ class IsotropicMaterial:
         if not (np.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError("first Lame parameter must be finite and >= 0, "
                              f"got {self.lam}")
+
+    @cached_property
+    def D(self):
+        """The compliance in triple coordinates, read-only.  The closed-form
+        inverse of the 2x2 volumetric block of the stiffness is immune to
+        its conditioning at extreme lam/mu ratios."""
         lam, mu = self.lam, self.mu
-        c = np.array([[2 * mu + lam, lam, 0.0],
-                      [lam, 2 * mu + lam, 0.0],
-                      [0.0, 0.0, 2 * mu]])
-        # closed-form inverse of the 2x2 volumetric block; immune to the
-        # conditioning of C at extreme lam/mu ratios
         det = 2.0 * mu * (2.0 * mu + 2.0 * lam)
         d = np.array([[(2 * mu + lam) / det, -lam / det, 0.0],
                       [-lam / det, (2 * mu + lam) / det, 0.0],
                       [0.0, 0.0, 0.5 / mu]])
-        object.__setattr__(self, "C", c)
-        object.__setattr__(self, "D", d)
-        self.C.setflags(write=False)
-        self.D.setflags(write=False)
+        d.setflags(write=False)
+        return d
 
     @property
     def kappa(self):
         return 0.5 * float(np.trace(self.D))
 
-    def stress(self, strain):
-        """Apply C to strain triples (batched on leading axes)."""
-        return np.asarray(strain, dtype=float) @ self.C.T
-
     def strain(self, stress):
-        """Apply D = C^-1 to stress triples."""
+        """Apply D to stress triples (batched on leading axes)."""
         return np.asarray(stress, dtype=float) @ self.D.T
 
     @property

@@ -141,8 +141,9 @@ def convergence_study(problems, kind, levels, config: RunConfig):
     generated one at a time, so a bad mesh fails its level alone, for every
     problem; a singular system fails one (problem, level).  The problems
     must share a domain, and the exact bundle of each problem that has one
-    must pass ``verify_exact_bundle`` within ``ORACLE_TOL`` before any mesh
-    is built (a ValueError naming the problem otherwise).
+    must pass ``verify_exact_bundle`` (D sigma = eps(u) and div sigma = -f,
+    by complex step) within ``ORACLE_TOL`` before any mesh is built (a
+    ValueError naming the problem otherwise).
 
     Each row carries the three error norms plus equilibrium by-products:
     the largest per-cell norm of div sigma_h + Pi_RM f and the L2 norm of

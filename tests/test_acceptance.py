@@ -115,7 +115,7 @@ def test_criterion_1_patch_all_families():
     mat = from_lame(1.0, 1.0)
     grad = np.array([[1.0, 0.0], [0.0, 0.0]])  # u = (x, 0)
     u = lambda p: p @ grad.T
-    sigma0 = mat.stress([1.0, 0.0, 0.0])
+    sigma0 = np.array([3.0, 1.0, 0.0])  # of eps = (1, 0, 0) at lam = mu = 1
     bc = DisplacementBC(g=u)
     problem = ProblemSpec(name="patch", domain=UNIT_SQUARE, material=mat,
                           body_force=None, boundary=lambda m, e: bc,

@@ -1,16 +1,29 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vemhr.material import (CONTRACTION_WEIGHTS, from_lame,
+from vemhr.material import (CONTRACTION_WEIGHTS, IsotropicMaterial, from_lame,
                             from_young_poisson_plane_strain,
                             von_mises_plane_strain)
 
 
+def stiffness(lam, mu):
+    """The closed-form plane-strain stiffness in triple coordinates: it maps
+    strain triples to stress triples, so its shear entry is 2 mu."""
+    return np.array([[2 * mu + lam, lam, 0.0],
+                     [lam, 2 * mu + lam, 0.0],
+                     [0.0, 0.0, 2 * mu]])
+
+
 class TestFromLame:
     def test_unit_lame_stress(self):
-        mat = from_lame(1.0, 1.0)
-        assert_allclose(mat.stress([1.0, 0.0, 0.0]), [3.0, 1.0, 0.0])
+        # the inverse of the unit Lame stiffness [[3, 1, 0], [1, 3, 0],
+        # [0, 0, 2]], by hand
+        assert_allclose(from_lame(1.0, 1.0).D,
+                        [[0.375, -0.125, 0.0], [-0.125, 0.375, 0.0],
+                         [0.0, 0.0, 0.5]], rtol=1e-15)
 
     def test_inverse_consistency(self):
         mat = from_lame(1.0, 1.0)
@@ -19,7 +32,7 @@ class TestFromLame:
 
     def test_zero_lambda_half_mu(self):
         mat = from_lame(0.0, 0.5)
-        assert_allclose(mat.stress([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+        assert_allclose(mat.strain([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
     def test_nonpositive_mu_rejected(self):
         with pytest.raises(ValueError):
@@ -32,7 +45,7 @@ class TestFromLame:
         lam = 10 ** rng.uniform(-2, 6)
         mu = 10 ** rng.uniform(-2, 6)
         mat = from_lame(lam, mu)
-        assert_allclose(mat.D @ mat.C, np.eye(3),
+        assert_allclose(mat.D @ stiffness(lam, mu), np.eye(3),
                         atol=1e-12 * (1.0 + lam / mu))
 
     @pytest.mark.parametrize("seed", range(20))
@@ -41,6 +54,22 @@ class TestFromLame:
         mat = from_lame(10 ** rng.uniform(-2, 6), 10 ** rng.uniform(-2, 6))
         t = rng.standard_normal(3)
         assert (mat.strain(t) * t * CONTRACTION_WEIGHTS).sum() > 0
+
+
+class TestIdentity:
+    def test_a_material_is_its_lame_pair(self):
+        assert [f.name for f in dataclasses.fields(IsotropicMaterial)] == [
+            "lam", "mu"]
+        mat = from_lame(1.0, 1.0)
+        assert not mat.D.flags.writeable
+        assert mat.D is mat.D
+
+    def test_equal_pairs_are_one_key(self):
+        a, b = from_lame(1, 1), from_lame(1.0, 1.0)
+        assert a == b and hash(a) == hash(b)
+        assert {a: "factor"}[b] == "factor"
+        assert len({a, b, from_lame(1.0, 2.0)}) == 2
+        assert a != from_lame(2.0, 1.0)
 
 
 class TestPlaneStrainConversion:

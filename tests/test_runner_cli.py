@@ -367,6 +367,24 @@ class TestCli:
                      *solve_args]) == 0
         assert out.read_bytes() == default
 
+    @pytest.mark.parametrize("problem, domain", [
+        pytest.param("cook", UNIT_SQUARE, id="square_mesh_for_cook"),
+        pytest.param("test-b", cook_domain(), id="cook_mesh_for_test_b"),
+        # the unit square shifted by half a side has the domain's area, so
+        # only its vertices show that it does not tile the domain
+        pytest.param("test-a", UNIT_SQUARE + [0.5, 0.0], id="shifted_square"),
+    ])
+    def test_mesh_off_the_domain_writes_nothing(self, tmp_path, capsys,
+                                                problem, domain):
+        mesh_path = tmp_path / "m.msh"
+        save_mesh(mesh_path, generate_mesh("quad_structured", 4,
+                                           domain=domain))
+        out = tmp_path / "s.txt"
+        assert main(["solve", "--problem", problem, "--mesh", str(mesh_path),
+                     "--out", str(out)]) == 2
+        assert "do not tile the domain" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_convergence_command(self, tmp_path):
         csv = tmp_path / "c.csv"
         assert main(["convergence", "--problem", "test-a", "--kind",
