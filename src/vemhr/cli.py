@@ -27,8 +27,8 @@ def _read_config(path):
     values = {}
     with open(path) as fh:
         for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line: {raw.rstrip()}")

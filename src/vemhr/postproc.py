@@ -5,7 +5,8 @@ mesh edges (an energy-like measure), the divergence and displacement errors
 are plain L2 sums over cells.  Interior stress values are only ever reported
 through the cellwise mean projection, which is the one pointwise-known part
 of the discrete stress.  Every norm, probe and field reads the stress and
-displacement DOFs from a ``Solution`` of the same mesh.
+displacement DOFs from a ``Solution`` of the same mesh object, else a
+``ValueError``.
 """
 
 import csv
@@ -35,6 +36,11 @@ __all__ = [
 ]
 
 
+def _check_same_mesh(mesh, solution):
+    if solution.mesh is not mesh:
+        raise ValueError("the solution belongs to another mesh")
+
+
 def error_sigma(mesh, solution, sigma_exact, material):
     """Energy-scaled traction error over all mesh edges.
 
@@ -42,6 +48,7 @@ def error_sigma(mesh, solution, sigma_exact, material):
     an edge is c + d s n in the canonical frame.  The scale is the
     ``material.kappa`` of the stabilization (homogeneous material).
     """
+    _check_same_mesh(mesh, solution)
     table = solution.edge_dofs
     pts = _edge_points(mesh, np.arange(mesh.n_edges), EDGE_NODES)
     smat = tensor_to_matrix(_sample(sigma_exact, pts))
@@ -69,6 +76,7 @@ def error_div(mesh, solution, f=None):
     with the body force f (zero f allowed), so div sigma = -f; the discrete
     divergence is the exact per-cell rigid motion reconstructed from the
     stress DOFs."""
+    _check_same_mesh(mesh, solution)
     return _rigid_motion_l2_error(
         mesh, divergence_field(mesh, solution.edge_dofs),
         lambda p: np.zeros(p.shape) if f is None else -np.asarray(f(p)))
@@ -76,6 +84,7 @@ def error_div(mesh, solution, f=None):
 
 def error_u(mesh, solution, u_exact):
     """L2 displacement error against the per-cell rigid motions."""
+    _check_same_mesh(mesh, solution)
     return _rigid_motion_l2_error(mesh, solution.cell_motions, u_exact)
 
 
@@ -85,6 +94,7 @@ def equilibrium_residuals(mesh, solution, f=None):
     By construction of the scheme these vanish up to the solver residual;
     they are reported as a cheap a-posteriori sanity check.
     """
+    _check_same_mesh(mesh, solution)
     dv = divergence_field(mesh, solution.edge_dofs)
     target = np.zeros((mesh.n_cells, 3))
     if f is not None:
@@ -157,6 +167,7 @@ def convergence_rates(h_bar, errors) -> RateTable:
 def probe_displacement(mesh, solution, point):
     """Displacement at the centroid of the cell whose centroid is nearest to
     the probe point (the rigid motion evaluated at its own centroid)."""
+    _check_same_mesh(mesh, solution)
     if mesh.n_cells == 0:
         raise ValueError("empty mesh")
     point = np.asarray(point, dtype=float)
@@ -166,6 +177,7 @@ def probe_displacement(mesh, solution, point):
 
 def von_mises_field(mesh, solution, material):
     """Von Mises stress of the per-cell mean projection, one value per cell."""
+    _check_same_mesh(mesh, solution)
     return von_mises_plane_strain(
         projection_field(mesh, solution.edge_dofs), material)
 

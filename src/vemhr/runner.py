@@ -16,7 +16,6 @@ from . import postproc
 from .assembly import SOLVER_TOL, SolverError, assemble, solve
 from .element import STABILIZATIONS, projection_field
 from .generators import MESH_KINDS, _is_count, generate_mesh
-from .mesh import cook_domain
 from .postproc import von_mises_field, write_vtk_polydata
 from .problems import COOK_PROBE_POINT, problem_cook, problem_test_a, \
     problem_test_b, problem_test_incompressible, verify_exact_bundle
@@ -34,7 +33,11 @@ __all__ = [
     "cook_csv_text",
 ]
 
-PROBLEM_IDS = ("test-a", "test-b", "test-inc", "cook")
+_PROBLEMS = {"test-a": problem_test_a,
+             "test-b": problem_test_b,
+             "test-inc": problem_test_incompressible,
+             "cook": problem_cook}
+PROBLEM_IDS = tuple(_PROBLEMS)
 
 COOK_KINDS = {"quad": "quad_structured",
               "cvor": "poly_voronoi_cvt",
@@ -57,7 +60,7 @@ class RunConfig:
 
     solver_tol = SOLVER_TOL  # not a field: every solve uses this tolerance
 
-    def validate(self):
+    def __post_init__(self):
         if self.problem not in PROBLEM_IDS:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.kind not in MESH_KINDS:
@@ -69,22 +72,24 @@ class RunConfig:
                              "increasing positive integers, not "
                              f"{self.levels!r}")
         if not isinstance(self.cook_kinds, tuple) or not self.cook_kinds \
-                or not all(k in tuple(COOK_KINDS) for k in self.cook_kinds):
+                or not all(k in tuple(COOK_KINDS) for k in self.cook_kinds) \
+                or len(set(self.cook_kinds)) < len(self.cook_kinds):
             raise ValueError("cook_kinds must be a non-empty tuple of "
-                             f"{'/'.join(COOK_KINDS)} names, not "
+                             f"distinct {'/'.join(COOK_KINDS)} names, not "
                              f"{self.cook_kinds!r}")
         if not isinstance(self.cook_nus, tuple) or not self.cook_nus \
                 or not all(_is_real(nu) and 0.0 <= nu < 0.5
-                           for nu in self.cook_nus):
-            raise ValueError("cook_nus must be a non-empty tuple of Poisson "
-                             f"ratios in [0, 0.5), not {self.cook_nus!r}")
+                           for nu in self.cook_nus) \
+                or len(set(self.cook_nus)) < len(self.cook_nus):
+            raise ValueError("cook_nus must be a non-empty tuple of distinct "
+                             "Poisson ratios in [0, 0.5), not "
+                             f"{self.cook_nus!r}")
         if not (isinstance(self.seed, numbers.Integral) and _is_real(self.seed)
                 and self.seed >= 0):
             raise ValueError("seed must be a non-negative integer, not "
                              f"{self.seed!r}")
         if self.stabilization not in STABILIZATIONS:
             raise ValueError(f"unknown stabilization {self.stabilization!r}")
-        return self
 
     def to_text(self) -> str:
         """Flat key = value serialization, written alongside outputs."""
@@ -106,44 +111,40 @@ def _is_real(x):
 def make_problem(problem_id, nu=None):
     """The problem of an id; ``nu`` is the Poisson ratio of ``cook``
     (1/3 when None) and must be None for every other problem."""
-    if problem_id == "cook":
-        return problem_cook() if nu is None else problem_cook(nu)
-    if nu is not None:
+    if problem_id not in _PROBLEMS:
+        raise ValueError(f"unknown problem {problem_id!r}")
+    if nu is None:
+        return _PROBLEMS[problem_id]()
+    if problem_id != "cook":
         raise ValueError(f"a Poisson ratio applies only to the cook problem, "
                          f"not to {problem_id!r}")
-    if problem_id == "test-a":
-        return problem_test_a()
-    if problem_id == "test-b":
-        return problem_test_b()
-    if problem_id == "test-inc":
-        return problem_test_incompressible()
-    raise ValueError(f"unknown problem {problem_id!r}")
+    return problem_cook(nu)
 
 
 def mesh_for_level(kind, level, domain=None, seed=0):
-    """Generate the level-n mesh of a family (n^2 seeds for Voronoi kinds)."""
-    return generate_mesh(kind, _resolution(kind, level), domain=domain,
-                         seed=seed)
+    """The level-n mesh of a family: n subdivisions per direction, or n^2
+    seeds for the Voronoi kinds.  A tuple of levels gives the list of their
+    meshes from one ``generate_mesh`` call, as a tuple of resolutions does."""
+    levels = level if isinstance(level, tuple) else (level,)
+    if kind.startswith("poly_voronoi"):
+        levels = tuple(n * n for n in levels)
+    return generate_mesh(kind, levels if isinstance(level, tuple)
+                         else levels[0], domain=domain, seed=seed)
 
 
-def _resolution(kind, level):
-    return level * level if kind.startswith("poly_voronoi") else level
-
-
-def convergence_study(problems, kind, levels, config: RunConfig):
+def convergence_study(problems, kind, levels, seed=0, stabilization="stab1"):
     """One refinement sweep of several manufactured problems on one mesh
     family; returns one ``(rows, failures)`` pair per problem, in order.
 
-    All levels come from one ``generate_mesh`` call (the Voronoi kinds clip
-    their levels together), and each level's mesh is shared by every
-    problem, so its cell groups and fan rule are built once.  If that call
-    raises ``ValueError`` (a ``MeshError`` included), the levels are
-    generated one at a time, so a bad mesh fails its level alone, for every
-    problem; a singular system fails one (problem, level).  The problems
-    must share a domain, and the exact bundle of each problem that has one
-    must pass ``verify_exact_bundle`` (D sigma = eps(u) and div sigma = -f,
-    by complex step) within ``ORACLE_TOL`` before any mesh is built (a
-    ValueError naming the problem otherwise).
+    All levels come from one :func:`mesh_for_level` call (the Voronoi kinds
+    clip their levels together), and each level's mesh is shared by every
+    problem, so its cell groups and fan rule are built once.  A mesh that
+    cannot be built fails the study; a singular system fails one (problem,
+    level).  The problems must share a domain, the stabilization must be
+    one of ``STABILIZATIONS``, and the exact bundle of each problem that
+    has one must pass ``verify_exact_bundle`` (D sigma = eps(u) and div
+    sigma = -f, by complex step) within ``ORACLE_TOL`` before any mesh is
+    built (a ValueError naming the problem otherwise).
 
     Each row carries the three error norms plus equilibrium by-products:
     the largest per-cell norm of div sigma_h + Pi_RM f and the L2 norm of
@@ -155,6 +156,8 @@ def convergence_study(problems, kind, levels, config: RunConfig):
     domain = problems[0].domain
     if not all(np.array_equal(p.domain, domain) for p in problems[1:]):
         raise ValueError("the problems of one study must share a domain")
+    if stabilization not in STABILIZATIONS:
+        raise ValueError(f"unknown stabilization {stabilization!r}")
     for problem in problems:
         if problem.exact is not None:
             report = verify_exact_bundle(problem)
@@ -162,29 +165,14 @@ def convergence_study(problems, kind, levels, config: RunConfig):
                    report["div_sigma_plus_f"]) > ORACLE_TOL:
                 raise ValueError(f"exact bundle of {problem.name} "
                                  f"inconsistent: {report}")
-    try:
-        meshes = generate_mesh(
-            kind, tuple(_resolution(kind, level) for level in levels),
-            domain=domain, seed=config.seed)
-    except ValueError:
-        meshes = None
+    meshes = mesh_for_level(kind, tuple(levels), domain=domain, seed=seed)
     results = [([], []) for _ in problems]
     for i, level in enumerate(levels):
-        if meshes is None:
-            try:
-                mesh = mesh_for_level(kind, level, domain=domain,
-                                      seed=config.seed)
-            except ValueError as exc:
-                # a bad mesh fails this level only, for every problem
-                for _, failures in results:
-                    failures.append((level, f"{type(exc).__name__}: {exc}"))
-                continue
-        else:
-            mesh, meshes[i] = meshes[i], None  # released with its rows
+        mesh, meshes[i] = meshes[i], None  # released with its rows
         for problem, (rows, failures) in zip(problems, results):
             try:
                 solution = solve(assemble(mesh, problem,
-                                          stabilization=config.stabilization))
+                                          stabilization=stabilization))
             except (ValueError, SolverError) as exc:
                 # a singular system fails this (problem, level) only
                 failures.append((level, f"{type(exc).__name__}: {exc}"))
@@ -223,12 +211,12 @@ def run_convergence(config: RunConfig):
     the CSV.  The study is the one-problem case of
     :func:`convergence_study`: the exact bundle is checked first, then all
     levels come from one ``generate_mesh`` call."""
-    config.validate()
     problem = make_problem(config.problem)
     if problem.exact is None:
         raise ValueError(f"problem {config.problem} has no exact solution")
-    [(rows, failures)] = convergence_study([problem], config.kind,
-                                           config.levels, config)
+    [(rows, failures)] = convergence_study(
+        [problem], config.kind, config.levels, seed=config.seed,
+        stabilization=config.stabilization)
     if config.csv_path:
         postproc.write_convergence_csv(config.csv_path, rows)
         _write_sidecar_config(config)
@@ -244,20 +232,17 @@ def run_cook(config: RunConfig):
     """Tip-displacement refinement study over the requested mesh families and
     Poisson ratios; writes the CSV and a von Mises VTK per finest mesh.
 
-    All levels of a family come from one ``generate_mesh`` call (the
-    Voronoi kinds clip and relax their levels together), and each mesh is
-    shared by every Poisson ratio.  A failing level fails the whole study;
-    :func:`convergence_study` falls back to one level at a time, so there a
-    failing level fails alone."""
-    config.validate()
+    All levels of a family come from one :func:`mesh_for_level` call (the
+    Voronoi kinds clip and relax their levels together), on the domain of
+    the problems, and each mesh is shared by every Poisson ratio.  A mesh
+    that cannot be built fails the study, as in
+    :func:`convergence_study`."""
+    problems = [problem_cook(nu) for nu in config.cook_nus]
     rows = []
     for short in config.cook_kinds:
-        kind = COOK_KINDS[short]
-        meshes = generate_mesh(
-            kind, tuple(_resolution(kind, level) for level in config.levels),
-            domain=cook_domain(), seed=config.seed)
-        for nu in config.cook_nus:
-            problem = problem_cook(nu)
+        meshes = mesh_for_level(COOK_KINDS[short], config.levels,
+                                domain=problems[0].domain, seed=config.seed)
+        for nu, problem in zip(config.cook_nus, problems):
             for i, (level, mesh) in enumerate(zip(config.levels, meshes)):
                 solution = solve(assemble(
                     mesh, problem, stabilization=config.stabilization))

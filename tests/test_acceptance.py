@@ -50,12 +50,7 @@ def report(criterion, ok, detail=""):
 
 
 @pytest.fixture(scope="session")
-def base_config():
-    return RunConfig()
-
-
-@pytest.fixture(scope="session")
-def sweep(base_config):
+def sweep():
     """(problem id, family) -> convergence rows for the shared criteria."""
     problems = {
         "test-a": problem_test_a(),
@@ -67,8 +62,7 @@ def sweep(base_config):
     data = {}
     for kind in SQUARE_FAMILIES:
         # one study per family: each mesh is built once for all problems
-        results = convergence_study(problems.values(), kind, LEVELS,
-                                    base_config)
+        results = convergence_study(problems.values(), kind, LEVELS)
         for pid, (rows, failures) in zip(problems, results):
             assert not failures, f"{pid}/{kind} failed: {failures}"
             data[pid, kind] = rows
@@ -151,7 +145,6 @@ def test_criterion_2_discrete_equilibrium(sweep, cook_runs):
             elif r["equilibrium_max"] > 1e-8 * r["f_l2"]:
                 bad.append((pid, kind, r["level"], r["equilibrium_max"]))
     # zero-load cantilever: absolute bound scaled by the applied traction
-    cfg = RunConfig(problem="cook", cook_kinds=("quad",), levels=(16,))
     problem = problem_cook(1.0 / 3.0)
     mesh = mesh_for_level("quad_structured", 16, domain=problem.domain)
     solution = solve(assemble(mesh, problem))

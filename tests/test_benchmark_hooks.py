@@ -84,21 +84,20 @@ def test_system_fields_read_by_tracer():
     assert isinstance(rhs, np.ndarray) and rhs.shape == (size,)
 
 
-def _study_rows(problems, kind, config):
-    results = runner.convergence_study(problems, kind, (2, 3), config)
+def _study_rows(problems, kind, **settings):
+    results = runner.convergence_study(problems, kind, (2, 3), **settings)
     assert all(failures == [] for _, failures in results)
     return [row for rows, _ in results for row in rows]
 
 
 def _one_problem_study():
-    return _study_rows([problem_test_b()], "poly_voronoi_random",
-                       runner.RunConfig())
+    return _study_rows([problem_test_b()], "poly_voronoi_random")
 
 
 def _shared_study():
     return _study_rows(
         [problem_test_a(), problem_test_b(), problem_test_incompressible()],
-        "tri_unstructured", runner.RunConfig(seed=1))
+        "tri_unstructured", seed=1)
 
 
 def _cook_study():

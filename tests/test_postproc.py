@@ -10,10 +10,11 @@ from vemhr.generators import UNIT_SQUARE, generate_mesh
 from vemhr.material import from_lame
 from vemhr.mesh import build_topology
 from vemhr.postproc import (ROUNDOFF_FLOOR, convergence_csv_text,
-                            convergence_rates, error_div, error_sigma, error_u,
+                            convergence_rates, equilibrium_residuals,
+                            error_div, error_sigma, error_u,
                             least_squares_slope, probe_displacement,
                             von_mises_field, write_vtk_polydata)
-from vemhr.problems import ProblemSpec, problem_test_a
+from vemhr.problems import ProblemSpec, problem_test_a, problem_test_b
 
 UNIT = build_topology([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]])
 
@@ -124,6 +125,43 @@ class TestErrorDiv:
                               boundary=lambda m, e: bc, exact=None)
         sol = solve(assemble(mesh, problem))
         assert error_div(mesh, sol, f) < 1e-10
+
+
+class TestSolutionOfAnotherMesh:
+    """Every norm, probe and field takes a solution of the mesh it is given
+    (the same object); another mesh's DOFs would be read against the wrong
+    edges and cells, into an index error or a plausible wrong number."""
+
+    READERS = {
+        "error_sigma": lambda mesh, sol, p: error_sigma(
+            mesh, sol, p.exact.stress, p.material),
+        "error_div": lambda mesh, sol, p: error_div(mesh, sol, p.body_force),
+        "error_u": lambda mesh, sol, p: error_u(mesh, sol,
+                                                p.exact.displacement),
+        "equilibrium_residuals": lambda mesh, sol, p: equilibrium_residuals(
+            mesh, sol, p.body_force),
+        "probe_displacement": lambda mesh, sol, p: probe_displacement(
+            mesh, sol, [0.3, 0.6]),
+        "von_mises_field": lambda mesh, sol, p: von_mises_field(
+            mesh, sol, p.material),
+    }
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        problem = problem_test_b()
+        mesh = generate_mesh("quad_structured", 4)
+        return problem, mesh, solve(assemble(mesh, problem))
+
+    @pytest.mark.parametrize("other", [
+        ("quad_structured", 8), ("quad_structured", 2),
+        ("quad_unstructured", 4), ("quad_structured", 4)],
+        ids=["finer", "coarser", "same_size", "equal_copy"])
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_rejected(self, solved, reader, other):
+        problem, mesh, solution = solved
+        self.READERS[reader](mesh, solution, problem)  # its own mesh reads
+        with pytest.raises(ValueError, match="another mesh"):
+            self.READERS[reader](generate_mesh(*other), solution, problem)
 
 
 class TestRates:

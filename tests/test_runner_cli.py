@@ -61,11 +61,11 @@ class TestRunner:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RunConfig(problem="test-z").validate()
+            RunConfig(problem="test-z")
         with pytest.raises(ValueError):
-            RunConfig(kind="bad").validate()
+            RunConfig(kind="bad")
         with pytest.raises(ValueError):
-            RunConfig(levels=()).validate()
+            RunConfig(levels=())
         with pytest.raises(ValueError):
             run_convergence(RunConfig(problem="cook"))
         with pytest.raises(ValueError):
@@ -80,11 +80,9 @@ class TestRunner:
         ids=["floats", "float", "zero", "bool", "list", "int", "str",
              "decreasing", "repeated"])
     def test_levels_not_integers(self, levels):
-        config = RunConfig(kind="poly_voronoi_random", levels=levels)
-        for call in (config.validate, lambda: run_convergence(config)):
-            with pytest.raises(ValueError, match="levels must be") as exc:
-                call()
-            assert repr(levels) in str(exc.value)
+        with pytest.raises(ValueError, match="levels must be") as exc:
+            RunConfig(kind="poly_voronoi_random", levels=levels)
+        assert repr(levels) in str(exc.value)
 
     def test_numpy_integer_levels(self):
         rows, _, failures = run_convergence(RunConfig(
@@ -94,34 +92,29 @@ class TestRunner:
     @pytest.mark.parametrize("seed", [1.5, -1, True, "0", None],
                              ids=["float", "negative", "bool", "str", "none"])
     def test_seed_not_a_non_negative_integer(self, seed):
-        config = RunConfig(kind="poly_voronoi_random", levels=(2,), seed=seed)
-        for call in (config.validate, lambda: run_convergence(config)):
-            with pytest.raises(ValueError, match="seed must be") as exc:
-                call()
-            assert repr(seed) in str(exc.value)
+        with pytest.raises(ValueError, match="seed must be") as exc:
+            RunConfig(kind="poly_voronoi_random", levels=(2,), seed=seed)
+        assert repr(seed) in str(exc.value)
 
     @pytest.mark.parametrize("nus", [
         ("0.3",), (0.6,), (-0.1,), (0.5,), (float("nan"),), (True,), (),
-        [0.3], 0.3], ids=["str", "above", "negative", "half", "nan", "bool",
-                          "empty", "list", "float"])
+        [0.3], 0.3, (0.3, 0.3), (0.3, np.float64(0.3)), (0, 0.0)],
+        ids=["str", "above", "negative", "half", "nan", "bool", "empty",
+             "list", "float", "repeated", "repeated_numpy", "repeated_zero"])
     def test_cook_nus_not_poisson_ratios(self, nus):
-        config = RunConfig(problem="cook", cook_kinds=("quad",), levels=(2,),
-                           cook_nus=nus)
-        for call in (config.validate, lambda: run_cook(config)):
-            with pytest.raises(ValueError, match="cook_nus must be") as exc:
-                call()
-            assert repr(nus) in str(exc.value)
+        with pytest.raises(ValueError, match="cook_nus must be") as exc:
+            RunConfig(problem="cook", cook_kinds=("quad",), levels=(2,),
+                      cook_nus=nus)
+        assert repr(nus) in str(exc.value)
 
-    @pytest.mark.parametrize("kinds", [(), ("tri",), ["quad"], "quad"],
-                             ids=["empty", "unknown", "list", "str"])
-    def test_cook_kinds_not_kind_names(self, kinds, tmp_path):
-        config = RunConfig(problem="cook", cook_kinds=kinds, levels=(2,),
-                           csv_path=str(tmp_path / "k.csv"))
-        for call in (config.validate, lambda: run_cook(config)):
-            with pytest.raises(ValueError, match="cook_kinds must be") as exc:
-                call()
-            assert repr(kinds) in str(exc.value)
-        assert list(tmp_path.iterdir()) == []
+    @pytest.mark.parametrize("kinds", [
+        (), ("tri",), ["quad"], "quad", ("quad", "quad"),
+        ("quad", "cvor", "quad")],
+        ids=["empty", "unknown", "list", "str", "repeated", "repeated_apart"])
+    def test_cook_kinds_not_kind_names(self, kinds):
+        with pytest.raises(ValueError, match="cook_kinds must be") as exc:
+            RunConfig(problem="cook", cook_kinds=kinds, levels=(2,))
+        assert repr(kinds) in str(exc.value)
 
     def test_numpy_seed_and_nus(self):
         rows = run_cook(RunConfig(problem="cook", cook_kinds=("cvor",),
@@ -212,7 +205,7 @@ class TestRunner:
         monkeypatch.setattr(quadrature, "_fan_rule",
                             lambda *a: built.append(1) or fan_rule(*a))
         results = convergence_study([problem_test_b(), problem_test_a()],
-                                    "quad_structured", (2, 3), RunConfig())
+                                    "quad_structured", (2, 3))
         assert [(len(rows), failures) for rows, failures in results] == [
             (2, []), (2, [])]
         assert len(built) == 2
@@ -225,7 +218,7 @@ class TestRunner:
                               material=from_lame(1.0, 1.0), body_force=None,
                               boundary=lambda m, e: bc, exact=None)
         [(rows, failures)] = convergence_study([problem], "quad_structured",
-                                               (1, 2), RunConfig())
+                                               (1, 2))
         assert rows == []
         assert [lv for lv, _ in failures] == [1, 2]
         assert all(why.startswith("SolverError") for _, why in failures)
@@ -238,20 +231,19 @@ class TestRunner:
                               material=from_lame(1.0, 1.0), body_force=None,
                               boundary=boundary, exact=None)
         with pytest.raises(TypeError, match="classifier bug"):
-            convergence_study([problem], "quad_structured", (1,), RunConfig())
+            convergence_study([problem], "quad_structured", (1,))
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("kind", STUDY_KINDS)
     def test_shared_study_equals_single_studies(self, kind, seed):
         # rows bitwise equal to one-problem studies and to fresh per-level
         # meshes: sharing and batching the meshes changes no number
-        config = RunConfig(seed=seed)
         problems = [problem_test_a(), problem_test_b(),
                     problem_test_incompressible()]
-        shared = convergence_study(problems, kind, LEVELS, config)
+        shared = convergence_study(problems, kind, LEVELS, seed=seed)
         for problem, (rows, failures) in zip(problems, shared):
             assert failures == []
-            assert convergence_study([problem], kind, LEVELS, config) == [
+            assert convergence_study([problem], kind, LEVELS, seed=seed) == [
                 (rows, [])]
             fresh = []
             for level in LEVELS:
@@ -271,7 +263,7 @@ class TestRunner:
                             or assemble_(mesh, problem, **kw))
         results = convergence_study(
             [problem_test_a(), problem_test_b(), problem_test_incompressible()],
-            "poly_voronoi_random", (2, 3), RunConfig())
+            "poly_voronoi_random", (2, 3))
         assert [len(rows) for rows, _ in results] == [2, 2, 2]
         assert built == [("poly_voronoi_random", (4, 9))]
         assert [name for name, _ in given] == ["test-a", "test-b",
@@ -281,11 +273,9 @@ class TestRunner:
         assert all(m is meshes[3] for m in meshes[3:])
         assert meshes[0].n_cells == 4 and meshes[3].n_cells == 9
 
-    def test_mesh_error_fails_its_level_for_every_problem(self, monkeypatch):
-        problems = [problem_test_a(), problem_test_b(),
-                    problem_test_incompressible()]
-        kind = "poly_voronoi_random"
-        clean = convergence_study(problems, kind, LEVELS, RunConfig())
+    def test_mesh_error_fails_the_study(self, monkeypatch, tmp_path):
+        # a mesh that cannot be built is no failed level: the study fails,
+        # and the run writes neither a CSV nor a sidecar
         build = runner.generate_mesh
 
         def failing(kind, res, **kw):
@@ -294,11 +284,36 @@ class TestRunner:
             return build(kind, res, **kw)
 
         monkeypatch.setattr(runner, "generate_mesh", failing)
-        results = convergence_study(problems, kind, LEVELS, RunConfig())
-        for (rows, failures), (clean_rows, _) in zip(results, clean):
-            assert failures == [
-                (3, "MeshError: generated cells do not tile the domain")]
-            assert rows == [clean_rows[0], clean_rows[2]]
+        with pytest.raises(MeshError, match="do not tile the domain"):
+            convergence_study([problem_test_a(), problem_test_b()],
+                              "poly_voronoi_random", LEVELS)
+        config = RunConfig(kind="poly_voronoi_random", levels=LEVELS,
+                           csv_path=str(tmp_path / "c.csv"))
+        with pytest.raises(MeshError, match="do not tile the domain"):
+            run_convergence(config)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_study_rejects_an_unknown_stabilization(self, monkeypatch):
+        # a misspelt stabilization fails the study before any mesh is
+        # built, not every level one by one
+        monkeypatch.setattr(runner, "generate_mesh",
+                            lambda *a, **kw: pytest.fail("mesh built"))
+        with pytest.raises(ValueError, match="unknown stabilization 'stab2'"):
+            convergence_study([problem_test_a()], "quad_structured", (1,),
+                              stabilization="stab2")
+
+    def test_study_reads_its_seed_and_stabilization(self):
+        # the keywords reach the meshes and the local matrices: each one
+        # changes the numbers on its own, and the defaults are seed 0, stab1
+        problem = problem_test_b()
+        kind = "poly_voronoi_random"
+        [(default, _)] = convergence_study([problem], kind, (2, 3))
+        assert convergence_study([problem], kind, (2, 3), seed=0,
+                                 stabilization="stab1") == [(default, [])]
+        for settings in ({"seed": 1}, {"stabilization": "stab1bis"}):
+            [(rows, failures)] = convergence_study([problem], kind, (2, 3),
+                                                   **settings)
+            assert failures == [] and rows != default
 
     def test_study_rejects_an_inconsistent_bundle(self, monkeypatch):
         # test-b with its load doubled: the stated stress no longer balances
@@ -312,14 +327,14 @@ class TestRunner:
         with pytest.raises(ValueError,
                            match="test-b inconsistent.*div_sigma_plus_f"):
             convergence_study([problem_test_a(), doubled], "quad_structured",
-                              (4, 8), RunConfig())
+                              (4, 8))
 
     def test_study_problems_share_a_domain(self):
         with pytest.raises(ValueError, match="share a domain"):
             convergence_study([problem_test_a(), problem_cook(1.0 / 3.0)],
-                              "quad_structured", (1,), RunConfig())
+                              "quad_structured", (1,))
         with pytest.raises(ValueError, match="at least one problem"):
-            convergence_study([], "quad_structured", (1,), RunConfig())
+            convergence_study([], "quad_structured", (1,))
         # equal corners are one domain, whatever array holds them
         free = ProblemSpec(name="free",
                            domain=np.array([[0.0, 0.0], [1.0, 0.0],
@@ -327,7 +342,7 @@ class TestRunner:
                            material=from_lame(1.0, 1.0), body_force=None,
                            boundary=problem_test_a().boundary, exact=None)
         results = convergence_study([free, problem_test_a()],
-                                    "quad_structured", (1,), RunConfig())
+                                    "quad_structured", (1,))
         assert [(len(rows), failures) for rows, failures in results] == [
             (1, []), (1, [])]
 
@@ -406,6 +421,17 @@ class TestCli:
                      "0.3333333333333333", "--csv", str(csv)]) == 0
         assert csv.read_text().count("\n") == 3
 
+    @pytest.mark.parametrize("flags", [
+        ("--kinds", "quad,quad", "--nus", "0.3"),
+        ("--kinds", "quad", "--nus", "0.3,0.3")], ids=["kinds", "nus"])
+    def test_cook_repeated_setting_writes_nothing(self, tmp_path, capsys,
+                                                  flags):
+        assert main(["cook", *flags, "--levels", "2", "--csv",
+                     str(tmp_path / "dup.csv"), "--vtk",
+                     str(tmp_path / "dup.vtk")]) == 2
+        assert "of distinct" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_cook_nus_out_of_range(self, tmp_path, capsys):
         csv = tmp_path / "k.csv"
         assert main(["cook", "--kinds", "quad", "--levels", "2", "--nus",
@@ -463,7 +489,8 @@ class TestCli:
 
     def test_config_file_merge(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("kind = quad_structured\nn = 3\n# comment\n")
+        cfg.write_text("kind = quad_structured\n# comment\nn = 3\n"
+                       "  # indented comment\n")
         out = tmp_path / "m.msh"
         assert main(["mesh", "gen", "--config", str(cfg), "--out",
                      str(out)]) == 0
@@ -495,6 +522,21 @@ class TestCli:
         assert main(["convergence", "--config", str(tmp_path / "a.csv.cfg"),
                      "--stab", "stab1", "--csv", str(stab1)]) == 0
         assert stab1.read_bytes() != first
+
+    def test_sidecar_with_hash_in_path_replays(self, tmp_path):
+        # '#' inside a value is part of it: only a line that starts with '#'
+        # is a comment
+        csv = tmp_path / "run#1.csv"
+        assert main(["convergence", "--problem", "test-a", "--kind",
+                     "quad_structured", "--levels", "2,4", "--csv",
+                     str(csv)]) == 0
+        first = csv.read_bytes()
+        csv.unlink()
+        assert main(["convergence", "--config",
+                     str(tmp_path / "run#1.csv.cfg")]) == 0
+        assert csv.read_bytes() == first
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run#1.csv", "run#1.csv.cfg"]
 
     def test_cook_sidecar_replays(self, tmp_path):
         csv, vtk = tmp_path / "k.csv", tmp_path / "k.vtk"
