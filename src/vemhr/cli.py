@@ -166,8 +166,9 @@ def _cmd_convergence(args):
     rows, table, failures = run_convergence(_run_config(args))
     for name, slope in table.slopes.items():
         print(f"{name}: rate {slope:.3f}")
-    for level, reason in failures:
-        print(f"level {level} failed: {reason}", file=sys.stderr)
+    for level, exc in failures:
+        print(f"level {level} failed: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
     print(f"wrote {args.csv_path}")
     return EXIT_OK
 

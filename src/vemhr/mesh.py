@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 MESH_FORMAT_HEADER = "vemhr-mesh v1"
+# the orientation tests and second moments sum products of four coordinates
+_MAX_COORDINATE = np.finfo(float).max ** 0.25 / 8.0
 
 
 class MeshError(ValueError):
@@ -220,14 +222,15 @@ def build_topology(vertices, cell_vertex_loops):
     Edges are deduplicated with canonical lower-index-first orientation and
     numbered in order of first appearance along the loops (solution files
     rely on it); cell-side signs follow the traversal direction.  Raises
-    :class:`MeshError` on cells with fewer than 3, out-of-range or repeated
-    vertices, cells wound clockwise or self-crossing,
-    non-manifold edges or inconsistently oriented neighbours, zero-length
-    edges, and open cell boundaries.
+    :class:`MeshError` on non-finite or overflowing coordinates, cells with
+    fewer than 3, out-of-range or repeated vertices, cells wound clockwise
+    or self-crossing, non-manifold edges or inconsistently oriented
+    neighbours, zero-length edges, and open cell boundaries.
     """
     vertices = np.asarray(vertices, dtype=float)
-    if not np.all(np.isfinite(vertices)):
-        raise MeshError("non-finite vertex coordinates")
+    if not np.abs(vertices).max(initial=0.0) <= _MAX_COORDINATE:
+        raise MeshError(f"a vertex coordinate is non-finite or overflows the "
+                        f"mesh's products (|x| > {_MAX_COORDINATE:.3g})")
     loops = list(cell_vertex_loops)
     if not loops:
         raise MeshError("mesh has no cells")

@@ -6,9 +6,8 @@ edge lengths across families.  All runs are deterministic given the config
 (fixed seeds, fixed formats), so repeated runs produce identical CSV bytes.
 """
 
-import io
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -91,17 +90,6 @@ class RunConfig:
         if self.stabilization not in STABILIZATIONS:
             raise ValueError(f"unknown stabilization {self.stabilization!r}")
 
-    def to_text(self) -> str:
-        """Flat key = value serialization, written alongside outputs."""
-        lines = []
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if isinstance(value, tuple):
-                value = ",".join(repr(v) if isinstance(v, float) else str(v)
-                                 for v in value)
-            lines.append(f"{name} = {value}")
-        return "\n".join(lines) + "\n"
-
 
 def _is_real(x):
     """True for a real number, numpy scalars included (not bools)."""
@@ -132,23 +120,48 @@ def mesh_for_level(kind, level, domain=None, seed=0):
                          else levels[0], domain=domain, seed=seed)
 
 
-def convergence_study(problems, kind, levels, seed=0, stabilization="stab1"):
-    """One refinement sweep of several manufactured problems on one mesh
-    family; returns one ``(rows, failures)`` pair per problem, in order.
+def _study_row(mesh, problem, solution, level):
+    """The error row: the error norms (with an exact bundle), the largest
+    per-cell norm of div sigma_h + Pi_RM f and the L2 norm of the load."""
+    f_l2 = 0.0
+    if problem.body_force is not None:
+        pts, wts, _ = mesh_polygon_quadrature(mesh)
+        fv = problem.body_force(pts)
+        f_l2 = float(np.sqrt(wts @ (fv**2).sum(axis=1)))
+    row = {
+        "level": level,
+        "h_bar": mesh.mean_edge_length,
+        "n_dof": solution.report.n_dof,
+        "equilibrium_max": float(postproc.equilibrium_residuals(
+            mesh, solution, problem.body_force).max()),
+        "f_l2": f_l2,
+    }
+    if problem.exact is not None:
+        row["E_sigma"] = postproc.error_sigma(
+            mesh, solution, problem.exact.stress, problem.material)
+        row["E_sigma_div"] = postproc.error_div(
+            mesh, solution, problem.body_force)
+        row["E_u"] = postproc.error_u(
+            mesh, solution, problem.exact.displacement)
+    return row
+
+
+def convergence_study(problems, kind, levels, seed=0, stabilization="stab1",
+                      row=_study_row):
+    """One refinement sweep of several problems on one mesh family; returns
+    one ``(rows, failures)`` pair per problem, in order, each row built by
+    ``row(mesh, problem, solution, level)``.
 
     All levels come from one :func:`mesh_for_level` call (the Voronoi kinds
     clip their levels together), and each level's mesh is shared by every
-    problem, so its cell groups and fan rule are built once.  A mesh that
-    cannot be built fails the study; a singular system fails one (problem,
-    level).  The problems must share a domain, the stabilization must be
-    one of ``STABILIZATIONS``, and the exact bundle of each problem that
-    has one must pass ``verify_exact_bundle`` (D sigma = eps(u) and div
-    sigma = -f, by complex step) within ``ORACLE_TOL`` before any mesh is
-    built (a ValueError naming the problem otherwise).
-
-    Each row carries the three error norms plus equilibrium by-products:
-    the largest per-cell norm of div sigma_h + Pi_RM f and the L2 norm of
-    the body load (for relative equilibrium checks).
+    problem, so its cell groups and fan rule are built once, and released
+    with its rows.  A mesh that cannot be built fails the study; a singular
+    system fails one (problem, level), listed as ``(level, exception)``.
+    The problems must share a domain, the stabilization must be one of
+    ``STABILIZATIONS``, and the exact bundle of each problem that has one
+    must pass ``verify_exact_bundle`` (D sigma = eps(u) and div sigma = -f,
+    by complex step) within ``ORACLE_TOL`` before any mesh is built (a
+    ValueError naming the problem otherwise).
     """
     problems = list(problems)
     if not problems:
@@ -175,53 +188,27 @@ def convergence_study(problems, kind, levels, seed=0, stabilization="stab1"):
                                           stabilization=stabilization))
             except (ValueError, SolverError) as exc:
                 # a singular system fails this (problem, level) only
-                failures.append((level, f"{type(exc).__name__}: {exc}"))
+                failures.append((level, exc))
                 continue
-            rows.append(_study_row(mesh, problem, solution, level))
+            rows.append(row(mesh, problem, solution, level))
     return results
-
-
-def _study_row(mesh, problem, solution, level):
-    f_l2 = 0.0
-    if problem.body_force is not None:
-        pts, wts, _ = mesh_polygon_quadrature(mesh)
-        fv = problem.body_force(pts)
-        f_l2 = float(np.sqrt(wts @ (fv**2).sum(axis=1)))
-    row = {
-        "level": level,
-        "h_bar": mesh.mean_edge_length,
-        "n_dof": solution.report.n_dof,
-        "equilibrium_max": float(postproc.equilibrium_residuals(
-            mesh, solution, problem.body_force).max()),
-        "f_l2": f_l2,
-    }
-    if problem.exact is not None:
-        row["E_sigma"] = postproc.error_sigma(
-            mesh, solution, problem.exact.stress, problem.material)
-        row["E_sigma_div"] = postproc.error_div(
-            mesh, solution, problem.body_force)
-        row["E_u"] = postproc.error_u(
-            mesh, solution, problem.exact.displacement)
-    return row
 
 
 def run_convergence(config: RunConfig):
     """Solve a manufactured problem over a refinement sequence and collect
     the three error norms; returns (rows, RateTable, failures) and writes
-    the CSV.  The study is the one-problem case of
-    :func:`convergence_study`: the exact bundle is checked first, then all
-    levels come from one ``generate_mesh`` call."""
+    the CSV.  It is the one-problem :func:`convergence_study`, so a singular
+    system fails its level only; if every level fails, the first level's
+    exception is raised and nothing is written."""
     problem = make_problem(config.problem)
     if problem.exact is None:
         raise ValueError(f"problem {config.problem} has no exact solution")
     [(rows, failures)] = convergence_study(
         [problem], config.kind, config.levels, seed=config.seed,
         stabilization=config.stabilization)
-    if config.csv_path:
-        postproc.write_convergence_csv(config.csv_path, rows)
-        _write_sidecar_config(config)
-    if failures and not rows:
-        raise RuntimeError(f"all levels failed: {failures}")
+    if not rows:
+        raise failures[0][1]
+    _write_run(config, postproc.convergence_csv_text(rows))
     table = postproc.convergence_rates(
         [r["h_bar"] for r in rows],
         {k: [r[k] for r in rows] for k in ("E_sigma", "E_sigma_div", "E_u")})
@@ -232,51 +219,47 @@ def run_cook(config: RunConfig):
     """Tip-displacement refinement study over the requested mesh families and
     Poisson ratios; writes the CSV and a von Mises VTK per finest mesh.
 
-    All levels of a family come from one :func:`mesh_for_level` call (the
-    Voronoi kinds clip and relax their levels together), on the domain of
-    the problems, and each mesh is shared by every Poisson ratio.  A mesh
-    that cannot be built fails the study, as in
-    :func:`convergence_study`."""
+    Each family is a :func:`convergence_study` of the Cook problems with
+    the probe row ``{kind, nu, level, h_bar, n_dof, v_A}``, so the rows come
+    in (kind, nu as given, level) order.  A singular system fails the run
+    with the solve's own exception, and no CSV is written."""
     problems = [problem_cook(nu) for nu in config.cook_nus]
+    nus = {id(problem): nu for problem, nu in zip(problems, config.cook_nus)}
     rows = []
     for short in config.cook_kinds:
-        meshes = mesh_for_level(COOK_KINDS[short], config.levels,
-                                domain=problems[0].domain, seed=config.seed)
-        for nu, problem in zip(config.cook_nus, problems):
-            for i, (level, mesh) in enumerate(zip(config.levels, meshes)):
-                solution = solve(assemble(
-                    mesh, problem, stabilization=config.stabilization))
-                va = postproc.probe_displacement(mesh, solution,
-                                                 COOK_PROBE_POINT)[1]
-                rows.append({"kind": short, "nu": nu, "level": level,
-                             "h_bar": mesh.mean_edge_length,
-                             "n_dof": solution.report.n_dof,
-                             "v_A": float(va)})
-                if config.vtk_path and i == len(config.levels) - 1:
-                    vm = von_mises_field(mesh, solution, problem.material)
-                    path = _suffixed(config.vtk_path, f"{short}_nu{nu:g}")
-                    proj = projection_field(mesh, solution.edge_dofs)
-                    write_vtk_polydata(path, mesh, {
-                        "displacement": solution.cell_motions[:, :2],
-                        "von_mises": vm,
-                        "sigma_11": proj[:, 0],
-                        "sigma_22": proj[:, 1],
-                        "sigma_12": proj[:, 2],
-                    }, title=f"cook {short} nu={nu:g} level={level}")
-    if config.csv_path:
-        with open(config.csv_path, "w", newline="") as fh:
-            fh.write(cook_csv_text(rows))
-        _write_sidecar_config(config)
+        def probe_row(mesh, problem, solution, level):
+            nu = nus[id(problem)]
+            va = postproc.probe_displacement(mesh, solution,
+                                             COOK_PROBE_POINT)[1]
+            if config.vtk_path and level == config.levels[-1]:
+                vm = von_mises_field(mesh, solution, problem.material)
+                path = _suffixed(config.vtk_path, f"{short}_nu{nu:g}")
+                proj = projection_field(mesh, solution.edge_dofs)
+                write_vtk_polydata(path, mesh, {
+                    "displacement": solution.cell_motions[:, :2],
+                    "von_mises": vm,
+                    "sigma_11": proj[:, 0],
+                    "sigma_22": proj[:, 1],
+                    "sigma_12": proj[:, 2],
+                }, title=f"cook {short} nu={nu:g} level={level}")
+            return {"kind": short, "nu": nu, "level": level,
+                    "h_bar": mesh.mean_edge_length,
+                    "n_dof": solution.report.n_dof, "v_A": float(va)}
+
+        for nu_rows, failures in convergence_study(
+                problems, COOK_KINDS[short], config.levels, seed=config.seed,
+                stabilization=config.stabilization, row=probe_row):
+            if failures:
+                raise failures[0][1]
+            rows += nu_rows
+    _write_run(config, cook_csv_text(rows))
     return rows
 
 
 def cook_csv_text(rows) -> str:
-    buf = io.StringIO()
-    buf.write("kind,nu,level,h_bar,n_dof,v_A\n")
-    for r in rows:
-        buf.write(f"{r['kind']},{r['nu']:.12g},{r['level']},"
-                  f"{r['h_bar']:.12e},{r['n_dof']},{r['v_A']:.12e}\n")
-    return buf.getvalue()
+    return "kind,nu,level,h_bar,n_dof,v_A\n" + "".join(
+        f"{r['kind']},{r['nu']:.12g},{r['level']},{r['h_bar']:.12e},"
+        f"{r['n_dof']},{r['v_A']:.12e}\n" for r in rows)
 
 
 def _suffixed(path, tag):
@@ -285,6 +268,17 @@ def _suffixed(path, tag):
     return f"{path}_{tag}"
 
 
-def _write_sidecar_config(config: RunConfig):
-    with open(config.csv_path + ".cfg", "w") as fh:
-        fh.write(config.to_text())
+def _write_run(config: RunConfig, csv_text):
+    """Write the CSV, then its ``.cfg`` sidecar, if the run has a CSV path.
+    The sidecar has a ``key = value`` line per field, which ``--config``
+    replays."""
+    if config.csv_path:
+        with open(config.csv_path, "w", newline="") as fh:
+            fh.write(csv_text)
+        with open(config.csv_path + ".cfg", "w") as fh:
+            for field in fields(config):
+                value = getattr(config, field.name)
+                if isinstance(value, tuple):
+                    value = ",".join(repr(v) if isinstance(v, float)
+                                     else str(v) for v in value)
+                fh.write(f"{field.name} = {value}\n")

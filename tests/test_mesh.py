@@ -1,5 +1,6 @@
 import os
 import tempfile
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from vemhr.generators import MESH_KINDS, generate_mesh
-from vemhr.mesh import (MeshError, _dissection, _hop_coordinates,
+from vemhr.mesh import (_MAX_COORDINATE, MeshError, _dissection,
+                        _hop_coordinates,
                         build_topology, check_assumptions, cook_domain,
                         load_mesh, mesh_checksum, perp, save_mesh,
                         write_mesh_text)
@@ -128,6 +130,27 @@ class TestBuildTopology:
         verts = [[0, 0], [1, 1], [1, 0], [0, 1]]
         with pytest.raises(MeshError):
             build_topology(verts, [[0, 1, 2, 3]])
+
+    @pytest.mark.parametrize("x", [1e308, 1e77])
+    def test_overflowing_coordinate_rejected(self, x):
+        # products of such coordinates overflow: the error names that, before
+        # the orientation check and with no numpy warning
+        verts = SQUARE_VERTS.copy()
+        verts[1, 0] = x
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match="overflows"):
+                build_topology(verts, [[0, 1, 2, 3]])
+
+    def test_largest_coordinate_builds(self):
+        # at the bound, the topology and every geometric array are finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mesh = build_topology(SQUARE_VERTS * _MAX_COORDINATE,
+                                  [[0, 1, 2, 3]])
+            for name in ("areas", "centroids", "diameters", "moment_tensors",
+                         "second_moments", "edge_lengths", "edge_normals"):
+                assert np.all(np.isfinite(getattr(mesh, name))), name
 
     def test_discrete_divergence_theorem(self):
         # sum of sign * |e| * n over each cell boundary vanishes

@@ -4,20 +4,21 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import vemhr
 from vemhr import quadrature, runner
-from vemhr.assembly import TractionBC, assemble, solve
+from vemhr.assembly import SolverError, TractionBC, assemble, solve
 from vemhr.cli import main
 from vemhr.material import from_lame
 from vemhr.generators import UNIT_SQUARE, generate_mesh
 from vemhr.mesh import MeshError, cook_domain, load_mesh, save_mesh
-from vemhr.postproc import CSV_HEADER, ROUNDOFF_FLOOR
-from vemhr.problems import ProblemSpec, problem_cook, problem_test_a, \
-    problem_test_b, problem_test_incompressible
+from vemhr.postproc import CSV_HEADER, ROUNDOFF_FLOOR, probe_displacement
+from vemhr.problems import COOK_PROBE_POINT, ProblemSpec, problem_cook, \
+    problem_test_a, problem_test_b, problem_test_incompressible
 from vemhr.runner import (COOK_KINDS, RunConfig, convergence_study,
                           cook_csv_text, make_problem, mesh_for_level,
                           run_convergence, run_cook)
@@ -25,6 +26,24 @@ from vemhr.runner import (COOK_KINDS, RunConfig, convergence_study,
 STUDY_KINDS = ("quad_structured", "hex_structured", "tri_unstructured",
                "poly_voronoi_random", "poly_voronoi_cvt")
 LEVELS = (2, 3, 4)
+
+
+def _fail_one_cook_solve(monkeypatch):
+    """Make ``runner.solve`` raise SolverError on the level-2 (4-cell) quad
+    mesh at nu = 0.49 only."""
+    assembled, solve_, assemble_ = [], runner.solve, runner.assemble
+
+    def assemble(mesh, problem, **kw):
+        assembled.append((problem.name, mesh.n_cells))
+        return assemble_(mesh, problem, **kw)
+
+    def failing(system):
+        if assembled[-1] == ("cook-nu0.49", 4):
+            raise SolverError("synthetic singular system")
+        return solve_(system)
+
+    monkeypatch.setattr(runner, "assemble", assemble)
+    monkeypatch.setattr(runner, "solve", failing)
 
 
 class TestRunner:
@@ -142,24 +161,64 @@ class TestRunner:
         assert "SCALARS sigma_11" in body
 
     def test_cook_builds_each_mesh_once(self, monkeypatch, tmp_path):
-        # one generate_mesh call per family for all its levels
+        # one generate_mesh call per family for all its levels; the rows
+        # follow the Poisson ratios in the order given
         built = []
         build = runner.generate_mesh
         monkeypatch.setattr(runner, "generate_mesh", lambda kind, res, **kw:
                             built.append((kind, res)) or build(kind, res, **kw))
-        cfg = RunConfig(problem="cook", cook_kinds=("quad", "rvor"),
-                        levels=(2, 3), cook_nus=(1.0 / 3.0, 0.49),
-                        csv_path=str(tmp_path / "cook.csv"),
-                        vtk_path=str(tmp_path / "cook.vtk"))
-        rows = run_cook(cfg)
-        assert built == [("quad_structured", (2, 3)),
-                         ("poly_voronoi_random", (4, 9))]
-        assert [(r["kind"], r["nu"], r["level"]) for r in rows] == [
-            (k, nu, lv) for k in ("quad", "rvor") for nu in (1.0 / 3.0, 0.49)
-            for lv in (2, 3)]
-        assert sorted(p.name for p in tmp_path.glob("*.vtk")) == [
-            "cook_quad_nu0.333333.vtk", "cook_quad_nu0.49.vtk",
-            "cook_rvor_nu0.333333.vtk", "cook_rvor_nu0.49.vtk"]
+        for nus in ((1.0 / 3.0, 0.49), (0.49, 1.0 / 3.0)):
+            out = tmp_path / f"nus_{nus[0]:g}"
+            out.mkdir()
+            built.clear()
+            rows = run_cook(RunConfig(
+                problem="cook", cook_kinds=("quad", "rvor"), levels=(2, 3),
+                cook_nus=nus, csv_path=str(out / "cook.csv"),
+                vtk_path=str(out / "cook.vtk")))
+            assert built == [("quad_structured", (2, 3)),
+                             ("poly_voronoi_random", (4, 9))]
+            assert [(r["kind"], r["nu"], r["level"]) for r in rows] == [
+                (k, nu, lv) for k in ("quad", "rvor") for nu in nus
+                for lv in (2, 3)]
+            assert sorted(p.name for p in out.glob("*.vtk")) == [
+                "cook_quad_nu0.333333.vtk", "cook_quad_nu0.49.vtk",
+                "cook_rvor_nu0.333333.vtk", "cook_rvor_nu0.49.vtk"]
+
+    def test_cook_rows_equal_fresh_solves(self):
+        # two-nu, two-kind rows bitwise equal to one-nu runs and to fresh
+        # per-level meshes: sharing the meshes changes no number
+        kinds, levels, nus = ("quad", "rvor"), (2, 3), (0.49, 1.0 / 3.0)
+        rows = run_cook(RunConfig(problem="cook", cook_kinds=kinds,
+                                  levels=levels, cook_nus=nus, seed=1))
+        assert rows == [row for short in kinds for nu in nus
+                        for row in run_cook(RunConfig(
+                            problem="cook", cook_kinds=(short,),
+                            levels=levels, cook_nus=(nu,), seed=1))]
+        fresh = []
+        for short in kinds:
+            for nu in nus:
+                problem = problem_cook(nu)
+                for level in levels:
+                    mesh = mesh_for_level(COOK_KINDS[short], level,
+                                          domain=problem.domain, seed=1)
+                    solution = solve(assemble(mesh, problem))
+                    va = probe_displacement(mesh, solution, COOK_PROBE_POINT)
+                    fresh.append({"kind": short, "nu": nu, "level": level,
+                                  "h_bar": mesh.mean_edge_length,
+                                  "n_dof": solution.report.n_dof,
+                                  "v_A": float(va[1])})
+        assert rows == fresh
+
+    def test_singular_cook_system_fails_the_run(self, monkeypatch, tmp_path):
+        # unlike a study's level, a singular Cook system fails the whole
+        # run with the solve's own exception, and no CSV is written
+        _fail_one_cook_solve(monkeypatch)
+        csv = tmp_path / "k.csv"
+        with pytest.raises(SolverError, match="synthetic singular system"):
+            run_cook(RunConfig(problem="cook", cook_kinds=("quad",),
+                               levels=(2, 3), cook_nus=(1.0 / 3.0, 0.49),
+                               csv_path=str(csv)))
+        assert list(tmp_path.iterdir()) == []
 
     def test_roundoff_rate_is_blank(self, tmp_path):
         # test-a's exact divergence is zero, so E_sigma_div is round-off
@@ -221,7 +280,7 @@ class TestRunner:
                                                (1, 2))
         assert rows == []
         assert [lv for lv, _ in failures] == [1, 2]
-        assert all(why.startswith("SolverError") for _, why in failures)
+        assert all(isinstance(exc, SolverError) for _, exc in failures)
 
     def test_programming_error_propagates(self):
         def boundary(mesh, edge):
@@ -414,6 +473,63 @@ class TestCli:
                      str(csv)]) == 2
         assert "strictly increasing" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("error,code", [
+        pytest.param(SolverError, 3, id="solver"),
+        pytest.param(ValueError, 2, id="validation")])
+    def test_convergence_with_every_level_failed(self, tmp_path, monkeypatch,
+                                                 capsys, error, code):
+        # no row: the first level's exception fails the run before anything
+        # is written, with that exception's exit code
+        def failing(system):
+            raise error(f"synthetic failure at {system.mesh.n_cells} cells")
+
+        monkeypatch.setattr(runner, "solve", failing)
+        assert main(["convergence", "--problem", "test-a", "--kind",
+                     "quad_structured", "--levels", "2,4", "--csv",
+                     str(tmp_path / "c.csv")]) == code
+        assert "synthetic failure at 4 cells" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_convergence_names_a_failed_level(self, tmp_path, monkeypatch,
+                                             capsys):
+        solve_ = runner.solve
+
+        def failing(system):
+            if system.mesh.n_cells == 4:
+                raise SolverError("synthetic failure")
+            return solve_(system)
+
+        monkeypatch.setattr(runner, "solve", failing)
+        csv = tmp_path / "c.csv"
+        assert main(["convergence", "--problem", "test-a", "--kind",
+                     "quad_structured", "--levels", "2,4,8", "--csv",
+                     str(csv)]) == 0
+        assert "level 2 failed: SolverError: synthetic failure" in \
+            capsys.readouterr().err
+        assert [ln.split(",")[0] for ln in csv.read_text().splitlines()] == [
+            "level", "4", "8"]
+
+    def test_singular_cook_system_exit_code(self, tmp_path, monkeypatch,
+                                            capsys):
+        _fail_one_cook_solve(monkeypatch)
+        assert main(["cook", "--kinds", "quad", "--levels", "2,3", "--nus",
+                     "0.3333333333333333,0.49", "--csv",
+                     str(tmp_path / "k.csv")]) == 3
+        assert "synthetic singular system" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_mesh_file_writes_nothing(self, tmp_path, capsys):
+        bad = tmp_path / "big.msh"
+        bad.write_text("vemhr-mesh v1\n4\n0 0\n1e308 0\n1 1\n0 1\n1\n"
+                       "0 1 2 3\n")
+        out = tmp_path / "o.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--problem", "test-a", "--mesh", str(bad),
+                         "--out", str(out)]) == 2
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cook_command(self, tmp_path):
         csv = tmp_path / "k.csv"
