@@ -32,7 +32,7 @@ import scipy.sparse.linalg as spla
 
 from . import element
 from .element import _edge_moments, _sample, cell_groups
-from .mesh import _dissection, _format_rows, mesh_checksum
+from .mesh import _format_rows, mesh_checksum
 
 __all__ = [
     "DofMap",
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 
-# Largest relative residual a solve accepts.
+# Largest normwise backward error a solve accepts (see ``solve``).
 SOLVER_TOL = 1e-10
 
 
@@ -143,14 +143,14 @@ class GlobalSystem:
 
 @dataclass
 class SolveReport:
-    """``residual`` is |rhs - K x| / |rhs| of the constrained system: K the
-    saddle point with identity rows on the fixed DOFs, rhs the assembled
-    right-hand side with the prescribed values on those rows.  ``lu_nnz``
-    is L.nnz + U.nnz of the multiplier factor and ``factor_s`` the seconds
-    its ``splu`` took, with the minimum-degree ordering but not the nested
-    dissection, which is cached on the mesh (0 and 0.0 only when the mesh
-    has no interior edge and no traction edge; -1 and NaN when read back
-    from a solution file).
+    """``residual`` is the backward error omega (see ``solve``) of the
+    constrained system: K the saddle point with identity rows on the fixed
+    DOFs, rhs the assembled right-hand side with the prescribed values on
+    those rows.  ``lu_nnz`` is L.nnz + U.nnz of the multiplier factor and
+    ``factor_s`` the seconds its ``splu`` took, with the minimum-degree
+    ordering but not the dissection keys, which ``_edge_order`` caches
+    (0 and 0.0 only when the mesh has no interior edge and no traction
+    edge; -1 and NaN when read back from a solution file).
     ``peak_rss_mb`` is the process's resident-set high-water mark in MiB,
     read right after the factor (``ru_maxrss``, which Linux gives in KiB;
     NaN when read back).  ``ordering`` names how the multipliers were
@@ -286,6 +286,94 @@ def _apply_blocks(blocks, x):
     return y
 
 
+def _hop_coordinates(mesh):
+    """(n_cells, 2) hop distances in the cell-adjacency graph (cells that
+    share an edge) from the cells on two straight boundary sides, n_cells
+    where unreachable.
+
+    A side is the boundary edges that share one outward normal.  The first
+    side's normal has the smallest x component, the second's is the one
+    closest to orthogonal to the first's; ties go to the side whose edge
+    midpoints average to the smaller x, then y.  One product of the sparse
+    adjacency matrix with the two frontiers advances both searches by a
+    hop, so no graph module is loaded.
+    """
+    nc = mesh.n_cells
+    a, b = mesh.edge_cells[mesh.interior_edges].T
+    adjacency = sps.csr_matrix((np.ones(2 * len(a)),
+                                (np.r_[a, b], np.r_[b, a])), shape=(nc, nc))
+    bnd = mesh.boundary_edges
+    normals = mesh.boundary_sign(bnd)[:, None] * mesh.edge_normals[bnd]
+    normal, side = np.unique(np.round(normals, 9), axis=0,
+                             return_inverse=True)
+    side = side.ravel()
+    scale = np.abs(mesh.vertices).max()
+    centre = np.round(np.column_stack([
+        np.bincount(side, mesh.edge_midpoints[bnd, k]) for k in (0, 1)])
+        / (np.bincount(side)[:, None] * scale), 9)
+    first = np.lexsort((centre[:, 1], centre[:, 0], normal[:, 0]))[0]
+    tilt = np.round(np.abs(normal @ normal[first]), 9)
+    tilt[first] = np.inf
+    second = np.lexsort((centre[:, 1], centre[:, 0], tilt))[0]
+
+    hops = np.full((nc, 2), nc)
+    for k, s in enumerate((first, second)):
+        hops[mesh.edge_cells[bnd[side == s]].max(axis=1), k] = 0
+    frontier = (hops == 0).astype(float)
+    hop = 0
+    while frontier.any():
+        hop += 1
+        reached = (adjacency @ frontier > 0) & (hops == nc)
+        hops[reached] = hop
+        frontier = reached.astype(float)
+    return hops
+
+
+def _dissection(mesh):
+    """Nested dissection of the cells: ``(depth, leaf)``, the depth D of a
+    binary tree and the leaf (0 to 2**D - 1) of every cell.
+
+    Node (l, j) of level l = 0 .. D holds the cells with ``leaf >> (D - l)
+    == j``; its children are (l + 1, 2j) and (l + 1, 2j + 1).  D is
+    floor(log2(n_cells / 2)), so a leaf holds about two to four cells.
+
+    Two multipliers of ``_Hybrid`` are coupled only when their edges share
+    a cell, so the interior edges a split cuts separate them, one edge
+    thick: George's nested dissection of a finite-element mesh (SIAM J.
+    Numer. Anal. 10, 1973), applied to the cells.  Each part splits at the
+    median of whichever hop coordinate of ``_hop_coordinates`` cuts fewer
+    of its interior edges (the first on a tie); the cells are ordered by
+    that coordinate, then the other, then cell id.  All parts of a level
+    split together: each coordinate keeps one order of the cells, sorted by
+    part and by the coordinate within a part, and is re-sorted stably by
+    the new parts.
+    """
+    nc = mesh.n_cells
+    a, b = mesh.edge_cells[mesh.interior_edges].T
+    hops = _hop_coordinates(mesh)
+    depth = max(int(np.log2(nc / 2)), 0)
+    orders = [np.argsort(hops[:, k] * (nc + 1) + hops[:, 1 - k],
+                         kind="stable") for k in (0, 1)]
+    part = np.zeros(nc, dtype=int)
+    ranks = np.arange(nc)
+    upper = np.empty((nc, 2), dtype=int)  # 1 above the part's median
+    for level in range(depth):
+        counts = np.bincount(part, minlength=2**level)
+        start = np.cumsum(counts) - counts
+        for k, order in enumerate(orders):
+            p = part[order]
+            upper[order, k] = ranks - start[p] >= counts[p] // 2
+        cut = np.column_stack([
+            np.bincount(part[a], upper[a, k] != upper[b, k],
+                        minlength=2**level) for k in (0, 1)])
+        part = 2 * part + upper[ranks, np.argmin(cut, axis=1)[part]]
+        inside = part[a] == part[b]
+        a, b = a[inside], b[inside]
+        orders = [order[np.argsort(part[order], kind="stable")]
+                  for order in orders]
+    return depth, part
+
+
 # Fewest cells of a quad mesh whose multipliers are ordered by nested
 # dissection; smaller meshes, and meshes with a cell of other than four
 # sides, keep SuperLU's minimum degree.  Set at the measured crossover of
@@ -294,18 +382,27 @@ _DISSECTION_MIN_CELLS = 1024
 
 
 def _edge_order(mesh):
-    """The postorder key (``mesh._dissection``) of each edge's node, the
-    deepest node of the cells' dissection tree that holds both its cells
-    (a boundary edge's cell's leaf), on meshes of at least
-    ``_DISSECTION_MIN_CELLS`` cells that all have four sides; else None."""
+    """The postorder key of every edge in the cells' dissection tree
+    (``_dissection``), computed once per mesh and cached on it, on meshes
+    of at least ``_DISSECTION_MIN_CELLS`` cells that all have four sides;
+    else None.  An edge's node (l, j) is the deepest node that holds both
+    its cells (a boundary edge's cell's leaf), and its key is
+    r (D + 1) + (D - l), r = (j + 1) 2**(D - l) - 1 the rightmost leaf
+    under the node.  So the nodes are in postorder (Liu, SIAM J. Matrix
+    Anal. Appl. 11, 1990): each subtree is one run of keys that ends with
+    its root, after its descendants.
+    """
     if (mesh.n_cells < _DISSECTION_MIN_CELLS
             or np.any(np.diff(mesh.cell_offsets) != 4)):
         return None
-    depth, leaf = _dissection(mesh)
-    cells = mesh.edge_cells
-    ends = leaf[np.where(cells < 0, cells[:, ::-1], cells)]
-    up = np.frexp(ends[:, 0] ^ ends[:, 1])[1]  # D - l
-    return (ends[:, 0] | ((1 << up) - 1)) * (depth + 1) + up
+    if not hasattr(mesh, "_edge_order_key"):
+        depth, leaf = _dissection(mesh)
+        cells = mesh.edge_cells
+        ends = leaf[np.where(cells < 0, cells[:, ::-1], cells)]
+        up = np.frexp(ends[:, 0] ^ ends[:, 1])[1]  # D - l
+        mesh._edge_order_key = ((ends[:, 0] | ((1 << up) - 1)) * (depth + 1)
+                                + up)
+    return mesh._edge_order_key
 
 
 class _Hybrid:
@@ -319,8 +416,7 @@ class _Hybrid:
     written once into int32 row and column and float64 value buffers sized
     to its glued pairs, and the buffers go before ``splu``; with neither an
     interior edge nor a fixed DOF there is no multiplier, nothing is
-    factored and ``lu_nnz`` stays 0.  ``solve`` reports |r - apply(x)| /
-    |r| as its residual.
+    factored and ``lu_nnz`` stays 0.
 
     Called on a global vector r, each cell solves K_E y_E = r_E - C_E lam
     for its own (torn) traction DOFs and rigid motion.  C_E puts a
@@ -336,27 +432,19 @@ class _Hybrid:
     one cell; the same weights average the two copies of an interior edge
     back into one global vector.
 
-    Two multipliers are coupled in S only when their edges share a cell,
-    so the edges between two sets of cells separate S, one edge thick:
-    George's nested dissection of a finite-element mesh (SIAM J. Numer.
-    Anal. 10, 1973), applied to the cells.  Where ``_edge_order`` gives
-    keys, the multipliers are numbered by their edge node's key
-    r (D + 1) + (D - l), r the rightmost leaf under node (l, j), then by
-    DOF.  That is a postorder of the tree (Liu, SIAM J. Matrix Anal. Appl.
-    11, 1990): the multipliers of each subtree form one contiguous block
-    that ends with the root's, so each node comes after its descendants.
-    S is written and factored in that numbering (SuperLU's ``NATURAL``
-    column order).  Where it gives None they are numbered in DOF order and
-    SuperLU orders S by minimum degree (``MMD_AT_PLUS_A``).  ``ordering``
-    records which, ``""`` without a multiplier.
+    Where ``_edge_order`` gives keys, a postorder of the cells' nested
+    dissection, the multipliers are numbered by their edge's key, then by
+    DOF, and S is written and factored in that numbering (SuperLU's
+    ``NATURAL`` column order).  Where it gives None they are numbered in
+    DOF order and SuperLU orders S by minimum degree (``MMD_AT_PLUS_A``).
+    ``ordering`` records which, ``""`` without a multiplier.
     """
 
     def __init__(self, mesh, blocks, held):
         interior = mesh.interior_edges
-        # multiplier index per edge DOF, for the interior and fixed ones
-        # in DOF order, or by postorder key and then DOF under nested
-        # dissection; every other DOF points at one dummy slot n_lam,
-        # which local_solutions drops and S never holds
+        # multiplier index per edge DOF, for the interior and fixed ones;
+        # every other DOF points at one dummy slot n_lam, which
+        # local_solutions drops and S never holds
         has_lam = np.zeros(3 * mesh.n_edges, dtype=bool)
         has_lam[held] = True
         has_lam.reshape(-1, 3)[interior] = True
@@ -459,11 +547,15 @@ class _Hybrid:
 
 def solve(system) -> Solution:
     """Hybridised solve of the constrained saddle point, one refinement step
-    against it, relative-residual check.  The ``_Hybrid`` of the system's
+    against it, backward-error check.  The ``_Hybrid`` of the system's
     blocks and fixed DOFs is the operator and its inverse, and the
     right-hand side is ``system.rhs`` as assembled (never written), so the
-    global matrix is never formed.  The reported residual is
-    |rhs - K x| / |rhs| of that constrained system.
+    global matrix is never formed.  The reported residual is the normwise
+    backward error omega = norm(rhs - K x) / (norm(|K| |x|) + norm(rhs))
+    of that constrained system, |.| entrywise (after Rigal & Gaches, J. ACM
+    14, 1967), 0 when rhs and x are both zero.  Unlike norm(rhs - K x) /
+    norm(rhs) it does not grow with the mesh's units.  A solve fails when
+    omega is above ``SOLVER_TOL`` or NaN.
 
     A pure traction problem (no boundary edge left without a prescribed
     traction) has the rigid motions as a kernel and raises SolverError.
@@ -480,14 +572,15 @@ def solve(system) -> Solution:
     # about 3e-8 (Cook membrane, nu = 0.499995, 64 x 64 quads); one
     # refinement step brings it to round-off.
     x += hybrid(rhs - hybrid.apply(x))
-    if not np.all(np.isfinite(x)):
-        bad = np.nonzero(~np.isfinite(x))[0]
-        raise SolverError(f"singular system: non-finite solution at DOFs "
-                          f"{bad[:5].tolist()}...")
-    scale = np.linalg.norm(rhs) or 1.0
-    residual = np.linalg.norm(rhs - hybrid.apply(x)) / scale
-    if residual > SOLVER_TOL:
-        raise SolverError(f"solver residual {residual:.3e} above "
+    # |K| |x|: each group's |K_E| on |x|, formed only while it is applied,
+    # and |x_j| on the identity rows of the fixed DOFs
+    magnitude = _apply_blocks(((g, dofs, np.abs(K))
+                               for g, dofs, K in system.blocks), np.abs(x))
+    magnitude[hybrid.held] = np.abs(x[hybrid.held])
+    scale = np.linalg.norm(magnitude) + np.linalg.norm(rhs)
+    residual = np.linalg.norm(rhs - hybrid.apply(x)) / (scale or 1.0)
+    if not residual <= SOLVER_TOL:
+        raise SolverError(f"solver backward error {residual:.3e} above "
                           f"{SOLVER_TOL:.1e}")
     return Solution(
         mesh=system.mesh,

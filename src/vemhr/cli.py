@@ -16,7 +16,8 @@ from .assembly import SolverError, assemble, save_solution, solve
 from .element import STABILIZATIONS
 from .generators import MESH_KINDS, _check_partition, generate_mesh
 from .mesh import MeshError, cook_domain, load_mesh, save_mesh
-from .runner import PROBLEM_IDS, RunConfig, run_convergence, run_cook
+from .runner import (PROBLEM_IDS, RunConfig, make_problem, run_convergence,
+                     run_cook)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -59,7 +60,7 @@ def _domain(name):
 
 
 def _build_parser():
-    """The parser and the subparser of each command."""
+    """The parser, and the subparser and handler of each command."""
     parser = argparse.ArgumentParser(
         prog="vemhr",
         description="Mixed stress/displacement virtual element benchmarks")
@@ -99,8 +100,9 @@ def _build_parser():
     cook.add_argument("--kinds", dest="cook_kinds", type=_comma_list(str))
     cook.add_argument("--nus", dest="cook_nus", type=_comma_list(float))
     cook.add_argument("--vtk", dest="vtk_path")
-    return parser, {"mesh": gen, "solve": sol, "convergence": conv,
-                    "cook": cook}
+    return parser, {"mesh": (gen, _cmd_mesh_gen), "solve": (sol, _cmd_solve),
+                    "convergence": (conv, _cmd_convergence),
+                    "cook": (cook, _cmd_cook)}
 
 
 def _merge_config(parser, subparser, args, argv):
@@ -134,8 +136,6 @@ def _cmd_mesh_gen(args):
 
 
 def _cmd_solve(args):
-    from .runner import make_problem
-
     if args.problem is None or args.mesh is None or args.out is None:
         raise ValueError("solve requires --problem, --mesh and --out")
     problem = make_problem(args.problem, args.nu)
@@ -177,9 +177,7 @@ def _cmd_cook(args):
     if args.csv_path is None:
         raise ValueError("cook requires --csv")
     rows = run_cook(_run_config(args, problem="cook"))
-    finest = {}
-    for r in rows:
-        finest[(r["kind"], r["nu"])] = r["v_A"]
+    finest = {(r["kind"], r["nu"]): r["v_A"] for r in rows}
     for (kind, nu), va in finest.items():
         print(f"{kind} nu={nu:g}: v_A = {va:.6f}")
     print(f"wrote {args.csv_path}")
@@ -189,19 +187,11 @@ def _cmd_cook(args):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser, subparsers = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
+    subparser, handler = commands[args.command]
     try:
-        args = _merge_config(parser, subparsers[args.command], args, argv)
-        if args.command == "mesh":
-            return _cmd_mesh_gen(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "convergence":
-            return _cmd_convergence(args)
-        if args.command == "cook":
-            return _cmd_cook(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return handler(_merge_config(parser, subparser, args, argv))
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -297,8 +297,10 @@ def check_assumptions(mesh):
     A ball lies in the visibility kernel exactly when it lies in every
     half-plane n_e . x <= n_e . m_e of the cell's sides (outward unit
     normal n_e, midpoint m_e), so each cell's largest one is the Chebyshev
-    centre (x_c, r_c) of those half-planes.  The cells' LPs are
-    independent, so one LP maximising the sum of the radii solves them all.
+    centre (x_c, r_c) of those half-planes, written in the cell's units
+    x_c = x_C + h_E x' and r_c = h_E r' so that r' is the star ratio at
+    any mesh scale.  The cells' LPs are independent, so one LP maximising
+    the sum of the radii solves them all.
     """
     from scipy.optimize import linprog
     from scipy.sparse import csr_matrix
@@ -312,116 +314,22 @@ def check_assumptions(mesh):
         dist[:, np.arange(k), np.arange(k)] = np.inf
         vr[cells] = dist.min(axis=(1, 2)) / mesh.diameters[cells]
 
-    # One row per cell side: n_e . (x_c, y_c) + r_c <= n_e . m_e.
+    # One row per cell side: n_e . x' + r' <= n_e . (m_e - x_C) / h_E.
     e = mesh.cell_edge_ids
     n = mesh.cell_edge_signs[:, None] * mesh.edge_normals[e]
-    columns = 3 * _slot_cells(mesh.cell_offsets)[:, None] + np.arange(3)
+    cell = _slot_cells(mesh.cell_offsets)
+    columns = 3 * cell[:, None] + np.arange(3)
     a_ub = csr_matrix((np.column_stack([n, np.ones(len(e))]).ravel(),
                        columns.ravel(), 3 * np.arange(len(e) + 1)),
                       shape=(len(e), 3 * nc))
-    b_ub = (n * mesh.edge_midpoints[e]).sum(axis=1)
+    b_ub = ((n * (mesh.edge_midpoints[e] - mesh.centroids[cell])).sum(axis=1)
+            / mesh.diameters[cell])
     res = linprog(np.tile([0.0, 0.0, -1.0], nc), A_ub=a_ub, b_ub=b_ub,
                   bounds=(None, None), method="highs")
     if not res.success:
         raise RuntimeError(f"shape-regularity LP failed: {res.message}")
-    sr = np.maximum(res.x[2::3], 0.0) / mesh.diameters
-    return QualityReport(vertex_ratio=vr, star_ratio=sr)
-
-
-def _hop_coordinates(mesh):
-    """(n_cells, 2) hop distances in the cell-adjacency graph (cells that
-    share an edge) from the cells on two straight boundary sides, n_cells
-    where unreachable.
-
-    A side is the boundary edges that share one outward normal.  The first
-    side's normal has the smallest x component, the second's is the one
-    closest to orthogonal to the first's; ties go to the side whose edge
-    midpoints average to the smaller x, then y.  One product of the
-    ``scipy.sparse`` adjacency matrix with the two frontiers advances both
-    searches by a hop, so no graph module is loaded.
-    """
-    from scipy.sparse import csr_matrix
-
-    nc = mesh.n_cells
-    a, b = mesh.edge_cells[mesh.interior_edges].T
-    adjacency = csr_matrix((np.ones(2 * len(a)), (np.r_[a, b], np.r_[b, a])),
-                           shape=(nc, nc))
-    bnd = mesh.boundary_edges
-    normals = mesh.boundary_sign(bnd)[:, None] * mesh.edge_normals[bnd]
-    normal, side = np.unique(np.round(normals, 9), axis=0,
-                             return_inverse=True)
-    side = side.ravel()
-    scale = np.abs(mesh.vertices).max()
-    centre = np.round(np.column_stack([
-        np.bincount(side, mesh.edge_midpoints[bnd, k]) for k in (0, 1)])
-        / (np.bincount(side)[:, None] * scale), 9)
-    first = np.lexsort((centre[:, 1], centre[:, 0], normal[:, 0]))[0]
-    tilt = np.round(np.abs(normal @ normal[first]), 9)
-    tilt[first] = np.inf
-    second = np.lexsort((centre[:, 1], centre[:, 0], tilt))[0]
-
-    hops = np.full((nc, 2), nc)
-    for k, s in enumerate((first, second)):
-        hops[mesh.edge_cells[bnd[side == s]].max(axis=1), k] = 0
-    frontier = (hops == 0).astype(float)
-    hop = 0
-    while frontier.any():
-        hop += 1
-        reached = (adjacency @ frontier > 0) & (hops == nc)
-        hops[reached] = hop
-        frontier = reached.astype(float)
-    return hops
-
-
-def _dissection(mesh):
-    """Nested dissection of the cells: ``(depth, leaf)``, the depth D of a
-    binary tree and the leaf (0 to 2**D - 1) of every cell; cached on the
-    mesh (meshes are immutable).
-
-    Node (l, j) of level l = 0 .. D holds the cells with ``leaf >> (D - l)
-    == j``; its children are (l + 1, 2j) and (l + 1, 2j + 1).  D is
-    floor(log2(n_cells / 2)), so a leaf holds about two to four cells.
-    Keyed r (D + 1) + (D - l), r = (j + 1) 2**(D - l) - 1 its last leaf,
-    the nodes are in postorder: each subtree is one run of keys that ends
-    with its root, after its descendants (``assembly._edge_order``).
-
-    The interior edges a split cuts separate everything that couples
-    unknowns through shared cells, so each part splits at the median of
-    whichever hop coordinate of ``_hop_coordinates`` cuts fewer of its
-    interior edges (the first on a tie); the cells are ordered by that
-    coordinate, then the other, then cell id.  All parts of a level split
-    together: each coordinate keeps one order of the cells, sorted by part
-    and by the coordinate within a part, and is re-sorted stably by the
-    new parts.
-    """
-    cached = getattr(mesh, "_dissection_tree", None)
-    if cached is not None:
-        return cached
-    nc = mesh.n_cells
-    a, b = mesh.edge_cells[mesh.interior_edges].T
-    hops = _hop_coordinates(mesh)
-    depth = max(int(np.log2(nc / 2)), 0)
-    orders = [np.argsort(hops[:, k] * (nc + 1) + hops[:, 1 - k],
-                         kind="stable") for k in (0, 1)]
-    part = np.zeros(nc, dtype=int)
-    ranks = np.arange(nc)
-    upper = np.empty((nc, 2), dtype=int)  # 1 above the part's median
-    for level in range(depth):
-        counts = np.bincount(part, minlength=2**level)
-        start = np.cumsum(counts) - counts
-        for k, order in enumerate(orders):
-            p = part[order]
-            upper[order, k] = ranks - start[p] >= counts[p] // 2
-        cut = np.column_stack([
-            np.bincount(part[a], upper[a, k] != upper[b, k],
-                        minlength=2**level) for k in (0, 1)])
-        part = 2 * part + upper[ranks, np.argmin(cut, axis=1)[part]]
-        inside = part[a] == part[b]
-        a, b = a[inside], b[inside]
-        orders = [order[np.argsort(part[order], kind="stable")]
-                  for order in orders]
-    mesh._dissection_tree = depth, part
-    return mesh._dissection_tree
+    return QualityReport(vertex_ratio=vr,
+                         star_ratio=np.maximum(res.x[2::3], 0.0))
 
 
 def cook_domain():

@@ -26,6 +26,7 @@ __all__ = [
     "error_sigma",
     "error_div",
     "error_u",
+    "rm_projection",
     "equilibrium_residuals",
     "convergence_rates",
     "least_squares_slope",
@@ -88,6 +89,15 @@ def error_u(mesh, solution, u_exact):
     return _rigid_motion_l2_error(mesh, solution.cell_motions, u_exact)
 
 
+def rm_projection(mesh, field):
+    """Per-cell L2 projection Pi_RM of a vectorized field onto the rigid
+    motions a + b perp(x - x_C), rows (a_x, a_y, b): the loads against the
+    rigid-motion bases over (|E|, |E|, I_E), I_E the polar second moment
+    about x_C."""
+    return body_load_vector(mesh, field) / np.column_stack(
+        [mesh.areas, mesh.areas, mesh.second_moments])
+
+
 def equilibrium_residuals(mesh, solution, f=None):
     """Per-cell L2 norms of div sigma_h + Pi_RM f (zero f allowed).
 
@@ -95,13 +105,9 @@ def equilibrium_residuals(mesh, solution, f=None):
     they are reported as a cheap a-posteriori sanity check.
     """
     _check_same_mesh(mesh, solution)
-    dv = divergence_field(mesh, solution.edge_dofs)
-    target = np.zeros((mesh.n_cells, 3))
+    delta = divergence_field(mesh, solution.edge_dofs)
     if f is not None:
-        target = body_load_vector(mesh, f)
-        target[:, :2] /= mesh.areas[:, None]
-        target[:, 2] /= mesh.second_moments
-    delta = dv + target
+        delta = delta + rm_projection(mesh, f)
     return np.sqrt(mesh.areas * (delta[:, :2] ** 2).sum(axis=1)
                    + mesh.second_moments * delta[:, 2] ** 2)
 

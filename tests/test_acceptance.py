@@ -27,12 +27,12 @@ from vemhr.element import (divergence_field, interpolate_global,
 from vemhr.generators import MESH_KINDS, UNIT_SQUARE, generate_mesh
 from vemhr.material import from_lame
 from vemhr.mesh import build_topology, cook_domain, perp
-from vemhr.postproc import (convergence_rates, error_sigma,
-                            least_squares_slope, probe_displacement)
+from vemhr.postproc import (convergence_rates, equilibrium_residuals,
+                            error_sigma, least_squares_slope,
+                            probe_displacement, rm_projection)
 from vemhr.problems import (COOK_PROBE_POINT, ProblemSpec, problem_cook,
                             problem_test_a, problem_test_b,
                             problem_test_incompressible)
-from vemhr.quadrature import mesh_polygon_quadrature
 from vemhr.runner import (RunConfig, convergence_study, mesh_for_level,
                           run_cook)
 from vemhr.assembly import DisplacementBC
@@ -91,19 +91,6 @@ def constant_stress_table(mesh, sigma):
         mesh, lambda p: np.broadcast_to(sigma, p.shape[:-1] + (3,)))
 
 
-def rm_projection(mesh, u):
-    pts, wts, owner = mesh_polygon_quadrature(mesh)
-    uv = u(pts)
-    out = np.zeros((mesh.n_cells, 3))
-    np.add.at(out[:, 0], owner, wts * uv[:, 0])
-    np.add.at(out[:, 1], owner, wts * uv[:, 1])
-    np.add.at(out[:, 2], owner,
-              wts * np.einsum("qa,qa->q", uv, perp(pts - mesh.centroids[owner])))
-    out[:, :2] /= mesh.areas[:, None]
-    out[:, 2] /= mesh.second_moments
-    return out
-
-
 def test_criterion_1_patch_all_families():
     """Constant-stress patch test on every mesh kind at n = 4."""
     mat = from_lame(1.0, 1.0)
@@ -148,7 +135,6 @@ def test_criterion_2_discrete_equilibrium(sweep, cook_runs):
     problem = problem_cook(1.0 / 3.0)
     mesh = mesh_for_level("quad_structured", 16, domain=problem.domain)
     solution = solve(assemble(mesh, problem))
-    from vemhr.postproc import equilibrium_residuals
     res = equilibrium_residuals(mesh, solution).max()
     if res > 1e-9:
         bad.append(("cook", "quad", 16, res))

@@ -15,12 +15,13 @@ from numpy.testing import assert_allclose
 from vemhr import assembly
 from vemhr.assembly import (DisplacementBC, DofMap, GlobalSystem, Solution,
                             SolveReport, SolverError, TractionBC, _Hybrid,
-                            _scatter_blocks, assemble, load_solution,
-                            save_solution, solve, write_solution_text)
+                            _dissection, _hop_coordinates, _scatter_blocks,
+                            assemble, load_solution, save_solution, solve,
+                            write_solution_text)
 from vemhr.element import STABILIZATIONS, interpolate_global
 from vemhr.generators import MESH_KINDS, UNIT_SQUARE, generate_mesh
 from vemhr.material import from_lame
-from vemhr.mesh import _dissection, build_topology, cook_domain, mesh_checksum
+from vemhr.mesh import build_topology, cook_domain, mesh_checksum
 from vemhr.postproc import equilibrium_residuals
 from vemhr.quadrature import mesh_polygon_quadrature
 from vemhr.problems import ProblemSpec, problem_cook, problem_test_a, \
@@ -237,6 +238,40 @@ class TestSolve:
         solution = solve(assemble(mesh, problem))
         assert solution.report.residual < 1e-10
         assert solution.report.n_dof == 3 * (mesh.n_edges + mesh.n_cells)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e8, 1e12])
+    def test_backward_error_is_scale_free(self, scale):
+        # a clamped 4 x 4 quad mesh under a unit load, in other units: the
+        # relative residual norm(r) / norm(rhs) grows with the scale (to
+        # 4e-9 at 1e8), the backward error stays at round-off
+        mesh = generate_mesh("quad_structured", 4)
+        mesh = build_topology(scale * mesh.vertices, np.split(
+            mesh.cell_vertex_ids, mesh.cell_offsets[1:-1]))
+        problem = ProblemSpec(
+            name="clamped", domain=scale * UNIT_SQUARE,
+            material=from_lame(1.0, 1.0),
+            body_force=lambda p: np.broadcast_to([0.0, 1.0], p.shape),
+            boundary=lambda m, e: DisplacementBC(), exact=None)
+        assert solve(assemble(mesh, problem)).report.residual < 1e-15
+
+    def test_zero_data_has_zero_backward_error(self):
+        problem = ProblemSpec(name="unloaded", domain=UNIT_SQUARE,
+                              material=from_lame(1.0, 1.0), body_force=None,
+                              boundary=lambda m, e: DisplacementBC(),
+                              exact=None)
+        solution = solve(assemble(generate_mesh("quad_structured", 4),
+                                  problem))
+        assert solution.report.residual == 0.0
+        assert not solution.edge_dofs.any()
+
+    @pytest.mark.parametrize("value", [0.0, np.nan], ids=["zero", "nan"])
+    def test_gate_rejects_a_wrong_solution(self, value, monkeypatch):
+        monkeypatch.setattr(_Hybrid, "__call__",
+                            lambda self, r: np.full(len(r), value))
+        system = assemble(generate_mesh("quad_structured", 4),
+                          problem_test_a())
+        with pytest.raises(SolverError, match="backward error"):
+            solve(system)
 
     def test_inconsistent_all_essential_detected(self):
         # prescribing tractions on every edge out of equilibrium leaves
@@ -541,6 +576,62 @@ class TestHybridSetUp:
 
 
 ROTATED_SQUARE = np.array([[0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.5]])
+
+
+class TestDissection:
+    def test_hops_count_grid_columns_and_rows(self):
+        # sources: the left side (smallest normal x), then of the two sides
+        # orthogonal to it the one nearer the origin, the bottom
+        n = 8
+        mesh = generate_mesh("quad_structured", n)
+        hops = _hop_coordinates(mesh)
+        assert np.array_equal(hops, np.floor(mesh.centroids * n).astype(int))
+
+    def test_hop_sources_on_rotated_square(self):
+        # both left sides have the smallest normal x; the lower one comes
+        # first, and the upper one is the side orthogonal to it
+        mesh = generate_mesh("quad_structured", 6, domain=ROTATED_SQUARE)
+        hops = _hop_coordinates(mesh)
+        bnd = mesh.boundary_edges
+        cells = mesh.edge_cells[bnd].max(axis=1)
+        mid = mesh.edge_midpoints[bnd]
+        lower_left = np.isclose(mid.sum(axis=1), 0.5)
+        upper_left = np.isclose(mid[:, 1] - mid[:, 0], 0.5)
+        assert np.array_equal(np.flatnonzero(hops[:, 0] == 0),
+                              np.unique(cells[lower_left]))
+        assert np.array_equal(np.flatnonzero(hops[:, 1] == 0),
+                              np.unique(cells[upper_left]))
+
+    @pytest.mark.parametrize("kind, n", [("quad_structured", 32),
+                                         ("tri_unstructured", 23),
+                                         ("poly_voronoi_random", 100)])
+    def test_tree_shape(self, kind, n):
+        mesh = generate_mesh(kind, n)
+        depth, leaf = _dissection(mesh)
+        assert depth == int(np.floor(np.log2(mesh.n_cells / 2)))
+        # every split is at a median, so the leaves differ by one cell
+        sizes = np.bincount(leaf, minlength=2**depth)
+        assert len(sizes) == 2**depth and sizes.min() >= 2
+        assert sizes.max() - sizes.min() <= 1
+
+    def test_key_built_once(self, monkeypatch):
+        # the edge keys are cached on the mesh
+        mesh = generate_mesh("quad_structured", 32)
+        calls = []
+        monkeypatch.setattr(assembly, "_dissection",
+                            lambda m: calls.append(m) or _dissection(m))
+        key = assembly._edge_order(mesh)
+        assert assembly._edge_order(mesh) is key
+        assert len(calls) == 1
+
+    def test_top_separator_is_one_grid_line(self):
+        mesh = generate_mesh("quad_structured", 32)
+        depth, leaf = _dissection(mesh)
+        a, b = mesh.edge_cells[mesh.interior_edges].T
+        top = mesh.interior_edges[(leaf[a] >> depth - 1)
+                                  != (leaf[b] >> depth - 1)]
+        assert len(top) == 32
+        assert_allclose(mesh.edge_midpoints[top, 0], 0.5, atol=1e-14)
 
 
 def multiplier_edges(hybrid):

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from vemhr.generators import MESH_KINDS, generate_mesh
-from vemhr.mesh import (_MAX_COORDINATE, MeshError, _dissection,
-                        _hop_coordinates,
-                        build_topology, check_assumptions, cook_domain,
-                        load_mesh, mesh_checksum, perp, save_mesh,
-                        write_mesh_text)
+from vemhr.mesh import (_MAX_COORDINATE, MeshError, build_topology,
+                        check_assumptions, cook_domain, load_mesh,
+                        mesh_checksum, perp, save_mesh, write_mesh_text)
 from vemhr.quadrature import mesh_polygon_quadrature
 
 SQUARE_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -224,55 +222,21 @@ class TestQuality:
             assert report.star_ratio.shape == (mesh.n_cells,)
         assert len(calls) == 3
 
-
-ROTATED_SQUARE = np.array([[0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.5]])
-
-
-class TestDissection:
-    def test_hops_count_grid_columns_and_rows(self):
-        # sources: the left side (smallest normal x), then of the two sides
-        # orthogonal to it the one nearer the origin, the bottom
-        n = 8
-        mesh = generate_mesh("quad_structured", n)
-        hops = _hop_coordinates(mesh)
-        assert np.array_equal(hops, np.floor(mesh.centroids * n).astype(int))
-
-    def test_hop_sources_on_rotated_square(self):
-        # both left sides have the smallest normal x; the lower one comes
-        # first, and the upper one is the side orthogonal to it
-        mesh = generate_mesh("quad_structured", 6, domain=ROTATED_SQUARE)
-        hops = _hop_coordinates(mesh)
-        bnd = mesh.boundary_edges
-        cells = mesh.edge_cells[bnd].max(axis=1)
-        mid = mesh.edge_midpoints[bnd]
-        lower_left = np.isclose(mid.sum(axis=1), 0.5)
-        upper_left = np.isclose(mid[:, 1] - mid[:, 0], 0.5)
-        assert np.array_equal(np.flatnonzero(hops[:, 0] == 0),
-                              np.unique(cells[lower_left]))
-        assert np.array_equal(np.flatnonzero(hops[:, 1] == 0),
-                              np.unique(cells[upper_left]))
-
-    @pytest.mark.parametrize("kind, n", [("quad_structured", 32),
-                                         ("tri_unstructured", 23),
-                                         ("poly_voronoi_random", 100)])
-    def test_tree_shape(self, kind, n):
-        mesh = generate_mesh(kind, n)
-        depth, leaf = _dissection(mesh)
-        assert _dissection(mesh) is _dissection(mesh)  # built once
-        assert depth == int(np.floor(np.log2(mesh.n_cells / 2)))
-        # every split is at a median, so the leaves differ by one cell
-        sizes = np.bincount(leaf, minlength=2**depth)
-        assert len(sizes) == 2**depth and sizes.min() >= 2
-        assert sizes.max() - sizes.min() <= 1
-
-    def test_top_separator_is_one_grid_line(self):
-        mesh = generate_mesh("quad_structured", 32)
-        depth, leaf = _dissection(mesh)
-        a, b = mesh.edge_cells[mesh.interior_edges].T
-        top = mesh.interior_edges[(leaf[a] >> depth - 1)
-                                  != (leaf[b] >> depth - 1)]
-        assert len(top) == 32
-        assert_allclose(mesh.edge_midpoints[top, 0], 0.5, atol=1e-14)
+    @pytest.mark.parametrize("kind", ["quad_structured",
+                                      "poly_voronoi_random"])
+    def test_report_is_scale_free(self, kind):
+        # each cell's LP is in its own units, so coordinates near the
+        # largest a mesh accepts reach no solver bound
+        mesh = generate_mesh(kind, 4 if kind == "quad_structured" else 16,
+                             seed=0)
+        ref = check_assumptions(mesh)
+        for scale in (1e20, _MAX_COORDINATE / np.abs(mesh.vertices).max()):
+            report = check_assumptions(build_topology(
+                scale * mesh.vertices, per_cell(mesh, mesh.cell_vertex_ids)))
+            assert_allclose(report.star_ratio, ref.star_ratio, rtol=0,
+                            atol=1e-12)
+            assert_allclose(report.vertex_ratio, ref.vertex_ratio, rtol=0,
+                            atol=1e-12)
 
 
 class TestCookDomain:

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import vemhr
 from vemhr import quadrature, runner
@@ -15,7 +16,8 @@ from vemhr.assembly import SolverError, TractionBC, assemble, solve
 from vemhr.cli import main
 from vemhr.material import from_lame
 from vemhr.generators import UNIT_SQUARE, generate_mesh
-from vemhr.mesh import MeshError, cook_domain, load_mesh, save_mesh
+from vemhr.mesh import (MeshError, cook_domain, load_mesh, save_mesh,
+                        shoelace)
 from vemhr.postproc import CSV_HEADER, ROUNDOFF_FLOOR, probe_displacement
 from vemhr.problems import COOK_PROBE_POINT, ProblemSpec, problem_cook, \
     problem_test_a, problem_test_b, problem_test_incompressible
@@ -159,6 +161,14 @@ class TestRunner:
         body = vtks[0].read_text()
         assert "SCALARS von_mises" in body
         assert "SCALARS sigma_11" in body
+
+    def test_cook_vtk_path_without_extension(self, tmp_path):
+        # the tag goes after the whole path
+        run_cook(RunConfig(problem="cook", cook_kinds=("quad",), levels=(2,),
+                           cook_nus=(0.3,), vtk_path=str(tmp_path / "out")))
+        assert [p.name for p in tmp_path.iterdir()] == ["out_quad_nu0.3"]
+        body = (tmp_path / "out_quad_nu0.3").read_text()
+        assert body.startswith("# vtk DataFile")
 
     def test_cook_builds_each_mesh_once(self, monkeypatch, tmp_path):
         # one generate_mesh call per family for all its levels; the rows
@@ -420,6 +430,15 @@ class TestCli:
         last = capsys.readouterr().out.splitlines()[-1]
         assert re.fullmatch(r"wrote .*: residual \S+, \d+ DOFs, "
                             r"peak RSS \d+\.\d MiB, ordering mmd", last)
+
+    def test_mesh_gen_on_the_cook_domain(self, tmp_path):
+        path = tmp_path / "cook.msh"
+        assert main(["mesh", "gen", "--kind", "quad_structured", "--n", "4",
+                     "--domain", "cook", "--out", str(path)]) == 0
+        mesh = load_mesh(path)
+        assert mesh.n_cells == 16
+        assert mesh.vertices.max(axis=0).tolist() == [48.0, 60.0]
+        assert_allclose(mesh.areas.sum(), shoelace(cook_domain())[0][0])
 
     def test_nu_only_with_cook(self, tmp_path, capsys):
         mesh_path = tmp_path / "m.msh"
