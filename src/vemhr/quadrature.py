@@ -4,10 +4,11 @@ error-norm integral: one rule on edges and one on polygons.
 Edges use a dimensionless arc coordinate s in [-1/2, 1/2] with s = 0 at the
 midpoint, so edge weights sum to 1 and physical integrals carry an extra
 factor |e|.  Polygons are integrated by fanning triangles out of the centroid
-and applying a symmetric Gauss rule on each triangle; this requires the
-polygon to be star-shaped with respect to its centroid.  Meshes may contain
-cells that are not (their geometry is exact without quadrature); the rules
-here raise ``ValueError`` on such cells.
+and applying a symmetric Gauss rule on each triangle, weighted by the
+triangle's signed area.  The signed triangles add up to the polygon, so the
+rule holds on any simple polygon, star-shaped or not.  On a cell that is not
+star-shaped about its centroid some weights are negative, and a point may lie
+outside the cell, but never outside its convex hull.
 """
 
 import numpy as np
@@ -64,8 +65,9 @@ TRIANGLE_WEIGHTS = _frozen(
 def _fan_rule(points, offsets, centroids):
     """Centroid-fan rule for polygons laid out as in :func:`shoelace`, as
     ``(points, weights, cell_ids)`` ordered by cell, fan triangle, rule point.
-    Fan triangles below 1e-14 of the polygon area are skipped; a negative
-    one means the polygon is not star-shaped with respect to its centroid.
+    Each triangle's weights carry its signed area, so a triangle that folds
+    back over a notch counts negatively and the triangles add up to the
+    polygon: the rule is exact to degree 6 on any simple polygon.
     """
     bary, tw = TRIANGLE_POINTS, TRIANGLE_WEIGHTS
     cell = _slot_cells(offsets)
@@ -73,20 +75,13 @@ def _fan_rule(points, offsets, centroids):
     nxt = points[_next_slot(offsets)]
     d1, d2 = points - fan, nxt - fan
     tri_areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    total = np.bincount(cell, tri_areas, len(offsets) - 1)
-    if np.any(total <= 0.0):
-        raise ValueError("degenerate polygon: non-positive area")
-    tol = 1e-14 * total[cell]
-    if np.any(tri_areas < -tol):
-        raise ValueError("polygon is not star-shaped w.r.t. the fan point")
-    keep = tri_areas >= tol
     pts = (
-        bary[None, :, 0, None] * fan[keep][:, None, :]
-        + bary[None, :, 1, None] * points[keep][:, None, :]
-        + bary[None, :, 2, None] * nxt[keep][:, None, :]
+        bary[None, :, 0, None] * fan[:, None, :]
+        + bary[None, :, 1, None] * points[:, None, :]
+        + bary[None, :, 2, None] * nxt[:, None, :]
     ).reshape(-1, 2)
-    wts = (tri_areas[keep][:, None] * tw[None, :]).reshape(-1)
-    return pts, wts, np.repeat(cell[keep], len(tw))
+    wts = (tri_areas[:, None] * tw[None, :]).reshape(-1)
+    return pts, wts, np.repeat(cell, len(tw))
 
 
 def mesh_polygon_quadrature(mesh):

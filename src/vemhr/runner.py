@@ -79,10 +79,12 @@ class RunConfig:
         if not isinstance(self.cook_nus, tuple) or not self.cook_nus \
                 or not all(_is_real(nu) and 0.0 <= nu < 0.5
                            for nu in self.cook_nus) \
-                or len(set(self.cook_nus)) < len(self.cook_nus):
+                or len({f"{nu:g}" for nu in self.cook_nus}) \
+                < len(self.cook_nus):
+            # a ratio's VTK file and summary line name it with :g
             raise ValueError("cook_nus must be a non-empty tuple of distinct "
-                             "Poisson ratios in [0, 0.5), not "
-                             f"{self.cook_nus!r}")
+                             "Poisson ratios in [0, 0.5) that also differ in "
+                             f"6 significant digits, not {self.cook_nus!r}")
         if not (isinstance(self.seed, numbers.Integral) and _is_real(self.seed)
                 and self.seed >= 0):
             raise ValueError("seed must be a non-negative integer, not "

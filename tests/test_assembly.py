@@ -22,10 +22,12 @@ from vemhr.element import STABILIZATIONS, interpolate_global
 from vemhr.generators import MESH_KINDS, UNIT_SQUARE, generate_mesh
 from vemhr.material import from_lame
 from vemhr.mesh import build_topology, cook_domain, mesh_checksum
-from vemhr.postproc import equilibrium_residuals
-from vemhr.quadrature import mesh_polygon_quadrature
+from vemhr.postproc import (equilibrium_residuals, error_sigma, error_u,
+                            least_squares_slope)
 from vemhr.problems import ProblemSpec, problem_cook, problem_test_a, \
-    problem_test_b
+    problem_test_b, problem_test_incompressible
+
+from polygons import u_tiling
 
 UNIT = generate_mesh("quad_structured", 1)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -94,6 +96,15 @@ class TestAssemble:
         x = np.zeros(dm.size)
         x[:dm.n_stress] = constant_stress_table(mesh, [2.0, 1.0, -0.5]).ravel()
         assert np.abs((system.matrix @ x)[dm.n_stress:]).max() < 1e-13
+
+
+    def test_unsupported_boundary_condition(self):
+        problem, _ = patch_problem()
+        problem = ProblemSpec(name="bad-bc", domain=UNIT_SQUARE,
+                              material=problem.material, body_force=None,
+                              boundary=lambda m, e: "clamped", exact=None)
+        with pytest.raises(TypeError, match="unsupported boundary condition"):
+            assemble(UNIT, problem)
 
 
 class TestPatchExactness:
@@ -946,6 +957,25 @@ class TestSolutionIO:
         with pytest.raises(ValueError):
             load_solution(path, mesh)
 
+    @pytest.mark.parametrize("change, match", [
+        ("header", "not a 'vemhr-solution v1' file"),
+        ("truncated", "truncated or overlong"),
+        ("overlong", "truncated or overlong")])
+    def test_header_and_length_checked(self, tmp_path, change, match):
+        mesh = generate_mesh("quad_structured", 3)
+        path = tmp_path / "sol.txt"
+        save_solution(path, solve(assemble(mesh, problem_test_a())))
+        lines = path.read_text().splitlines()
+        if change == "header":
+            lines[0] = "vemhr-solution v2"
+        elif change == "truncated":  # the last cell row is missing
+            lines = lines[:-1]
+        else:
+            lines.append(lines[-1])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=match):
+            load_solution(path, mesh)
+
     def test_checksum_mismatch_rejected(self, tmp_path):
         problem = problem_test_a()
         mesh = generate_mesh("quad_structured", 3)
@@ -983,7 +1013,25 @@ class TestNonStarCell:
             mesh, [2.3, -1.1, 2.5]), rtol=0, atol=1e-12)
         assert equilibrium_residuals(mesh, solution).max() < 1e-13
 
-    def test_fan_quadrature_rejects_it(self):
-        mesh = build_topology(self.VERTS, self.CELLS)
-        with pytest.raises(ValueError, match="star-shaped"):
-            mesh_polygon_quadrature(mesh)
+
+class TestUTiling:
+    """The manufactured problems on the U-shaped tiling: half the cells are
+    not star-shaped, and the U cells carry collinear vertices."""
+
+    @pytest.mark.parametrize("make_problem", [
+        problem_test_a, problem_test_b, problem_test_incompressible],
+        ids=["test-a", "test-b", "test-inc"])
+    def test_converges(self, make_problem):
+        problem = make_problem()
+        h, e_sigma, e_u = [], [], []
+        for n in (8, 16, 32):
+            mesh = u_tiling(n)
+            solution = solve(assemble(mesh, problem))
+            assert equilibrium_residuals(
+                mesh, solution, problem.body_force).max() <= 1e-13
+            h.append(mesh.mean_edge_length)
+            e_sigma.append(error_sigma(mesh, solution, problem.exact.stress,
+                                       problem.material))
+            e_u.append(error_u(mesh, solution, problem.exact.displacement))
+        assert least_squares_slope(h, e_sigma) >= 0.9
+        assert least_squares_slope(h, e_u) >= 0.9

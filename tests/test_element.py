@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
-from vemhr.assembly import DisplacementBC, Solution, assemble
+from vemhr.assembly import DisplacementBC, Solution, assemble, solve
 from vemhr.element import (body_load_vector, cell_groups, divergence_field,
                            interpolate_global, projection_field)
 from vemhr.material import CONTRACTION_WEIGHTS, from_lame
 from vemhr.mesh import MeshError, build_topology, perp
-from vemhr.postproc import error_u
+from vemhr.postproc import equilibrium_residuals, error_u
 from vemhr.problems import ProblemSpec
 from vemhr.quadrature import mesh_polygon_quadrature
 from vemhr.generators import UNIT_SQUARE, generate_mesh
+
+from polygons import skyline_mesh, skyline_polygons
 
 SQUARE = build_topology([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]])
 
@@ -499,3 +502,65 @@ class TestFieldHelpers:
             assert_allclose(proj[c], projection_field(
                 alone, table[cell_slice(mesh, mesh.cell_edge_ids, c)])[0],
                 atol=1e-13)
+
+
+def moment_map(mesh):
+    """DOF-to-moment matrix of a one-cell mesh: per edge, the moments of the
+    traction c + d s n against (1, 0), (0, 1) and perp(x - x_C)."""
+    x, w = np.polynomial.legendre.leggauss(4)
+    s, w = 0.5 * x, 0.5 * w
+    M = np.zeros((3 * mesh.n_edges, 3 * mesh.n_edges))
+    for e in range(mesh.n_edges):  # one cell: the edge ids follow the loop
+        L, n = mesh.edge_lengths[e], mesh.edge_normals[e]
+        pe, qe = mesh.vertices[mesh.edge_nodes[e]]
+        arm = perp(mesh.edge_midpoints[e] + s[:, None] * (qe - pe)
+                   - mesh.centroids[0])
+        M[3 * e:3 * e + 2, 3 * e:3 * e + 2] = L * np.eye(2)
+        M[3 * e + 2, 3 * e:3 * e + 2] = L * (w @ arm)
+        M[3 * e + 2, 3 * e + 2] = L * (w @ (s * (arm @ n)))
+    return M
+
+
+class TestSkylineCells:
+    """One-cell skyline meshes, most of them not star-shaped about their
+    centroid: the linear-displacement patch test, and criterion 8's checks
+    (unisolvence, compatibility of the divergence, constants)."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(coords=skyline_polygons())
+    def test_linear_displacement_patch(self, coords):
+        mesh = skyline_mesh(coords)
+        grad = np.array([[1.0, 2.0], [0.5, -0.7]])
+        bc = DisplacementBC(g=lambda p: np.array([0.3, -0.2]) + p @ grad.T)
+        problem = ProblemSpec(name="patch", domain=UNIT_SQUARE,
+                              material=from_lame(1.0, 1.0), body_force=None,
+                              boundary=lambda m, e: bc, exact=None)
+        solution = solve(assemble(mesh, problem))
+        # lam tr(eps) I + 2 mu eps at lam = mu = 1: eps = (1, -0.7, 1.25)
+        assert_allclose(solution.edge_dofs, constant_stress_table(
+            mesh, [2.3, -1.1, 2.5]), rtol=0, atol=1e-12)
+        assert equilibrium_residuals(mesh, solution).max() < 1e-13
+
+    @settings(max_examples=50, deadline=None)
+    @given(coords=skyline_polygons())
+    def test_unisolvence_compatibility_constants(self, coords):
+        mesh = skyline_mesh(coords)
+        rng = np.random.default_rng(8)
+        M = moment_map(mesh)
+        rhs = rng.standard_normal(len(M))
+        assert (np.abs(M @ np.linalg.solve(M, rhs) - rhs).max()
+                <= 1e-12 * np.abs(rhs).max())
+
+        dofs = rng.standard_normal(3 * mesh.n_edges)
+        lhs = div_moments(mesh, table_of(mesh, dofs))[0]
+        ref = np.array([boundary_rm_integral(mesh, 0, dofs, i)
+                        for i in range(3)])
+        assert (np.abs(lhs - ref).max()
+                <= 1e-12 * max(np.abs(ref).max(), np.abs(lhs).max()))
+
+        sigma = rng.standard_normal(3)
+        table = constant_stress_table(mesh, sigma)
+        scale = np.abs(sigma).max()
+        assert np.abs(divergence_field(mesh, table)[0]).max() <= 1e-12 * scale
+        assert (np.abs(projection_field(mesh, table)[0] - sigma).max()
+                <= 1e-12 * scale)

@@ -4,8 +4,8 @@ from numpy.testing import assert_allclose
 
 from vemhr import generators
 from vemhr.generators import MESH_KINDS, generate_mesh, lloyd, voronoi_cells
-from vemhr.mesh import (build_topology, check_assumptions, cook_domain, perp,
-                        shoelace)
+from vemhr.mesh import (MeshError, build_topology, check_assumptions,
+                        cook_domain, perp, shoelace)
 
 ALL_KINDS = list(MESH_KINDS)
 
@@ -161,6 +161,19 @@ class TestValidation:
         # a clockwise square leaves the Voronoi seed sampler no inside point
         with pytest.raises(ValueError, match=match):
             generate_mesh(kind, 4, domain=domain)
+
+    @pytest.mark.parametrize("kind", ["quad_structured", "tri_structured",
+                                      "quad_unstructured", "tri_unstructured"])
+    def test_grid_kind_needs_a_quadrilateral(self, kind):
+        with pytest.raises(ValueError, match="quadrilateral domain"):
+            generate_mesh(kind, 4, domain=[[0, 0], [1, 0], [0, 1]])
+
+    def test_cells_short_of_the_domain_area(self):
+        # every vertex lies in the unit square, but the cells cover half
+        half = build_topology([[0, 0], [1, 0], [1, 0.5], [0, 0.5]],
+                              [[0, 1, 2, 3]])
+        with pytest.raises(MeshError, match="areas add up to 0.5, not 1"):
+            generators._check_partition(half, generators.UNIT_SQUARE)
 
     def test_voronoi_cells_and_lloyd_check_the_domain(self):
         clockwise = [[0, 0], [0, 1], [1, 1], [1, 0]]

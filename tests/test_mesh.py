@@ -115,6 +115,10 @@ class TestBuildTopology:
         with pytest.raises(MeshError, match="outside"):
             build_topology(SQUARE_VERTS, [[0, 1, 2, bad]])
 
+    def test_no_cells_rejected(self):
+        with pytest.raises(MeshError, match="no cells"):
+            build_topology(SQUARE_VERTS, [])
+
     def test_clockwise_cell_rejected(self):
         with pytest.raises(MeshError, match="counterclockwise"):
             build_topology(SQUARE_VERTS, [[0, 3, 2, 1]])

@@ -13,7 +13,8 @@ from vemhr.postproc import (ROUNDOFF_FLOOR, convergence_csv_text,
                             convergence_rates, equilibrium_residuals,
                             error_div, error_sigma, error_u,
                             least_squares_slope, probe_displacement,
-                            von_mises_field, write_vtk_polydata)
+                            von_mises_field, write_convergence_csv,
+                            write_vtk_polydata)
 from vemhr.problems import ProblemSpec, problem_test_a, problem_test_b
 
 UNIT = build_topology([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]])
@@ -271,6 +272,15 @@ class TestWriters:
         rates = lines[2].split(",")[-3:]
         assert_allclose([float(r) for r in rates], [1.0, 2.0, 1.0],
                         atol=1e-12)
+
+    def test_write_convergence_csv(self, tmp_path):
+        rows = [{"level": 4, "h_bar": 0.25, "n_dof": 40, "E_sigma": 0.3,
+                 "E_sigma_div": 1e-15, "E_u": 0.2},
+                {"level": 8, "h_bar": 0.125, "n_dof": 160, "E_sigma": 0.15,
+                 "E_sigma_div": 2e-15, "E_u": 0.1}]
+        path = tmp_path / "c.csv"
+        write_convergence_csv(path, rows)
+        assert path.read_bytes() == convergence_csv_text(rows).encode()
 
     def test_csv_roundoff_errors_written_as_zero(self):
         # test-a's E_sigma_div is solver round-off: values that differ only

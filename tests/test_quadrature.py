@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import Phase, find, given, settings
 from numpy.testing import assert_allclose
 
 from vemhr.generators import generate_mesh
@@ -7,6 +8,8 @@ from vemhr.mesh import build_topology
 from vemhr.quadrature import (EDGE_NODES, EDGE_WEIGHTS, QUADRATURE_DEGREE,
                               TRIANGLE_POINTS, TRIANGLE_WEIGHTS,
                               mesh_polygon_quadrature)
+
+from polygons import skyline_polygons
 
 
 def edge_monomial_integral(p):
@@ -141,12 +144,36 @@ class TestMeshRuleCache:
             with pytest.raises(ValueError):
                 array[0] = 0
 
-    def test_failure_not_cached(self):
-        # U-shaped cell: not star-shaped about its centroid, so the fan rule
-        # fails on every request rather than returning a stale value
-        mesh = build_topology(
-            [[0, 0], [3, 0], [3, 2], [2, 2], [2, 1], [1, 1], [1, 2], [0, 2]],
-            [list(range(8))])
-        for _ in range(2):
-            with pytest.raises(ValueError, match="star-shaped"):
-                mesh_polygon_quadrature(mesh)
+
+class TestNonStarPolygons:
+    """Fan triangles weighted by their signed areas add up to any simple
+    polygon, so the rule stays exact to degree 6 where some are negative."""
+
+    # U-shaped: not star-shaped about its centroid (1.5, 0.9)
+    U = np.array([[0, 0], [3, 0], [3, 2], [2, 2], [2, 1], [1, 1], [1, 2],
+                  [0, 2]], dtype=float)
+
+    def test_u_cell_exact_to_degree_6(self):
+        points, weights = one_cell_rule(self.U)
+        assert weights.min() < 0
+        for p in range(QUADRATURE_DEGREE + 1):
+            for q in range(QUADRATURE_DEGREE + 1 - p):
+                val = weights @ (points[:, 0] ** p * points[:, 1] ** q)
+                assert_allclose(val, polygon_monomial_integral(self.U, p, q),
+                                rtol=1e-13)
+
+    @settings(max_examples=50, deadline=None)
+    @given(coords=skyline_polygons())
+    def test_skylines_exact_to_degree_6(self, coords):
+        points, weights = one_cell_rule(coords)
+        for p in range(QUADRATURE_DEGREE + 1):
+            for q in range(QUADRATURE_DEGREE + 1 - p):
+                f = points[:, 0] ** p * points[:, 1] ** q
+                error = abs(weights @ f
+                            - polygon_monomial_integral(coords, p, q))
+                assert error <= 1e-13 * (np.abs(weights) @ np.abs(f))
+
+    def test_skylines_reach_negative_weights(self):
+        # the property above covers cells that are not star-shaped
+        find(skyline_polygons(), lambda c: one_cell_rule(c)[1].min() < 0,
+             settings=settings(database=None, phases=[Phase.generate]))

@@ -12,7 +12,8 @@ from numpy.testing import assert_allclose
 
 import vemhr
 from vemhr import quadrature, runner
-from vemhr.assembly import SolverError, TractionBC, assemble, solve
+from vemhr.assembly import (SolverError, TractionBC, assemble, load_solution,
+                            solve)
 from vemhr.cli import main
 from vemhr.material import from_lame
 from vemhr.generators import UNIT_SQUARE, generate_mesh
@@ -24,6 +25,8 @@ from vemhr.problems import COOK_PROBE_POINT, ProblemSpec, problem_cook, \
 from vemhr.runner import (COOK_KINDS, RunConfig, convergence_study,
                           cook_csv_text, make_problem, mesh_for_level,
                           run_convergence, run_cook)
+
+from polygons import u_tiling
 
 STUDY_KINDS = ("quad_structured", "hex_structured", "tri_unstructured",
                "poly_voronoi_random", "poly_voronoi_cvt")
@@ -91,6 +94,10 @@ class TestRunner:
             run_convergence(RunConfig(problem="cook"))
         with pytest.raises(ValueError):
             make_problem("test-a", 0.3)
+        with pytest.raises(ValueError, match="unknown problem 'test-z'"):
+            make_problem("test-z")
+        with pytest.raises(ValueError, match="unknown stabilization 'stab2'"):
+            RunConfig(stabilization="stab2")
         cook = make_problem("cook").material
         assert (cook.lam, cook.mu) == (problem_cook().material.lam,
                                        problem_cook().material.mu)
@@ -119,14 +126,22 @@ class TestRunner:
 
     @pytest.mark.parametrize("nus", [
         ("0.3",), (0.6,), (-0.1,), (0.5,), (float("nan"),), (True,), (),
-        [0.3], 0.3, (0.3, 0.3), (0.3, np.float64(0.3)), (0, 0.0)],
+        [0.3], 0.3, (0.3, 0.3), (0.3, np.float64(0.3)), (0, 0.0),
+        (0.499995, 0.4999951)],
         ids=["str", "above", "negative", "half", "nan", "bool", "empty",
-             "list", "float", "repeated", "repeated_numpy", "repeated_zero"])
+             "list", "float", "repeated", "repeated_numpy", "repeated_zero",
+             "print_alike"])
     def test_cook_nus_not_poisson_ratios(self, nus):
         with pytest.raises(ValueError, match="cook_nus must be") as exc:
             RunConfig(problem="cook", cook_kinds=("quad",), levels=(2,),
                       cook_nus=nus)
         assert repr(nus) in str(exc.value)
+
+    @pytest.mark.parametrize("nus", [
+        (1.0 / 3.0, 0.499995), (0.49, 0.3), (1.0 / 3.0, 0.49)])
+    def test_cook_nus_in_use_print_apart(self, nus):
+        # a ratio's VTK file and summary line show it to 6 digits (:g)
+        assert RunConfig(problem="cook", cook_nus=nus).cook_nus == nus
 
     @pytest.mark.parametrize("kinds", [
         (), ("tri",), ["quad"], "quad", ("quad", "quad"),
@@ -558,7 +573,9 @@ class TestCli:
 
     @pytest.mark.parametrize("flags", [
         ("--kinds", "quad,quad", "--nus", "0.3"),
-        ("--kinds", "quad", "--nus", "0.3,0.3")], ids=["kinds", "nus"])
+        ("--kinds", "quad", "--nus", "0.3,0.3"),
+        ("--kinds", "quad", "--nus", "0.499995,0.4999951")],
+        ids=["kinds", "nus", "nus_print_alike"])
     def test_cook_repeated_setting_writes_nothing(self, tmp_path, capsys,
                                                   flags):
         assert main(["cook", *flags, "--levels", "2", "--csv",
@@ -584,6 +601,39 @@ class TestCli:
     def test_missing_required_flag(self, tmp_path):
         assert main(["mesh", "gen", "--kind", "quad_structured",
                      "--n", "2"]) == 2
+
+    @pytest.mark.parametrize("argv, match", [
+        (["solve", "--problem", "test-a"], "solve requires"),
+        (["convergence", "--problem", "test-a"], "convergence requires"),
+        (["cook", "--kinds", "quad"], "cook requires --csv")],
+        ids=["solve", "convergence", "cook"])
+    def test_solve_and_study_required_flags(self, capsys, argv, match):
+        assert main(argv) == 2
+        assert match in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("kind = quad_structured\nn 3\n", "bad config line: n 3"),
+        # argparse checks --domain, but not a config file's value
+        ("kind = quad_structured\nn = 3\ndomain = moon\n",
+         "unknown domain 'moon'")], ids=["no_equals", "unknown_domain"])
+    def test_bad_mesh_gen_config(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "m.msh"
+        assert main(["mesh", "gen", "--config", str(cfg), "--out",
+                     str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_u_tiling_solve(self, tmp_path):
+        # half the cells are not star-shaped about their centroid
+        mesh_path, out = tmp_path / "u.msh", tmp_path / "s.txt"
+        save_mesh(mesh_path, u_tiling(4))
+        assert main(["solve", "--problem", "test-b", "--mesh", str(mesh_path),
+                     "--out", str(out)]) == 0
+        mesh = load_mesh(mesh_path)
+        assert load_solution(out, mesh).edge_dofs.shape == (mesh.n_edges, 3)
+
 
     @pytest.mark.parametrize("text", [
         pytest.param("garbage\n", id="garbage"),
