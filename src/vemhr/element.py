@@ -36,20 +36,17 @@ STABILIZATIONS = ("stab1", "stab1bis")
 
 
 class CellGroup:
-    """Vectorized element maps for cells that share an edge count."""
+    """Vectorized element maps for cells that share an edge count, from
+    their (m, n) CSR positions ``slots``; no reference to the mesh is kept."""
 
-    def __init__(self, mesh, cell_ids):
-        cells = np.asarray(cell_ids, dtype=int)
-        n = int(np.diff(mesh.cell_offsets)[cells[0]])
-        slots = mesh.cell_offsets[cells][:, None] + np.arange(n)
+    def __init__(self, mesh, cells, slots):
+        n = slots.shape[1]
         eid, sg = mesh.cell_edge_ids[slots], mesh.cell_edge_signs[slots]
         L = mesh.edge_lengths[eid]
         N = mesh.edge_normals[eid]
         T = mesh.edge_tangents[eid]
-        xc = mesh.centroids[cells]
-        R = mesh.edge_midpoints[eid] - xc[:, None, :]
+        R = mesh.edge_midpoints[eid] - mesh.centroids[cells][:, None, :]
 
-        self.mesh = mesh
         self.cells = cells
         self.n_edges = n
         self.ndof = 3 * n
@@ -60,26 +57,24 @@ class CellGroup:
         self.areas = mesh.areas[cells]
         self.diameters = mesh.diameters[cells]
         self.second_moments = mesh.second_moments[cells]
-        self.centroids = xc
 
         m = len(cells)
         sL = sg * L
 
-        # div tau = alpha + beta * perp(x - x_C): exact edge integrals of the
-        # affine traction against the rigid-motion test fields.
-        alpha = np.zeros((m, 2, self.ndof))
-        beta = np.zeros((m, self.ndof))
+        # div tau = alpha + beta * perp(x - x_C), rows (alpha_x, alpha_y,
+        # beta): exact edge integrals of the affine traction against the
+        # rigid-motion test fields.
+        D = np.zeros((m, 3, self.ndof))
         rperp = perp(R)
         mE = self.second_moments[:, None]
         c, d = 3 * np.arange(n), 3 * np.arange(n) + 2
-        alpha[:, 0, c] = sL / self.areas[:, None]
-        alpha[:, 1, c + 1] = sL / self.areas[:, None]
-        beta[:, c] = sL * rperp[:, :, 0] / mE
-        beta[:, c + 1] = sL * rperp[:, :, 1] / mE
+        D[:, 0, c] = sL / self.areas[:, None]
+        D[:, 1, c + 1] = sL / self.areas[:, None]
+        D[:, 2, c] = sL * rperp[:, :, 0] / mE
+        D[:, 2, c + 1] = sL * rperp[:, :, 1] / mE
         # n . perp(t) = 1, so the s-moment of the d-basis is |e|^2/12
-        beta[:, d] = sg * L ** 2 / (12.0 * mE)
-        self.alpha_map = alpha
-        self.beta_map = beta
+        D[:, 2, d] = sg * L ** 2 / (12.0 * mE)
+        self.divergence_map = D
 
         # Mean stress via the boundary identity
         #   int_E tau = int_dE (tau n) x (x - x_C) - int_E (div tau) x (x - x_C),
@@ -98,7 +93,7 @@ class CellGroup:
         J[:, 0, 1] = Q[:, 1, 1]
         J[:, 1, 0] = -Q[:, 0, 0]
         J[:, 1, 1] = -Q[:, 0, 1]
-        K -= J[:, :, :, None] * beta[:, None, None, :]
+        K -= J[:, :, :, None] * D[:, 2, None, None, :]
         P = np.empty((m, 3, self.ndof))
         P[:, 0] = K[:, 0, 0]
         P[:, 1] = K[:, 1, 1]
@@ -141,10 +136,8 @@ class CellGroup:
 
     def b_matrices(self):
         """Divergence coupling against the rigid-motion basis, (m, 3, 3n)."""
-        B = np.empty((len(self.cells), 3, self.ndof))
-        B[:, :2] = self.areas[:, None, None] * self.alpha_map
-        B[:, 2] = self.second_moments[:, None] * self.beta_map
-        return B
+        scale = np.column_stack([self.areas, self.areas, self.second_moments])
+        return scale[:, :, None] * self.divergence_map
 
     def local_dofs(self, edge_dof_table):
         """Gather per-cell DOF vectors from a global (n_edges, 3) table."""
@@ -155,8 +148,8 @@ def cell_groups(mesh):
     """Cells grouped by edge count; cached on the mesh (meshes are immutable)."""
     cached = getattr(mesh, "_cell_groups", None)
     if cached is None:
-        cached = [CellGroup(mesh, cells)
-                  for _, cells, _ in loop_groups(mesh.cell_offsets)]
+        cached = [CellGroup(mesh, cells, slots)
+                  for _, cells, slots in loop_groups(mesh.cell_offsets)]
         mesh._cell_groups = cached
     return cached
 
@@ -201,23 +194,24 @@ def interpolate_global(mesh, tau):
         "eqab,eb->eqa", tensor_to_matrix(_sample(tau, p)), mesh.edge_normals))
 
 
-def divergence_field(mesh, edge_dof_table):
-    """Per-cell divergence coefficients (alpha_x, alpha_y, beta), (n_cells, 3)."""
+def _cell_field(mesh, edge_dof_table, name):
+    """Every cell's DOFs through its group's map ``name``, (n_cells, 3)."""
+    table = np.asarray(edge_dof_table, dtype=float)
     out = np.empty((mesh.n_cells, 3))
     for g in cell_groups(mesh):
-        dofs = g.local_dofs(np.asarray(edge_dof_table, dtype=float))
-        out[g.cells, :2] = np.einsum("mak,mk->ma", g.alpha_map, dofs)
-        out[g.cells, 2] = np.einsum("mk,mk->m", g.beta_map, dofs)
+        out[g.cells] = np.einsum("mak,mk->ma", getattr(g, name),
+                                 g.local_dofs(table))
     return out
+
+
+def divergence_field(mesh, edge_dof_table):
+    """Per-cell divergence coefficients (alpha_x, alpha_y, beta), (n_cells, 3)."""
+    return _cell_field(mesh, edge_dof_table, "divergence_map")
 
 
 def projection_field(mesh, edge_dof_table):
     """Per-cell mean-stress triples, (n_cells, 3)."""
-    out = np.empty((mesh.n_cells, 3))
-    for g in cell_groups(mesh):
-        dofs = g.local_dofs(np.asarray(edge_dof_table, dtype=float))
-        out[g.cells] = np.einsum("mak,mk->ma", g.projection_map, dofs)
-    return out
+    return _cell_field(mesh, edge_dof_table, "projection_map")
 
 
 def body_load_vector(mesh, f):

@@ -41,7 +41,8 @@ import numbers
 
 import numpy as np
 
-from .mesh import MeshError, _next_slot, _offsets, build_topology, shoelace
+from .mesh import (MeshError, _next_slot, _offsets, _orient, build_topology,
+                   shoelace)
 # Re-exported: perfbench/tracing.py wraps the shape report under this name.
 from .mesh import check_assumptions  # noqa: F401
 
@@ -145,22 +146,32 @@ def _convex_domain(domain):
 
 def _check_partition(mesh, domain):
     """MeshError unless the cells tile the convex ``domain``: every vertex
-    lies in it, within 1e-9 of its diameter, and the cell areas add up to
-    its area."""
+    lies in it, within 1e-9 of its diameter, the cell areas add up to its
+    area, and both ends of every boundary edge lie on one of its sides.
+    The cells are counterclockwise, so then they cover it exactly once (a
+    hole or an overlap leaves boundary edges inside the domain)."""
     side = np.roll(domain, -1, axis=0) - domain
     rel = mesh.vertices[:, None, :] - domain
     # distance of each vertex inside each side's line, negative outside
-    depth = ((side[:, 0] * rel[..., 1] - side[:, 1] * rel[..., 0])
-             / np.hypot(side[:, 0], side[:, 1])).min(axis=1)
-    diameter = np.linalg.norm(domain[:, None] - domain, axis=-1).max()
-    if np.any(depth < -1e-9 * diameter):
-        v = int(np.argmin(depth))
+    dist = ((side[:, 0] * rel[..., 1] - side[:, 1] * rel[..., 0])
+            / np.hypot(side[:, 0], side[:, 1]))
+    tol = 1e-9 * np.linalg.norm(domain[:, None] - domain, axis=-1).max()
+    if np.any(dist < -tol):
+        v = int(np.argmin(dist.min(axis=1)))
         raise MeshError("the cells do not tile the domain: vertex "
                         f"{v} at {mesh.vertices[v].tolist()} lies outside it")
     target = shoelace(domain)[0][0]
     if abs(mesh.areas.sum() - target) > 1e-10 * target:
         raise MeshError("the cells do not tile the domain: their areas add "
                         f"up to {mesh.areas.sum():.12g}, not {target:.12g}")
+    on = np.abs(dist) <= tol
+    ends = mesh.edge_nodes[mesh.boundary_edges]
+    off = ~(on[ends[:, 0]] & on[ends[:, 1]]).any(axis=1)
+    if np.any(off):
+        i = int(np.argmax(off))
+        raise MeshError("the cells do not tile the domain: boundary edge "
+                        f"{mesh.boundary_edges[i]} (vertices "
+                        f"{ends[i].tolist()}) is not on its boundary")
 
 
 def _bilinear(domain, xi, eta):
@@ -199,8 +210,8 @@ def _grid_mesh(domain, n, triangles, jitter_seed=None):
     if rng is not None:
         # a split is valid when both its triangles have positive area; a
         # quad with two valid splits draws one, in quad order
-        valid = [np.all([_tri_areas(verts, quads[:, t]) > 0 for t in split],
-                        axis=0) for split in _SPLITS]
+        valid = [np.all([_orient(*verts[quads[:, t]].transpose(1, 0, 2)) > 0
+                         for t in split], axis=0) for split in _SPLITS]
         if not np.all(valid[0] | valid[1]):
             raise MeshError("a jittered quad has no valid triangle split")
         both = valid[0] & valid[1]
@@ -208,12 +219,6 @@ def _grid_mesh(domain, n, triangles, jitter_seed=None):
         choice[both] = rng.integers(2, size=int(both.sum()))
     tris = quads[np.arange(len(quads))[:, None, None], _SPLITS[choice]]
     return build_topology(verts, tris.reshape(-1, 3))
-
-
-def _tri_areas(verts, tris):
-    a, b, c = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
-    return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                  - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
 
 
 def _honeycomb_seeds(domain, n):
@@ -553,8 +558,6 @@ def _mesh_from_cells(pts, counts, domain):
     from scipy.sparse.csgraph import connected_components
     from scipy.spatial import cKDTree
 
-    if not len(counts):
-        raise MeshError("no cells to mesh")
     scale = np.linalg.norm(domain.max(axis=0) - domain.min(axis=0))
     tol = 1e-9 * scale
     offsets = _offsets(counts)

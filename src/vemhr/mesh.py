@@ -102,10 +102,11 @@ def shoelace(points, offsets=None):
 
 def _cell_geometry(points, offsets):
     """Areas, centroids, diameters and centered second-moment tensors of
-    CCW polygons laid out as in :func:`shoelace`; the tensors are exact
-    Green's-theorem edge sums about the centroid (no star-shape needed)."""
+    polygons laid out as in :func:`shoelace`; the tensors are exact
+    Green's-theorem edge sums about the centroid (no star-shape needed).
+    MeshError names the first polygon whose signed area is not positive."""
     areas, centroids = shoelace(points, offsets)
-    _reject(areas <= 0.0, "degenerate polygon {}: signed area <= 0")
+    _reject(areas <= 0.0, "cell {} is not counterclockwise")
     r = points - centroids[_slot_cells(offsets)]
     s = r[_next_slot(offsets)]
     t = r + s
@@ -125,13 +126,13 @@ def _cell_geometry(points, offsets):
 class PolyMesh:
     """Immutable polygonal mesh with signed cell/edge incidence tables.
 
-    Construction is done by :func:`build_topology`; all derived geometric
-    quantities (areas, centroids, diameters, second moments, edge frames)
-    are precomputed here from the flat cell arrays.
+    Construction is done by :func:`build_topology`, which passes in the
+    cell ``geometry`` of :func:`_cell_geometry`; the edge frames and the
+    boundary and interior edge indices are computed here.
     """
 
     def __init__(self, vertices, cell_offsets, cell_vertex_ids, cell_edge_ids,
-                 cell_edge_signs, edge_nodes, edge_cells):
+                 cell_edge_signs, edge_nodes, edge_cells, geometry):
         self.vertices = np.asarray(vertices, dtype=float)
         self.cell_offsets = np.asarray(cell_offsets, dtype=int)
         self.cell_vertex_ids = np.asarray(cell_vertex_ids, dtype=int)
@@ -150,10 +151,12 @@ class PolyMesh:
         self.edge_tangents = d / self.edge_lengths[:, None]
         self.edge_normals = perp(self.edge_tangents)
         self.edge_midpoints = 0.5 * (p + q)
+        outside = (self.edge_cells < 0).any(axis=1)
+        self.boundary_edges = np.nonzero(outside)[0]
+        self.interior_edges = np.nonzero(~outside)[0]
 
         (self.areas, self.centroids, self.diameters,
-         self.moment_tensors) = _cell_geometry(
-            self.vertices[self.cell_vertex_ids], self.cell_offsets)
+         self.moment_tensors) = geometry
         self.second_moments = np.trace(self.moment_tensors, axis1=1, axis2=2)
 
     @property
@@ -167,14 +170,6 @@ class PolyMesh:
     @property
     def n_edges(self):
         return len(self.edge_nodes)
-
-    @property
-    def boundary_edges(self):
-        return np.nonzero((self.edge_cells < 0).any(axis=1))[0]
-
-    @property
-    def interior_edges(self):
-        return np.nonzero((self.edge_cells >= 0).all(axis=1))[0]
 
     @property
     def mean_edge_length(self):
@@ -221,11 +216,12 @@ def build_topology(vertices, cell_vertex_loops):
 
     Edges are deduplicated with canonical lower-index-first orientation and
     numbered in order of first appearance along the loops (solution files
-    rely on it); cell-side signs follow the traversal direction.  Raises
-    :class:`MeshError` on non-finite or overflowing coordinates, cells with
-    fewer than 3, out-of-range or repeated vertices, cells wound clockwise
-    or self-crossing, non-manifold edges or inconsistently oriented
-    neighbours, zero-length edges, and open cell boundaries.
+    rely on it); cell-side signs follow the traversal direction.  The cell
+    geometry is computed once (:func:`_cell_geometry`, which also tests
+    the orientation).  Raises :class:`MeshError` on non-finite or
+    overflowing coordinates, cells with fewer than 3, out-of-range or
+    repeated vertices, cells wound clockwise or self-crossing, non-manifold
+    edges or inconsistently oriented neighbours, and zero-length edges.
     """
     vertices = np.asarray(vertices, dtype=float)
     if not np.abs(vertices).max(initial=0.0) <= _MAX_COORDINATE:
@@ -245,8 +241,7 @@ def build_topology(vertices, cell_vertex_loops):
     _reject(np.logical_or.reduceat(np.diff(keys, prepend=-1) == 0,
                                    offsets[:-1]), "cell {} repeats a vertex")
     points = vertices[ids]
-    _reject(shoelace(points, offsets)[0] <= 0.0,
-            "cell {} is not counterclockwise")
+    geometry = _cell_geometry(points, offsets)
     _reject(_self_intersecting(points, offsets),
             "cell {} is self-intersecting")
 
@@ -265,16 +260,8 @@ def build_topology(vertices, cell_vertex_loops):
                         f"orientation or more than two incident cells")
     edge_cells = np.full((len(order), 2), -1)
     edge_cells[edge_ids, side] = cell
-    mesh = PolyMesh(vertices, offsets, ids, edge_ids, 1.0 - 2.0 * side,
-                    edge_nodes, edge_cells)
-
-    # Discrete divergence theorem for constants: closed signed boundary.
-    flux = np.add.reduceat(
-        (mesh.cell_edge_signs * mesh.edge_lengths[edge_ids])[:, None]
-        * mesh.edge_normals[edge_ids], offsets[:-1])
-    _reject(np.abs(flux).max(axis=1) > 1e-10 * np.maximum(mesh.diameters, 1.0),
-            "cell {} boundary is not closed")
-    return mesh
+    return PolyMesh(vertices, offsets, ids, edge_ids, 1.0 - 2.0 * side,
+                    edge_nodes, edge_cells, geometry)
 
 
 @dataclass

@@ -139,8 +139,8 @@ class RateTable:
 
     h_bar: np.ndarray
     errors: dict
-    slopes: dict = field(default_factory=dict)
-    excluded: dict = field(default_factory=dict)
+    slopes: dict = field(init=False, default_factory=dict)
+    excluded: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         h_bar = np.asarray(self.h_bar)

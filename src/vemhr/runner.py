@@ -91,6 +91,9 @@ class RunConfig:
                              f"{self.seed!r}")
         if self.stabilization not in STABILIZATIONS:
             raise ValueError(f"unknown stabilization {self.stabilization!r}")
+        for name in ("csv_path", "vtk_path"):
+            if getattr(self, name) == "":
+                raise ValueError(f"{name} must be a path or None, not ''")
 
 
 def _is_real(x):

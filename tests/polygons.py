@@ -1,9 +1,11 @@
-"""Non-star polygons shared by the tests: random one-cell skylines and a
-conforming tiling of the unit square by U-shaped cells."""
+"""Meshes shared by the tests: random one-cell skylines and a conforming
+tiling of the unit square by U-shaped cells (non-star polygons), and a
+quad mesh with a hole and an overlap that still fills the square's area."""
 
 import numpy as np
 from hypothesis import strategies as st
 
+from vemhr.generators import generate_mesh
 from vemhr.mesh import build_topology
 
 
@@ -44,3 +46,15 @@ def u_tiling(n):
              for i in range(n) for j in range(n)
              for loop in (U_CELL, NOTCH_CELL)]
     return build_topology(np.array(list(ids)) / (3.0 * n), cells)
+
+
+def holed_quad_mesh():
+    """The 4 x 4 quad mesh of the unit square without cell 5 and with a
+    copy of cell 0 on new vertices at the same coordinates: every vertex
+    lies in the square and the areas add up to 1, but six boundary edges
+    (the hole's four and two of the copy's) are inside the square."""
+    mesh = generate_mesh("quad_structured", 4)
+    loops = np.split(mesh.cell_vertex_ids, mesh.cell_offsets[1:-1])
+    copy = mesh.n_vertices + np.arange(len(loops[0]))
+    return build_topology(np.vstack([mesh.vertices, mesh.vertices[loops[0]]]),
+                          loops[:5] + loops[6:] + [copy])

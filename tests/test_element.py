@@ -212,12 +212,12 @@ class TestMeanStress:
 
 class TestCellGroupMaps:
     @staticmethod
-    def per_edge_reference(g):
+    def per_edge_reference(mesh, g):
         """alpha, beta and the mean-stress map filled edge by edge."""
-        mesh, cells, n = g.mesh, g.cells, g.n_edges
+        cells, n = g.cells, g.n_edges
         eid, sg, L = g.edge_ids, g.signs, g.lengths
         N, T = mesh.edge_normals[eid], mesh.edge_tangents[eid]
-        R = mesh.edge_midpoints[eid] - g.centroids[:, None, :]
+        R = mesh.edge_midpoints[eid] - mesh.centroids[cells][:, None, :]
         sL, rperp, mE = sg * L, perp(R), g.second_moments
         m = len(cells)
         alpha = np.zeros((m, 2, 3 * n))
@@ -246,9 +246,9 @@ class TestCellGroupMaps:
         mesh = generate_mesh(kind, 16 if kind.startswith("poly") else 3,
                              seed=4)
         for g in cell_groups(mesh):
-            alpha, beta, K = self.per_edge_reference(g)
-            assert np.array_equal(g.alpha_map, alpha)
-            assert np.array_equal(g.beta_map, beta)
+            alpha, beta, K = self.per_edge_reference(mesh, g)
+            assert np.array_equal(g.divergence_map,
+                                  np.concatenate([alpha, beta[:, None]], 1))
             Q = mesh.moment_tensors[g.cells]
             J = np.stack([Q[:, 1], -Q[:, 0]], axis=1)
             K -= J[:, :, :, None] * beta[:, None, None, :]

@@ -7,6 +7,8 @@ from vemhr.generators import MESH_KINDS, generate_mesh, lloyd, voronoi_cells
 from vemhr.mesh import (MeshError, build_topology, check_assumptions,
                         cook_domain, perp, shoelace)
 
+from polygons import holed_quad_mesh
+
 ALL_KINDS = list(MESH_KINDS)
 
 
@@ -174,6 +176,14 @@ class TestValidation:
                               [[0, 1, 2, 3]])
         with pytest.raises(MeshError, match="areas add up to 0.5, not 1"):
             generators._check_partition(half, generators.UNIT_SQUARE)
+
+    def test_hole_and_overlap(self):
+        # vertices inside and areas matching, but boundary edges inside
+        mesh = holed_quad_mesh()
+        assert_allclose(mesh.areas.sum(), 1.0, rtol=1e-15)
+        with pytest.raises(MeshError, match="boundary edge .* is not on its "
+                                            "boundary"):
+            generators._check_partition(mesh, generators.UNIT_SQUARE)
 
     def test_voronoi_cells_and_lloyd_check_the_domain(self):
         clockwise = [[0, 0], [0, 1], [1, 1], [1, 0]]

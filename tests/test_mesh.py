@@ -155,13 +155,26 @@ class TestBuildTopology:
                 assert np.all(np.isfinite(getattr(mesh, name))), name
 
     def test_discrete_divergence_theorem(self):
-        # sum of sign * |e| * n over each cell boundary vanishes
-        mesh = generate_mesh("poly_voronoi_random", 25, seed=3)
-        for e, s in zip(per_cell(mesh, mesh.cell_edge_ids),
-                        per_cell(mesh, mesh.cell_edge_signs)):
-            flux = (s[:, None] * mesh.edge_lengths[e, None]
-                    * mesh.edge_normals[e]).sum(0)
-            assert np.abs(flux).max() < 1e-13
+        # sum of sign * |e| * n over each cell boundary vanishes to
+        # round-off in the cell's perimeter, at any scale and offset: it is
+        # the sum of perp(v_{k+1} - v_k) around a closed loop
+        rng = np.random.default_rng(5)
+        ang = np.sort(rng.uniform(0.0, 2 * np.pi, 300))
+        r = rng.uniform(0.5, 1.0, 300)  # a star-shaped 300-gon
+        for base in (generate_mesh("poly_voronoi_random", 25, seed=3),
+                     one_cell(np.column_stack([r * np.cos(ang),
+                                               r * np.sin(ang)]))):
+            loops = per_cell(base, base.cell_vertex_ids)
+            for scale, shift in ((1.0, 0.0), (1e-8, 0.0), (1e8, 0.0),
+                                 (1.0, 1e6)):
+                mesh = build_topology(base.vertices * scale + shift, loops)
+                e, starts = mesh.cell_edge_ids, mesh.cell_offsets[:-1]
+                flux = np.add.reduceat(
+                    (mesh.cell_edge_signs * mesh.edge_lengths[e])[:, None]
+                    * mesh.edge_normals[e], starts)
+                perimeter = np.add.reduceat(mesh.edge_lengths[e], starts)
+                assert np.all(np.abs(flux).max(axis=1)
+                              < 1e-14 * perimeter), (scale, shift)
 
     def test_edge_frames(self):
         mesh = unit_square_mesh()

@@ -9,7 +9,7 @@ from vemhr.element import interpolate_global
 from vemhr.generators import UNIT_SQUARE, generate_mesh
 from vemhr.material import from_lame
 from vemhr.mesh import build_topology
-from vemhr.postproc import (ROUNDOFF_FLOOR, convergence_csv_text,
+from vemhr.postproc import (ROUNDOFF_FLOOR, RateTable, convergence_csv_text,
                             convergence_rates, equilibrium_residuals,
                             error_div, error_sigma, error_u,
                             least_squares_slope, probe_displacement,
@@ -196,6 +196,13 @@ class TestRates:
         e = np.array([10.0, 1.0, 0.5, 0.25])  # slope 1 on the last 3
         table = convergence_rates(h, {"e": e})
         assert_allclose(table.slopes["e"], 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("name", ["slopes", "excluded"])
+    def test_fit_results_are_not_arguments(self, name):
+        # the fit fills them; a handed-in entry would outlive it
+        with pytest.raises(TypeError, match=name):
+            RateTable(np.array([0.4, 0.2]), {"e": [0.4, 0.2]},
+                      **{name: {"E_u": 2.0}})
 
     def test_nonmonotone_h_rejected(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from vemhr.runner import (COOK_KINDS, RunConfig, convergence_study,
                           cook_csv_text, make_problem, mesh_for_level,
                           run_convergence, run_cook)
 
-from polygons import u_tiling
+from polygons import holed_quad_mesh, u_tiling
 
 STUDY_KINDS = ("quad_structured", "hex_structured", "tri_unstructured",
                "poly_voronoi_random", "poly_voronoi_cvt")
@@ -101,6 +103,12 @@ class TestRunner:
         cook = make_problem("cook").material
         assert (cook.lam, cook.mu) == (problem_cook().material.lam,
                                        problem_cook().material.mu)
+
+    @pytest.mark.parametrize("name", ["csv_path", "vtk_path"])
+    def test_empty_output_path(self, name):
+        # None means no file; an empty path would write nothing silently
+        with pytest.raises(ValueError, match=f"{name} must be a path or None"):
+            RunConfig(**{name: ""})
 
     @pytest.mark.parametrize("levels", [
         (2.0, 4.0), (2, 4.0), (2, 0), (True, 2), [2, 4], 4, ("2", "4"),
@@ -357,6 +365,24 @@ class TestRunner:
         assert all(m is meshes[3] for m in meshes[3:])
         assert meshes[0].n_cells == 4 and meshes[3].n_cells == 9
 
+    def test_study_meshes_freed_by_reference_count(self):
+        # no reference cycle keeps a level's mesh once the study returns
+        meshes = []
+
+        def row(mesh, problem, solution, level):
+            meshes.append(weakref.ref(mesh))
+            return level
+
+        gc.collect()
+        gc.disable()
+        try:
+            convergence_study([problem_test_a()], "poly_voronoi_random",
+                              (2, 3), row=row)
+            alive = [ref for ref in meshes if ref() is not None]
+        finally:
+            gc.enable()
+        assert len(meshes) == 2 and alive == []
+
     def test_mesh_error_fails_the_study(self, monkeypatch, tmp_path):
         # a mesh that cannot be built is no failed level: the study fails,
         # and the run writes neither a CSV nor a sidecar
@@ -492,6 +518,28 @@ class TestCli:
                      "--out", str(out)]) == 2
         assert "do not tile the domain" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_holed_mesh_writes_nothing(self, tmp_path, capsys):
+        # the areas add up and every vertex is inside, but a hole's edges
+        # would take the domain's boundary data
+        mesh_path, out = tmp_path / "holed.msh", tmp_path / "s.txt"
+        save_mesh(mesh_path, holed_quad_mesh())
+        assert main(["solve", "--problem", "test-b", "--mesh", str(mesh_path),
+                     "--out", str(out)]) == 2
+        assert "is not on its boundary" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["convergence", "--problem", "test-a", "--kind", "quad_structured",
+         "--levels", "2,4", "--csv", ""],
+        ["cook", "--kinds", "quad", "--levels", "2", "--nus", "0.3",
+         "--csv", "k.csv", "--vtk", ""]], ids=["csv", "vtk"])
+    def test_empty_output_path_writes_nothing(self, tmp_path, monkeypatch,
+                                              capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert "must be a path or None" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_convergence_command(self, tmp_path):
         csv = tmp_path / "c.csv"
