@@ -98,7 +98,7 @@ class GlobalSystem:
     """The constrained system: identity rows on the fixed DOFs
     ``constrained_dofs``, whose ``rhs`` rows hold their prescribed values.
 
-    ``blocks`` holds the (CellGroup, dofs, K) of every cell group (see
+    ``blocks`` holds the (CellGroup, K) of every cell group (see
     ``_local_blocks``); ``solve`` works from them, ``rhs`` and the fixed
     DOFs alone.  The global CSR ``matrix`` and ``eliminated`` are the
     reference for tests and diagnostics; the matrix is scattered from the
@@ -226,9 +226,9 @@ def assemble(mesh, problem, stabilization="stab1") -> GlobalSystem:
 
 
 def _local_blocks(mesh, material, stabilization):
-    """(CellGroup, dofs, K) per cell group: the cells' global DOFs, edges
-    first (m, 3n + 3), and their saddle points K_E = [[A_E, B_E^T], [B_E, 0]]
-    with the cell-side signs folded in, so K acts on the global DOFs."""
+    """(CellGroup, K) per cell group: the cells' saddle points
+    K_E = [[A_E, B_E^T], [B_E, 0]], (m, 3n + 3, 3n + 3), with the cell-side
+    signs folded in, so K acts on the global DOFs ``g.dofs``."""
     blocks = []
     for g in cell_groups(mesh):
         m, nd = len(g.cells), g.ndof
@@ -238,9 +238,7 @@ def _local_blocks(mesh, material, stabilization):
         K[:, :nd, nd:] = K[:, nd:, :nd].transpose(0, 2, 1)
         if not np.all(np.isfinite(K)):
             raise SolverError("non-finite local matrix entries")
-        items = np.column_stack([g.edge_ids, mesh.n_edges + g.cells])
-        dofs = (3 * items[:, :, None] + np.arange(3)).reshape(m, nd + 3)
-        blocks.append((g, dofs, K))
+        blocks.append((g, K))
     return blocks
 
 
@@ -249,8 +247,8 @@ def _scatter_blocks(mesh, blocks):
     scattered to the global DOFs, without their zero cell-cell block."""
     dm = DofMap(mesh.n_edges, mesh.n_cells)
     rows, cols, vals = [], [], []
-    for g, dofs, K in blocks:
-        m, nd = len(dofs), g.ndof
+    for g, K in blocks:
+        dofs, m, nd = g.dofs, len(g.cells), g.ndof
         rows.append(np.broadcast_to(dofs[:, :, None], (m, nd + 3, nd)).ravel())
         cols.append(np.broadcast_to(dofs[:, None, :nd], (m, nd + 3, nd)).ravel())
         vals.append(K[:, :, :nd].ravel())
@@ -280,8 +278,8 @@ def _apply_blocks(blocks, x):
     """sum_E K_E x_E: per cell group, the local blocks applied to the
     gathered DOFs of x, summed over the cells."""
     y = np.zeros(len(x))
-    for _, dofs, K in blocks:
-        y += np.bincount(dofs.ravel(), _batch_matvec(K, x[dofs]).ravel(),
+    for g, K in blocks:
+        y += np.bincount(g.dofs.ravel(), _batch_matvec(K, x[g.dofs]).ravel(),
                          minlength=len(x))
     return y
 
@@ -427,10 +425,10 @@ class _Hybrid:
     sign_j y_j = sign_j r_j; it also takes up the entry r_j of the row it
     replaces.  The multipliers solve the SPD system S lam = sum_E C_E^T
     K_E^-1 r_E - g, S = sum_E C_E^T K_E^-1 C_E, g the signed r_j of the
-    fixed DOFs.  r is split into the r_E with ``weight``: an interior
-    edge's row half to each of its two cells, every other row whole to its
-    one cell; the same weights average the two copies of an interior edge
-    back into one global vector.
+    fixed DOFs.  r is split into the r_E by the groups' ``shares`` (half an
+    interior edge's row to each of its cells, every other row whole to its
+    one cell), which also average the two copies of an interior edge back
+    into one vector; per solve only ``ldof``, the K_E^-1 and S are built.
 
     Where ``_edge_order`` gives keys, a postorder of the cells' nested
     dissection, the multipliers are numbered by their edge's key, then by
@@ -441,13 +439,12 @@ class _Hybrid:
     """
 
     def __init__(self, mesh, blocks, held):
-        interior = mesh.interior_edges
         # multiplier index per edge DOF, for the interior and fixed ones;
         # every other DOF points at one dummy slot n_lam, which
         # local_solutions drops and S never holds
         has_lam = np.zeros(3 * mesh.n_edges, dtype=bool)
         has_lam[held] = True
-        has_lam.reshape(-1, 3)[interior] = True
+        has_lam.reshape(-1, 3)[mesh.interior_edges] = True
         n_lam = int(np.count_nonzero(has_lam))
         lam_dofs = np.flatnonzero(has_lam)
         order = _edge_order(mesh) if n_lam else None
@@ -459,8 +456,6 @@ class _Hybrid:
                                            kind="stable")]
         lam_of = np.full(len(has_lam), n_lam)
         lam_of[lam_dofs] = np.arange(n_lam)
-        half = np.ones(mesh.n_edges)
-        half[interior] = 0.5
         self.blocks = blocks
         self.held = held
         self.held_lam = lam_of[self.held]
@@ -468,14 +463,9 @@ class _Hybrid:
         self.n_lam = n_lam
         self.groups = []
         nnz = 0
-        for g, dofs, K in blocks:
-            m, nd = len(dofs), g.ndof
-            ldof = lam_of[dofs[:, :nd]]
-            sign = np.repeat(g.signs, 3, axis=1)
-            weight = np.ones((m, nd + 3))
-            weight[:, :nd] = np.repeat(half[g.edge_ids], 3, axis=1)
-            Kinv = _local_inverse(g, K)
-            self.groups.append((dofs, weight, ldof, sign, Kinv))
+        for g, K in blocks:
+            ldof = lam_of[g.dofs[:, :g.ndof]]
+            self.groups.append((g, ldof, _local_inverse(g, K)))
             glued = np.count_nonzero(ldof < n_lam, axis=1)
             nnz += int(glued @ glued)
         self.lu = None
@@ -488,8 +478,8 @@ class _Hybrid:
             cols = np.empty(nnz, dtype=np.int32)
             vals = np.empty(nnz)
             at = 0
-            for _, _, ldof, sign, Kinv in self.groups:
-                nd = ldof.shape[1]
+            for g, ldof, Kinv in self.groups:
+                nd, sign = g.ndof, g.dof_signs
                 glued = ldof < n_lam
                 pair = glued[:, :, None] & glued[:, None, :]
                 end = at + np.count_nonzero(pair)
@@ -524,23 +514,23 @@ class _Hybrid:
         """Per cell group, the torn local solutions y_E (m, 3n + 3) for the
         global right-hand side r."""
         z, b = [], np.zeros(self.n_lam + 1)
-        for dofs, weight, ldof, sign, Kinv in self.groups:
-            z.append(_batch_matvec(Kinv, weight * r[dofs]))
+        for g, ldof, Kinv in self.groups:
+            z.append(_batch_matvec(Kinv, g.shares * r[g.dofs]))
             b += np.bincount(ldof.ravel(),
-                             (sign * z[-1][:, :ldof.shape[1]]).ravel(),
+                             (g.dof_signs * z[-1][:, :g.ndof]).ravel(),
                              minlength=self.n_lam + 1)
         b[self.held_lam] -= self.held_sign * r[self.held]
         lam = np.zeros(self.n_lam + 1)
         if self.lu is not None:
             lam[:-1] = self.lu.solve(b[:-1])
-        return [zg - _batch_matvec(Kinv[:, :, :ldof.shape[1]],
-                                   sign * lam[ldof])
-                for (_, _, ldof, sign, Kinv), zg in zip(self.groups, z)]
+        return [zg - _batch_matvec(Kinv[:, :, :g.ndof],
+                                   g.dof_signs * lam[ldof])
+                for (g, ldof, Kinv), zg in zip(self.groups, z)]
 
     def __call__(self, r):
         x = np.zeros(len(r))
-        for (dofs, weight, *_), y in zip(self.groups, self.local_solutions(r)):
-            x += np.bincount(dofs.ravel(), (weight * y).ravel(),
+        for (g, *_), y in zip(self.groups, self.local_solutions(r)):
+            x += np.bincount(g.dofs.ravel(), (g.shares * y).ravel(),
                              minlength=len(r))
         return x
 
@@ -574,8 +564,8 @@ def solve(system) -> Solution:
     x += hybrid(rhs - hybrid.apply(x))
     # |K| |x|: each group's |K_E| on |x|, formed only while it is applied,
     # and |x_j| on the identity rows of the fixed DOFs
-    magnitude = _apply_blocks(((g, dofs, np.abs(K))
-                               for g, dofs, K in system.blocks), np.abs(x))
+    magnitude = _apply_blocks(((g, np.abs(K)) for g, K in system.blocks),
+                              np.abs(x))
     magnitude[hybrid.held] = np.abs(x[hybrid.held])
     scale = np.linalg.norm(magnitude) + np.linalg.norm(rhs)
     residual = np.linalg.norm(rhs - hybrid.apply(x)) / (scale or 1.0)

@@ -37,10 +37,14 @@ STABILIZATIONS = ("stab1", "stab1bis")
 
 class CellGroup:
     """Vectorized element maps for cells that share an edge count, from
-    their (m, n) CSR positions ``slots``; no reference to the mesh is kept."""
+    their (m, n) CSR positions ``slots``; no reference to the mesh is kept.
+    Built once per mesh, the group also holds its cells' global DOFs
+    ``dofs`` (m, 3n + 3; edges in loop order, then the rigid motion), the
+    cell-side sign of each edge DOF ``dof_signs`` (m, 3n) and each row's
+    ``shares`` (m, 3n + 3): 1/2 on an interior edge's rows, else 1."""
 
     def __init__(self, mesh, cells, slots):
-        n = slots.shape[1]
+        m, n = slots.shape
         eid, sg = mesh.cell_edge_ids[slots], mesh.cell_edge_signs[slots]
         L = mesh.edge_lengths[eid]
         N = mesh.edge_normals[eid]
@@ -50,15 +54,17 @@ class CellGroup:
         self.cells = cells
         self.n_edges = n
         self.ndof = 3 * n
-        self.edge_ids = eid
-        self.signs = sg
+        items = np.column_stack([eid, mesh.n_edges + cells])
+        self.dofs = (3 * items[:, :, None] + np.arange(3)).reshape(m, -1)
+        self.dof_signs = np.repeat(sg, 3, axis=1)
+        shares = np.where((mesh.edge_cells[eid] >= 0).all(axis=2), 0.5, 1.0)
+        self.shares = np.repeat(np.c_[shares, np.ones(m)], 3, axis=1)
         self.lengths = L
         self.normals = N
         self.areas = mesh.areas[cells]
         self.diameters = mesh.diameters[cells]
         self.second_moments = mesh.second_moments[cells]
 
-        m = len(cells)
         sL = sg * L
 
         # div tau = alpha + beta * perp(x - x_C), rows (alpha_x, alpha_y,
@@ -139,10 +145,6 @@ class CellGroup:
         scale = np.column_stack([self.areas, self.areas, self.second_moments])
         return scale[:, :, None] * self.divergence_map
 
-    def local_dofs(self, edge_dof_table):
-        """Gather per-cell DOF vectors from a global (n_edges, 3) table."""
-        return edge_dof_table[self.edge_ids].reshape(len(self.cells), self.ndof)
-
 
 def cell_groups(mesh):
     """Cells grouped by edge count; cached on the mesh (meshes are immutable)."""
@@ -197,10 +199,14 @@ def interpolate_global(mesh, tau):
 def _cell_field(mesh, edge_dof_table, name):
     """Every cell's DOFs through its group's map ``name``, (n_cells, 3)."""
     table = np.asarray(edge_dof_table, dtype=float)
+    if table.shape != (mesh.n_edges, 3):
+        raise ValueError(f"edge DOF table must be ({mesh.n_edges}, 3), not "
+                         f"{table.shape}")
+    table = table.ravel()
     out = np.empty((mesh.n_cells, 3))
     for g in cell_groups(mesh):
         out[g.cells] = np.einsum("mak,mk->ma", getattr(g, name),
-                                 g.local_dofs(table))
+                                 table[g.dofs[:, :g.ndof]])
     return out
 
 
@@ -219,8 +225,7 @@ def body_load_vector(mesh, f):
     pts, wts, owner = mesh_polygon_quadrature(mesh)
     fv = np.asarray(f(pts), dtype=float)
     xi = perp(pts - mesh.centroids[owner])
-    out = np.zeros((mesh.n_cells, 3))
-    np.add.at(out[:, 0], owner, wts * fv[:, 0])
-    np.add.at(out[:, 1], owner, wts * fv[:, 1])
-    np.add.at(out[:, 2], owner, wts * np.einsum("qa,qa->q", fv, xi))
-    return out
+    return np.column_stack([
+        np.bincount(owner, w, minlength=mesh.n_cells)
+        for w in (wts * fv[:, 0], wts * fv[:, 1],
+                  wts * np.einsum("qa,qa->q", fv, xi))])

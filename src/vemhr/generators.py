@@ -10,7 +10,8 @@ record.  Shape-regularity is not checked here: call
 
 The hexagonal kind is realized as the Voronoi diagram of a regular
 triangular lattice clipped to the domain: hexagons in the interior, quads
-and pentagons along the boundary.
+and pentagons along the boundary.  It goes through the Voronoi driver with
+lattice seed sets and no Lloyd sweep.
 
 Every Voronoi kind, and every Lloyd sweep behind the centroidal one, goes
 through one clipping core, :func:`_clip_sets`: it clips all cells of
@@ -83,10 +84,11 @@ def generate_mesh(kind, resolution, domain=None, seed=0):
         CCW corners of a strictly convex domain, else a ValueError; defaults
         to the unit square.  Grid-based kinds require a quadrilateral.
     seed : int
-        RNG seed for the randomized kinds; every mesh of a tuple draws from
-        its own generator seeded with it.
+        Non-negative RNG seed for the randomized kinds (checked on every kind);
+        every mesh of a tuple draws from its own generator seeded with it.
 
-    The centroidal kind runs up to 50 Lloyd sweeps.
+    The centroidal kind runs up to 50 Lloyd sweeps; the honeycomb, like the
+    random kind, records none (``lloyd_iterations = 0``, converged).
     """
     if kind not in MESH_KINDS:
         raise ValueError(f"unknown mesh kind {kind!r}; expected one of {MESH_KINDS}")
@@ -94,13 +96,18 @@ def generate_mesh(kind, resolution, domain=None, seed=0):
     if not all(map(_is_count, resolutions)):
         raise ValueError("resolution must be a positive integer or a tuple "
                          f"of them, not {resolution!r}")
+    if not _is_seed(seed):
+        raise ValueError(f"seed must be a non-negative integer, not {seed!r}")
     domain = UNIT_SQUARE if domain is None else _convex_domain(domain)
 
-    if kind.startswith("poly_voronoi"):
-        meshes = _voronoi_meshes(domain, resolutions, seed,
-                                 _LLOYD_ITERS if kind == "poly_voronoi_cvt" else 0)
-    elif kind == "hex_structured":
-        meshes = [_honeycomb_mesh(domain, n) for n in resolutions]
+    if kind == "hex_structured":
+        meshes = _voronoi_meshes(
+            domain, [_honeycomb_seeds(domain, n) for n in resolutions], 0)
+    elif kind.startswith("poly_voronoi"):
+        meshes = _voronoi_meshes(
+            domain, [_sample_seeds(domain, n, np.random.default_rng(seed))
+                     for n in resolutions],
+            _LLOYD_ITERS if kind == "poly_voronoi_cvt" else 0)
     else:
         jitter_seed = seed if kind.endswith("_unstructured") else None
         meshes = [_grid_mesh(domain, n, triangles=kind.startswith("tri"),
@@ -114,8 +121,13 @@ def generate_mesh(kind, resolution, domain=None, seed=0):
 
 def _is_count(n):
     """True for a positive integer, numpy integers included (not bools)."""
+    return _is_seed(n) and n >= 1
+
+
+def _is_seed(n):
+    """True for a non-negative integer, numpy ints included (not bools)."""
     return isinstance(n, numbers.Integral) and not isinstance(n, bool) \
-        and n >= 1
+        and n >= 0
 
 
 def _convex_domain(domain):
@@ -237,20 +249,6 @@ def _honeycomb_seeds(domain, n):
     return np.stack(np.broadcast_arrays(x, y), axis=-1).reshape(-1, 2)
 
 
-def _honeycomb_mesh(domain, n):
-    _, points, counts = _clip_sets([_honeycomb_seeds(domain, n)], domain)
-    # Lattice seeds mirrored across a boundary line make zero-width sliver
-    # cells (pure roundoff of an empty region, below 2.1e-16 of a hexagon
-    # for n up to 128); drop them by area.  Real clipped cells can be far
-    # smaller than a hexagon (1.6e-7 of one on the Cook domain at n = 4),
-    # so the cut sits at round-off scale.
-    areas = shoelace(points, _offsets(counts))[0]
-    hex_area = shoelace(domain)[0][0] / (n * n)
-    keep = areas > 1e-12 * hex_area
-    return _mesh_from_cells(points[np.repeat(keep, counts)], counts[keep],
-                            domain)
-
-
 def _sample_seeds(domain, count, rng):
     lo = domain.min(axis=0)
     hi = domain.max(axis=0)
@@ -267,12 +265,15 @@ def _sample_seeds(domain, count, rng):
     return np.array(out[:count])
 
 
-def _voronoi_meshes(domain, sizes, seed, lloyd_iters):
-    """One Voronoi mesh per seed count, each from its own seeded generator:
-    the seed sets are relaxed together and their final cells clipped in
-    one call, then each mesh is welded on its own."""
-    sets = [_sample_seeds(domain, n, np.random.default_rng(seed))
-            for n in sizes]
+def _voronoi_meshes(domain, sets, lloyd_iters):
+    """One Voronoi mesh per seed set: the sets are relaxed together and
+    their final cells clipped in one call, then each mesh is welded on its
+    own.  Cells of area at most 1e-12 of the domain's over their set's size
+    are dropped: round-off slivers, which lattice seeds mirrored across a
+    boundary line make (below 2.1e-16 of a hexagon for n up to 128), while
+    real clipped cells can be far smaller than a hexagon (1.6e-7 of one on
+    the Cook domain at n = 4).  A missing random cell leaves a hole, which
+    ``_check_partition`` reports."""
     metas = [{"lloyd_iterations": 0, "lloyd_converged": True} for _ in sets]
     if lloyd_iters > 0:
         sets, infos = _relax(sets, domain, lloyd_iters)
@@ -280,14 +281,16 @@ def _voronoi_meshes(domain, sizes, seed, lloyd_iters):
             meta.update(info)
     ids, points, counts = _clip_sets(sets, domain)
     offsets = _offsets(counts)
+    areas = shoelace(points, offsets)[0]
+    sliver = 1e-12 * shoelace(domain)[0][0]
     # ids ascend, so each set's cells are one contiguous block
-    bounds = np.searchsorted(ids, np.cumsum([0] + [len(s) for s in sets]))
+    bounds = np.searchsorted(ids, _offsets([len(s) for s in sets]))
     meshes = []
-    for size, meta, lo, hi in zip(sizes, metas, bounds[:-1], bounds[1:]):
-        if hi - lo != size:
-            raise MeshError("degenerate Voronoi cell after clipping")
-        mesh = _mesh_from_cells(points[offsets[lo]:offsets[hi]],
-                                counts[lo:hi], domain)
+    for s, meta, lo, hi in zip(sets, metas, bounds[:-1], bounds[1:]):
+        keep = areas[lo:hi] > sliver / len(s)
+        mesh = _mesh_from_cells(
+            points[offsets[lo]:offsets[hi]][np.repeat(keep, counts[lo:hi])],
+            counts[lo:hi][keep], domain)
         mesh.metadata.update(meta)
         meshes.append(mesh)
     return meshes
@@ -566,8 +569,8 @@ def _mesh_from_cells(pts, counts, domain):
     n_verts, inverse = connected_components(coo_matrix(
         (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
         shape=(len(pts), len(pts))), directed=False)
-    verts = np.zeros((n_verts, 2))
-    np.add.at(verts, inverse, pts)
+    verts = np.column_stack([np.bincount(inverse, pts[:, k], minlength=n_verts)
+                             for k in (0, 1)])
     verts /= np.bincount(inverse)[:, None]
     # Drop repeats of a vertex along a loop (cyclically), keeping the first.
     keep = inverse != inverse[_next_slot(offsets)]

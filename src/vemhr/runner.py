@@ -14,7 +14,7 @@ import numpy as np
 from . import postproc
 from .assembly import SOLVER_TOL, SolverError, assemble, solve
 from .element import STABILIZATIONS, projection_field
-from .generators import MESH_KINDS, _is_count, generate_mesh
+from .generators import MESH_KINDS, _is_count, _is_seed, generate_mesh
 from .postproc import von_mises_field, write_vtk_polydata
 from .problems import COOK_PROBE_POINT, problem_cook, problem_test_a, \
     problem_test_b, problem_test_incompressible, verify_exact_bundle
@@ -85,8 +85,7 @@ class RunConfig:
             raise ValueError("cook_nus must be a non-empty tuple of distinct "
                              "Poisson ratios in [0, 0.5) that also differ in "
                              f"6 significant digits, not {self.cook_nus!r}")
-        if not (isinstance(self.seed, numbers.Integral) and _is_real(self.seed)
-                and self.seed >= 0):
+        if not _is_seed(self.seed):
             raise ValueError("seed must be a non-negative integer, not "
                              f"{self.seed!r}")
         if self.stabilization not in STABILIZATIONS:

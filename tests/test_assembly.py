@@ -318,11 +318,11 @@ class TestSolve:
     def test_singular_local_block_reported(self):
         mesh = generate_mesh("quad_structured", 3)
         system = assemble(mesh, problem_test_a())
-        g, dofs, K = system.blocks[0]
+        g, K = system.blocks[0]
         K = K.copy()
         K[:, g.ndof:, :] = 0.0
         K[:, :, g.ndof:] = 0.0
-        system.blocks[0] = (g, dofs, K)
+        system.blocks[0] = (g, K)
         with pytest.raises(SolverError, match="singular local saddle point"):
             solve(system)
 
@@ -450,9 +450,8 @@ class TestHybridSolve:
         lo = np.full(system.dofmap.n_stress, np.inf)
         hi = np.full(system.dofmap.n_stress, -np.inf)
         hybrid = _Hybrid(system.mesh, system.blocks, system.constrained_dofs)
-        for (g, dofs, _), y in zip(system.blocks,
-                                   hybrid.local_solutions(rhs)):
-            gdof = dofs[:, :g.ndof].ravel()
+        for (g, _), y in zip(system.blocks, hybrid.local_solutions(rhs)):
+            gdof = g.dofs[:, :g.ndof].ravel()
             np.minimum.at(lo, gdof, y[:, :g.ndof].ravel())
             np.maximum.at(hi, gdof, y[:, :g.ndof].ravel())
         assert (hi - lo).max() <= 1e-12 * scale
@@ -479,8 +478,9 @@ def dummy_slot_multipliers(hybrid):
     cell's edge DOFs in the COO lists, the unglued ones at a dummy slot
     n_lam, the lists concatenated, converted and the slot sliced off."""
     rows, cols, vals = [], [], []
-    for _, _, ldof, sign, Kinv in hybrid.groups:
+    for g, ldof, Kinv in hybrid.groups:
         m, nd = ldof.shape
+        sign = g.dof_signs
         rows.append(np.broadcast_to(ldof[:, :, None], (m, nd, nd)).ravel())
         cols.append(np.broadcast_to(ldof[:, None, :], (m, nd, nd)).ravel())
         vals.append((sign[:, :, None] * Kinv[:, :nd, :nd]
@@ -514,8 +514,8 @@ class TestHybridSetUp:
         monkeypatch.setattr(assembly, "_local_inverse", spy)
         hybrid = _Hybrid(system.mesh, system.blocks, system.constrained_dofs)
         assert len(inverted) == len(system.blocks)
-        for (_, _, K), K_inverted, (*_, Kinv) in zip(system.blocks, inverted,
-                                                     hybrid.groups):
+        for (_, K), K_inverted, (*_, Kinv) in zip(system.blocks, inverted,
+                                                  hybrid.groups):
             assert K_inverted is K
             assert np.linalg.inv(K).tobytes() == Kinv.tobytes()
 
@@ -648,8 +648,8 @@ class TestDissection:
 def multiplier_edges(hybrid):
     """The edge of every multiplier of a hybrid."""
     edges = np.zeros(hybrid.n_lam + 1, dtype=int)
-    for dofs, _, ldof, _, _ in hybrid.groups:
-        edges[ldof] = dofs[:, :ldof.shape[1]] // 3
+    for g, ldof, _ in hybrid.groups:
+        edges[ldof] = g.dofs[:, :g.ndof] // 3
     return edges[:-1]
 
 
@@ -793,6 +793,15 @@ class TestBlockOperator:
         ref = system.eliminated()[0] @ free
         assert (np.abs(hybrid.apply(free) - ref).max()
                 <= 1e-14 * np.abs(ref).max())
+
+    def test_systems_share_the_group_dofs(self):
+        # the DOF maps belong to the mesh's cell groups, built once
+        mesh = generate_mesh("poly_voronoi_random", 16, seed=0)
+        first = assemble(mesh, problem_test_a())
+        second = assemble(mesh, problem_test_b(), "stab1bis")
+        assert len(first.blocks) == len(second.blocks) > 1
+        for (g, _), (h, _) in zip(first.blocks, second.blocks):
+            assert h.dofs is g.dofs
 
     @pytest.mark.parametrize("kind", ["quad_structured",
                                       "poly_voronoi_random"])

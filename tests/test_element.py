@@ -7,11 +7,11 @@ from vemhr.assembly import DisplacementBC, Solution, assemble, solve
 from vemhr.element import (body_load_vector, cell_groups, divergence_field,
                            interpolate_global, projection_field)
 from vemhr.material import CONTRACTION_WEIGHTS, from_lame
-from vemhr.mesh import MeshError, build_topology, perp
+from vemhr.mesh import MeshError, build_topology, cook_domain, perp
 from vemhr.postproc import equilibrium_residuals, error_u
 from vemhr.problems import ProblemSpec
 from vemhr.quadrature import mesh_polygon_quadrature
-from vemhr.generators import UNIT_SQUARE, generate_mesh
+from vemhr.generators import MESH_KINDS, UNIT_SQUARE, generate_mesh
 
 from polygons import skyline_mesh, skyline_polygons
 
@@ -215,7 +215,9 @@ class TestCellGroupMaps:
     def per_edge_reference(mesh, g):
         """alpha, beta and the mean-stress map filled edge by edge."""
         cells, n = g.cells, g.n_edges
-        eid, sg, L = g.edge_ids, g.signs, g.lengths
+        slots = mesh.cell_offsets[cells][:, None] + np.arange(n)
+        eid, sg = mesh.cell_edge_ids[slots], mesh.cell_edge_signs[slots]
+        L = g.lengths
         N, T = mesh.edge_normals[eid], mesh.edge_tangents[eid]
         R = mesh.edge_midpoints[eid] - mesh.centroids[cells][:, None, :]
         sL, rperp, mE = sg * L, perp(R), g.second_moments
@@ -256,6 +258,44 @@ class TestCellGroupMaps:
                           0.5 * (K[:, 0, 1] + K[:, 1, 0])], axis=1)
             assert np.array_equal(g.projection_map,
                                   P / g.areas[:, None, None])
+
+    @pytest.mark.parametrize("domain", [None, cook_domain()],
+                             ids=["square", "cook"])
+    @pytest.mark.parametrize("kind", MESH_KINDS)
+    def test_dof_bookkeeping_matches_slot_reference(self, kind, domain):
+        # global DOFs, edge DOF signs and interior shares, slot by slot
+        mesh = generate_mesh(kind, 16 if kind.startswith("poly") else 3,
+                             domain=domain, seed=4)
+        for g in cell_groups(mesh):
+            m, nd = len(g.cells), g.ndof
+            dofs = np.zeros((m, nd + 3), dtype=int)
+            signs = np.zeros((m, nd))
+            shares = np.ones((m, nd + 3))
+            for i, c in enumerate(g.cells):
+                start = mesh.cell_offsets[c]
+                for j in range(g.n_edges):
+                    e = mesh.cell_edge_ids[start + j]
+                    for k in range(3):
+                        dofs[i, 3 * j + k] = 3 * e + k
+                        signs[i, 3 * j + k] = mesh.cell_edge_signs[start + j]
+                        if min(mesh.edge_cells[e]) >= 0:
+                            shares[i, 3 * j + k] = 0.5
+                for k in range(3):
+                    dofs[i, nd + k] = 3 * (mesh.n_edges + c) + k
+            assert np.array_equal(g.dofs, dofs)
+            assert np.array_equal(g.dof_signs, signs)
+            assert np.array_equal(g.shares, shares)
+
+
+@pytest.mark.parametrize("field", [divergence_field, projection_field])
+@pytest.mark.parametrize("shape", [(12, 4), (12, 2), (36,), (3, 12)])
+def test_cell_field_table_shape(field, shape):
+    # the 2 x 2 quad mesh has 12 edges; gathered flat, a (12, 4) table
+    # would read the wrong DOFs without an error
+    mesh = generate_mesh("quad_structured", 2)
+    assert mesh.n_edges == 12
+    with pytest.raises(ValueError, match=r"edge DOF table must be \(12, 3\)"):
+        field(mesh, np.zeros(shape))
 
 
 class TestLocalEnergyMatrix:

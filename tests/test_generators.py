@@ -215,6 +215,16 @@ class TestValidation:
         area = shoelace(np.asarray(domain, dtype=float))[0][0]
         assert_allclose(mesh.areas.sum(), area, rtol=1e-12)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"],
+                             ids=["negative", "float", "bool", "str"])
+    @pytest.mark.parametrize("kind", ["poly_voronoi_random",
+                                      "hex_structured"])
+    def test_seed_not_a_non_negative_integer(self, kind, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative "
+                           "integer") as exc:
+            generate_mesh(kind, 4, seed=seed)
+        assert repr(seed) in str(exc.value)
+
     def test_numpy_integer_resolutions(self):
         meshes = generate_mesh("poly_voronoi_random",
                                (np.int32(4), np.int64(9)), seed=1)
@@ -493,13 +503,35 @@ def _assert_same_mesh(a, b):
 @pytest.mark.parametrize("levels", [(16, 64, 144), (64, 256)],
                          ids=["16-64-144", "64-256"])
 @pytest.mark.parametrize("domain", [None, cook_domain()], ids=["square", "cook"])
-@pytest.mark.parametrize("kind", ["poly_voronoi_cvt", "poly_voronoi_random"])
+@pytest.mark.parametrize("kind", ["poly_voronoi_cvt", "poly_voronoi_random",
+                                  "hex_structured"])
 def test_resolution_tuple_equals_separate_calls(kind, domain, levels, seed):
+    if kind == "hex_structured":
+        # the levels are seed counts: a honeycomb of n**2 cells has n
+        levels = tuple(int(np.sqrt(n)) for n in levels)
     meshes = generate_mesh(kind, levels, domain=domain, seed=seed)
     assert len(meshes) == len(levels)
     for n, mesh in zip(levels, meshes):
         _assert_same_mesh(mesh, generate_mesh(kind, n, domain=domain,
                                               seed=seed))
+
+
+@pytest.mark.parametrize("domain", [None, cook_domain()], ids=["square", "cook"])
+def test_hex_tuple_one_core_call(monkeypatch, domain):
+    levels = (2, 5, 9)
+    reference = [generate_mesh("hex_structured", n, domain=domain)
+                 for n in levels]
+    calls = []
+    core = generators._clip_sets
+    monkeypatch.setattr(generators, "_clip_sets",
+                        lambda sets, dom: calls.append(len(sets))
+                        or core(sets, dom))
+    meshes = generate_mesh("hex_structured", levels, domain=domain)
+    assert calls == [len(levels)]
+    for mesh, ref in zip(meshes, reference):
+        _assert_same_mesh(mesh, ref)
+        assert mesh.metadata["lloyd_iterations"] == 0
+        assert mesh.metadata["lloyd_converged"] is True
 
 
 @pytest.mark.parametrize("domain, levels, sweeps", [

@@ -541,6 +541,15 @@ class TestCli:
         assert "must be a path or None" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("kind", ["poly_voronoi_random", "hex_structured"])
+    def test_negative_mesh_seed_writes_nothing(self, tmp_path, capsys, kind):
+        out = tmp_path / "neg.msh"
+        assert main(["mesh", "gen", "--kind", kind, "--n", "4", "--seed",
+                     "-1", "--out", str(out)]) == 2
+        assert ("seed must be a non-negative integer, not -1"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
     def test_convergence_command(self, tmp_path):
         csv = tmp_path / "c.csv"
         assert main(["convergence", "--problem", "test-a", "--kind",
