@@ -30,9 +30,9 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from . import element
-from .element import _edge_moments, _sample, cell_groups
+from .element import _edge_moments, _load_moments, _sample, cell_groups
 from .mesh import _format_rows, mesh_checksum
+from .quadrature import mesh_polygon_quadrature
 
 __all__ = [
     "DofMap",
@@ -100,15 +100,22 @@ class GlobalSystem:
 
     ``blocks`` holds the (CellGroup, K) of every cell group (see
     ``_local_blocks``); ``solve`` works from them, ``rhs`` and the fixed
-    DOFs alone.  The global CSR ``matrix`` and ``eliminated`` are the
-    reference for tests and diagnostics; the matrix is scattered from the
-    blocks only when first asked for.
+    DOFs alone.  ``load_values`` is the body force at the points of
+    ``mesh_polygon_quadrature``, from which the load rows of ``rhs`` were
+    integrated (None without a body force).  ``factors``, when not None,
+    maps sorted fixed DOFs to the ``_Hybrid`` of these blocks, and is shared
+    by every system of the same ``assemble(..., shared=...)`` memo and
+    blocks.  The global CSR ``matrix`` and ``eliminated`` are the reference
+    for tests and diagnostics; the matrix is scattered from the blocks only
+    when first asked for.
     """
 
     mesh: object
     rhs: np.ndarray
     constrained_dofs: np.ndarray
     blocks: list
+    load_values: np.ndarray = None
+    factors: dict = None
 
     @property
     def dofmap(self):
@@ -177,7 +184,8 @@ class Solution:
     report: SolveReport
 
 
-def assemble(mesh, problem, stabilization="stab1") -> GlobalSystem:
+def assemble(mesh, problem, stabilization="stab1",
+             shared=None) -> GlobalSystem:
     """Assemble the constrained saddle-point system of a problem on a mesh.
 
     ``problem`` provides ``material``, ``body_force`` (vectorized field or
@@ -186,15 +194,34 @@ def assemble(mesh, problem, stabilization="stab1") -> GlobalSystem:
     cell-side signs already folded in and kept as ``blocks``; the global
     matrix is scattered from them on request.  Boundary edges are grouped
     by their (hashable) condition and each field is evaluated once over its
-    group, into the rhs rows of the group's edges.
+    group, into the rhs rows of the group's edges.  The body force is
+    evaluated once, at the points of ``mesh_polygon_quadrature``, and its
+    values are kept as ``load_values``.
+
+    ``shared`` is a dict that one caller keeps for one mesh, and drops with
+    it.  The problems assembled with one memo share their local blocks when
+    their (material, stabilization) match, and ``solve`` shares their
+    ``_Hybrid`` (local inverses and multiplier factor) when their sorted
+    fixed DOFs match too.  Without it each system builds its own, and
+    ``solve`` drops the ``_Hybrid`` when it returns.
     """
     dm = DofMap(mesh.n_edges, mesh.n_cells)
-    blocks = _local_blocks(mesh, problem.material, stabilization)
+    if shared is None:
+        blocks, factors = _local_blocks(mesh, problem.material,
+                                        stabilization), None
+    else:
+        key = (problem.material, stabilization)
+        if key not in shared:
+            shared[key] = (_local_blocks(mesh, problem.material,
+                                         stabilization), {})
+        blocks, factors = shared[key]
 
     rhs = np.zeros(dm.size)
+    load_values = None
     if problem.body_force is not None:
-        loads = element.body_load_vector(mesh, problem.body_force)
-        rhs[dm.n_stress:] = -loads.reshape(-1)
+        load_values = _sample(problem.body_force,
+                              mesh_polygon_quadrature(mesh)[0])
+        rhs[dm.n_stress:] = -_load_moments(mesh, load_values).reshape(-1)
 
     groups = {}
     for e in mesh.boundary_edges:
@@ -222,7 +249,8 @@ def assemble(mesh, problem, stabilization="stab1") -> GlobalSystem:
             moments[:, 2] /= 12.0
             rhs[:dm.n_stress].reshape(-1, 3)[edges] = scale[:, None] * moments
     return GlobalSystem(mesh=mesh, rhs=rhs,
-                        constrained_dofs=np.concatenate(fixed), blocks=blocks)
+                        constrained_dofs=np.concatenate(fixed), blocks=blocks,
+                        load_values=load_values, factors=factors)
 
 
 def _local_blocks(mesh, material, stabilization):
@@ -547,6 +575,11 @@ def solve(system) -> Solution:
     norm(rhs) it does not grow with the mesh's units.  A solve fails when
     omega is above ``SOLVER_TOL`` or NaN.
 
+    Where ``system.factors`` is a dict, the ``_Hybrid`` of the sorted fixed
+    DOFs is taken from it, or built and left in it for the next system of
+    the same blocks; the report then gives that shared factor's
+    ``lu_nnz``, ``factor_s`` and ordering.
+
     A pure traction problem (no boundary edge left without a prescribed
     traction) has the rigid motions as a kernel and raises SolverError.
     """
@@ -555,7 +588,14 @@ def solve(system) -> Solution:
         raise SolverError("singular system: every boundary edge carries a "
                           "prescribed traction, so the global rigid motions "
                           "are a kernel (pure traction problem)")
-    hybrid = _Hybrid(mesh, system.blocks, system.constrained_dofs)
+    held = system.constrained_dofs
+    if system.factors is None:
+        hybrid = _Hybrid(mesh, system.blocks, held)
+    else:
+        key = np.sort(held).tobytes()
+        if key not in system.factors:
+            system.factors[key] = _Hybrid(mesh, system.blocks, held)
+        hybrid = system.factors[key]
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     x = hybrid(rhs)
     # Near incompressibility the first pass leaves a relative residual up to

@@ -222,8 +222,13 @@ def projection_field(mesh, edge_dof_table):
 
 def body_load_vector(mesh, f):
     """Loads of all cells against their rigid-motion bases, (n_cells, 3)."""
+    return _load_moments(mesh, _sample(f, mesh_polygon_quadrature(mesh)[0]))
+
+
+def _load_moments(mesh, fv):
+    """``body_load_vector`` of the load's values ``fv`` at the points of
+    ``mesh_polygon_quadrature``."""
     pts, wts, owner = mesh_polygon_quadrature(mesh)
-    fv = np.asarray(f(pts), dtype=float)
     xi = perp(pts - mesh.centroids[owner])
     return np.column_stack([
         np.bincount(owner, w, minlength=mesh.n_cells)

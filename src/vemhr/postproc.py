@@ -62,14 +62,47 @@ def error_sigma(mesh, solution, sigma_exact, material):
     return float(np.sqrt((kappa * mesh.edge_lengths**2 * misfit).sum()))
 
 
-def _rigid_motion_l2_error(mesh, motions, exact):
-    """L2 norm of ``exact`` (a vectorized field) minus the per-cell rigid
-    motions a + b perp(x - x_C), rows (a_x, a_y, b)."""
+def _rigid_motion_rule(mesh):
+    """``mesh_polygon_quadrature``'s (points, weights, cell ids) and each
+    point's arm perp(x - x_C) about its cell's centroid: the one gather
+    that the rigid-motion L2 norms of a solution share."""
     pts, wts, owner = mesh_polygon_quadrature(mesh)
-    approx = (motions[owner, :2]
-              + motions[owner, 2, None] * perp(pts - mesh.centroids[owner]))
-    exact = np.asarray(exact(pts))
+    return pts, wts, owner, perp(pts - mesh.centroids[owner])
+
+
+def _rigid_motion_l2_error(rule, motions, exact):
+    """L2 norm of ``exact``, a field's values at the points of ``rule``
+    (``_rigid_motion_rule``), minus the per-cell rigid motions
+    a + b perp(x - x_C), rows (a_x, a_y, b)."""
+    _, wts, owner, arms = rule
+    approx = motions[owner, :2] + motions[owner, 2, None] * arms
     return float(np.sqrt((wts * ((exact - approx) ** 2).sum(axis=1)).sum()))
+
+
+def _divergence_error(rule, divergence, load_values):
+    """``error_div`` from the divergence field and the body force's values
+    at the points of ``rule`` (None for a zero load)."""
+    return _rigid_motion_l2_error(
+        rule, divergence, 0.0 if load_values is None else -load_values)
+
+
+def _equilibrium_norms(mesh, divergence, loads):
+    """``equilibrium_residuals`` from the divergence field and the loads
+    against the rigid-motion bases (``body_load_vector``; None for a zero
+    load)."""
+    delta = divergence
+    if loads is not None:
+        delta = delta + _rm_coefficients(mesh, loads)
+    return np.sqrt(mesh.areas * (delta[:, :2] ** 2).sum(axis=1)
+                   + mesh.second_moments * delta[:, 2] ** 2)
+
+
+def _rm_coefficients(mesh, loads):
+    """Rigid-motion coefficients of loads against the rigid-motion bases:
+    the loads over (|E|, |E|, I_E), I_E the polar second moment about
+    x_C."""
+    return loads / np.column_stack(
+        [mesh.areas, mesh.areas, mesh.second_moments])
 
 
 def error_div(mesh, solution, f=None):
@@ -78,24 +111,24 @@ def error_div(mesh, solution, f=None):
     divergence is the exact per-cell rigid motion reconstructed from the
     stress DOFs."""
     _check_same_mesh(mesh, solution)
-    return _rigid_motion_l2_error(
-        mesh, divergence_field(mesh, solution.edge_dofs),
-        lambda p: np.zeros(p.shape) if f is None else -np.asarray(f(p)))
+    rule = _rigid_motion_rule(mesh)
+    return _divergence_error(
+        rule, divergence_field(mesh, solution.edge_dofs),
+        None if f is None else _sample(f, rule[0]))
 
 
 def error_u(mesh, solution, u_exact):
     """L2 displacement error against the per-cell rigid motions."""
     _check_same_mesh(mesh, solution)
-    return _rigid_motion_l2_error(mesh, solution.cell_motions, u_exact)
+    rule = _rigid_motion_rule(mesh)
+    return _rigid_motion_l2_error(rule, solution.cell_motions,
+                                  _sample(u_exact, rule[0]))
 
 
 def rm_projection(mesh, field):
     """Per-cell L2 projection Pi_RM of a vectorized field onto the rigid
-    motions a + b perp(x - x_C), rows (a_x, a_y, b): the loads against the
-    rigid-motion bases over (|E|, |E|, I_E), I_E the polar second moment
-    about x_C."""
-    return body_load_vector(mesh, field) / np.column_stack(
-        [mesh.areas, mesh.areas, mesh.second_moments])
+    motions a + b perp(x - x_C), rows (a_x, a_y, b)."""
+    return _rm_coefficients(mesh, body_load_vector(mesh, field))
 
 
 def equilibrium_residuals(mesh, solution, f=None):
@@ -105,11 +138,9 @@ def equilibrium_residuals(mesh, solution, f=None):
     they are reported as a cheap a-posteriori sanity check.
     """
     _check_same_mesh(mesh, solution)
-    delta = divergence_field(mesh, solution.edge_dofs)
-    if f is not None:
-        delta = delta + rm_projection(mesh, f)
-    return np.sqrt(mesh.areas * (delta[:, :2] ** 2).sum(axis=1)
-                   + mesh.second_moments * delta[:, 2] ** 2)
+    return _equilibrium_norms(
+        mesh, divergence_field(mesh, solution.edge_dofs),
+        None if f is None else body_load_vector(mesh, f))
 
 
 def least_squares_slope(h, e):

@@ -13,12 +13,12 @@ import numpy as np
 
 from . import postproc
 from .assembly import SOLVER_TOL, SolverError, assemble, solve
-from .element import STABILIZATIONS, projection_field
+from .element import STABILIZATIONS, _sample, divergence_field, \
+    projection_field
 from .generators import MESH_KINDS, _is_count, _is_seed, generate_mesh
 from .postproc import von_mises_field, write_vtk_polydata
 from .problems import COOK_PROBE_POINT, problem_cook, problem_test_a, \
     problem_test_b, problem_test_incompressible, verify_exact_bundle
-from .quadrature import mesh_polygon_quadrature
 
 __all__ = [
     "RunConfig",
@@ -124,29 +124,40 @@ def mesh_for_level(kind, level, domain=None, seed=0):
                          else levels[0], domain=domain, seed=seed)
 
 
-def _study_row(mesh, problem, solution, level):
+def _study_row(problem, system, solution, level):
     """The error row: the error norms (with an exact bundle), the largest
-    per-cell norm of div sigma_h + Pi_RM f and the L2 norm of the load."""
-    f_l2 = 0.0
-    if problem.body_force is not None:
-        pts, wts, _ = mesh_polygon_quadrature(mesh)
-        fv = problem.body_force(pts)
-        f_l2 = float(np.sqrt(wts @ (fv**2).sum(axis=1)))
+    per-cell norm of div sigma_h + Pi_RM f and the L2 norm of the load.
+
+    Each field is evaluated once: the body force is the system's
+    ``load_values`` and its loads are the load rows of the assembled rhs,
+    so neither is computed again.  The divergence field serves both the
+    equilibrium residuals and E_sigma_div, and E_sigma_div and E_u share
+    one gather of the arms perp(x - x_C).  The numbers are those of
+    ``postproc.equilibrium_residuals``, ``error_div`` and ``error_u``, bit
+    for bit."""
+    mesh, fv = system.mesh, system.load_values
+    rule = postproc._rigid_motion_rule(mesh)
+    pts, wts = rule[:2]
+    divergence = divergence_field(mesh, solution.edge_dofs)
+    loads = None
+    if fv is not None:
+        loads = -system.rhs[system.dofmap.n_stress:].reshape(-1, 3)
     row = {
         "level": level,
         "h_bar": mesh.mean_edge_length,
         "n_dof": solution.report.n_dof,
-        "equilibrium_max": float(postproc.equilibrium_residuals(
-            mesh, solution, problem.body_force).max()),
-        "f_l2": f_l2,
+        "equilibrium_max": float(postproc._equilibrium_norms(
+            mesh, divergence, loads).max()),
+        "f_l2": 0.0 if fv is None else float(
+            np.sqrt(wts @ (fv**2).sum(axis=1))),
     }
     if problem.exact is not None:
         row["E_sigma"] = postproc.error_sigma(
             mesh, solution, problem.exact.stress, problem.material)
-        row["E_sigma_div"] = postproc.error_div(
-            mesh, solution, problem.body_force)
-        row["E_u"] = postproc.error_u(
-            mesh, solution, problem.exact.displacement)
+        row["E_sigma_div"] = postproc._divergence_error(rule, divergence, fv)
+        row["E_u"] = postproc._rigid_motion_l2_error(
+            rule, solution.cell_motions,
+            _sample(problem.exact.displacement, pts))
     return row
 
 
@@ -154,18 +165,24 @@ def convergence_study(problems, kind, levels, seed=0, stabilization="stab1",
                       row=_study_row):
     """One refinement sweep of several problems on one mesh family; returns
     one ``(rows, failures)`` pair per problem, in order, each row built by
-    ``row(mesh, problem, solution, level)``.
+    ``row(problem, system, solution, level)`` from the problem's assembled
+    system (whose ``mesh`` is the level's) and its solution.
 
     All levels come from one :func:`mesh_for_level` call (the Voronoi kinds
     clip their levels together), and each level's mesh is shared by every
-    problem, so its cell groups and fan rule are built once, and released
-    with its rows.  A mesh that cannot be built fails the study; a singular
-    system fails one (problem, level), listed as ``(level, exception)``.
-    The problems must share a domain, the stabilization must be one of
-    ``STABILIZATIONS``, and the exact bundle of each problem that has one
-    must pass ``verify_exact_bundle`` (D sigma = eps(u) and div sigma = -f,
-    by complex step) within ``ORACLE_TOL`` before any mesh is built (a
-    ValueError naming the problem otherwise).
+    problem, so its cell groups and fan rule are built once.  Within a
+    level the problems of one material share their local blocks, and
+    those that also hold the same DOFs fixed share the local inverses and
+    the multiplier factor (``assemble``'s ``shared`` memo, one per level);
+    all of it is released with the level's rows, and each row is still one
+    ``solve(system)``.  A mesh that cannot be built fails the study; a
+    singular system fails one (problem, level), listed as
+    ``(level, exception)``.  The problems must share a domain, the
+    stabilization must be one of ``STABILIZATIONS``, and the exact bundle
+    of each problem that has one must pass ``verify_exact_bundle``
+    (D sigma = eps(u) and div sigma = -f, by complex step) within
+    ``ORACLE_TOL`` before any mesh is built (a ValueError naming the
+    problem otherwise).
     """
     problems = list(problems)
     if not problems:
@@ -184,17 +201,23 @@ def convergence_study(problems, kind, levels, seed=0, stabilization="stab1",
                                  f"inconsistent: {report}")
     meshes = mesh_for_level(kind, tuple(levels), domain=domain, seed=seed)
     results = [([], []) for _ in problems]
-    for i, level in enumerate(levels):
-        mesh, meshes[i] = meshes[i], None  # released with its rows
+
+    def solve_level(mesh, level):
+        shared = {}  # the level's blocks and factors, released on return
         for problem, (rows, failures) in zip(problems, results):
             try:
-                solution = solve(assemble(mesh, problem,
-                                          stabilization=stabilization))
+                system = assemble(mesh, problem, stabilization=stabilization,
+                                  shared=shared)
+                solution = solve(system)
             except (ValueError, SolverError) as exc:
                 # a singular system fails this (problem, level) only
                 failures.append((level, exc))
                 continue
-            rows.append(row(mesh, problem, solution, level))
+            rows.append(row(problem, system, solution, level))
+
+    for i, level in enumerate(levels):
+        solve_level(meshes[i], level)
+        meshes[i] = None  # released with its rows
     return results
 
 
@@ -231,8 +254,8 @@ def run_cook(config: RunConfig):
     nus = {id(problem): nu for problem, nu in zip(problems, config.cook_nus)}
     rows = []
     for short in config.cook_kinds:
-        def probe_row(mesh, problem, solution, level):
-            nu = nus[id(problem)]
+        def probe_row(problem, system, solution, level):
+            mesh, nu = system.mesh, nus[id(problem)]
             va = postproc.probe_displacement(mesh, solution,
                                              COOK_PROBE_POINT)[1]
             if config.vtk_path and level == config.levels[-1]:

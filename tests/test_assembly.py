@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tempfile
 import tracemalloc
@@ -18,7 +19,8 @@ from vemhr.assembly import (DisplacementBC, DofMap, GlobalSystem, Solution,
                             _dissection, _hop_coordinates, _scatter_blocks,
                             assemble, load_solution, save_solution, solve,
                             write_solution_text)
-from vemhr.element import STABILIZATIONS, interpolate_global
+from vemhr.element import (STABILIZATIONS, body_load_vector,
+                           interpolate_global)
 from vemhr.generators import MESH_KINDS, UNIT_SQUARE, generate_mesh
 from vemhr.material import from_lame
 from vemhr.mesh import build_topology, cook_domain, mesh_checksum
@@ -26,6 +28,7 @@ from vemhr.postproc import (equilibrium_residuals, error_sigma, error_u,
                             least_squares_slope)
 from vemhr.problems import ProblemSpec, problem_cook, problem_test_a, \
     problem_test_b, problem_test_incompressible
+from vemhr.quadrature import mesh_polygon_quadrature
 
 from polygons import u_tiling
 
@@ -105,6 +108,65 @@ class TestAssemble:
                               boundary=lambda m, e: "clamped", exact=None)
         with pytest.raises(TypeError, match="unsupported boundary condition"):
             assemble(UNIT, problem)
+
+    def test_load_values_feed_the_load_rows(self):
+        # the load at the polygon rule's points, as floats, and the load
+        # rows are body_load_vector's, bit for bit
+        mesh = generate_mesh("poly_voronoi_random", 16, seed=0)
+        problem = problem_test_b()
+        system = assemble(mesh, problem)
+        pts = mesh_polygon_quadrature(mesh)[0]
+        assert system.load_values.dtype == float
+        assert (system.load_values.tobytes()
+                == problem.body_force(pts).tobytes())
+        loads = -system.rhs[system.dofmap.n_stress:].reshape(-1, 3)
+        assert (loads.tobytes()
+                == body_load_vector(mesh, problem.body_force).tobytes())
+        assert assemble(mesh, problem_test_a()).load_values is None
+
+
+class TestSharedMemo:
+    """``assemble``'s ``shared`` memo: the problems of one material and
+    stabilization share their local blocks, and those that also hold the
+    same DOFs fixed share the ``_Hybrid``; every solution is bitwise that
+    of a system of its own."""
+
+    def test_one_factor_per_key(self, monkeypatch):
+        mesh = generate_mesh("quad_structured", 4)
+        patch, _ = patch_problem()
+        other_data, _ = patch_problem(u=lambda p: np.stack(
+            [0 * p[..., 0], p[..., 0]], axis=-1))
+        held = one_traction_edge_problem(int(mesh.boundary_edges[0]))
+        stiffer = dataclasses.replace(patch, material=from_lame(2.0, 1.0))
+        cases = [(patch, "stab1"), (other_data, "stab1"), (held, "stab1"),
+                 (stiffer, "stab1"), (patch, "stab1bis")]
+        factored = []
+        splu = spla.splu
+        monkeypatch.setattr(assembly.spla, "splu", lambda S, **kw:
+                            factored.append(S.shape) or splu(S, **kw))
+        shared = {}
+        systems = [assemble(mesh, p, stabilization=stab, shared=shared)
+                   for p, stab in cases]
+        solutions = [solve(system) for system in systems]
+        assert systems[1].blocks is systems[0].blocks
+        assert systems[2].blocks is systems[0].blocks
+        assert len({id(s.blocks) for s in systems}) == 3
+        # the patch and its other data share a factor; the held edge, the
+        # stiffer material and the other stabilization have their own
+        assert len(factored) == 4
+        assert len(systems[0].factors) == 2
+        for (problem, stab), solution in zip(cases, solutions):
+            ref = solve(assemble(mesh, problem, stabilization=stab))
+            assert solution.edge_dofs.tobytes() == ref.edge_dofs.tobytes()
+            assert (solution.cell_motions.tobytes()
+                    == ref.cell_motions.tobytes())
+            assert solution.report.residual == ref.report.residual
+
+    def test_no_memo_keeps_no_factor(self):
+        system = assemble(generate_mesh("quad_structured", 2),
+                          patch_problem()[0])
+        solve(system)
+        assert system.factors is None
 
 
 class TestPatchExactness:

@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import vemhr
-from vemhr import quadrature, runner
+from vemhr import assembly, postproc, quadrature, runner
 from vemhr.assembly import (SolverError, TractionBC, assemble, load_solution,
                             solve)
 from vemhr.cli import main
@@ -33,6 +33,20 @@ from polygons import holed_quad_mesh, u_tiling
 STUDY_KINDS = ("quad_structured", "hex_structured", "tri_unstructured",
                "poly_voronoi_random", "poly_voronoi_cvt")
 LEVELS = (2, 3, 4)
+
+
+def sweep_problems():
+    """The four problems of the acceptance sweep: test-a and test-b share a
+    material, and neither holds a DOF fixed."""
+    return [problem_test_a(), problem_test_b(), problem_test_incompressible(),
+            dataclasses.replace(problem_test_incompressible(),
+                                material=from_lame(1.0, 0.5))]
+
+
+def hex_rows(rows):
+    """Rows with every float in hex, so equal means bit for bit."""
+    return [{k: v.hex() if isinstance(v, float) else v for k, v in r.items()}
+            for r in rows]
 
 
 def _fail_one_cook_solve(monkeypatch):
@@ -329,20 +343,82 @@ class TestRunner:
     @pytest.mark.parametrize("kind", STUDY_KINDS)
     def test_shared_study_equals_single_studies(self, kind, seed):
         # rows bitwise equal to one-problem studies and to fresh per-level
-        # meshes: sharing and batching the meshes changes no number
-        problems = [problem_test_a(), problem_test_b(),
-                    problem_test_incompressible()]
+        # meshes and systems: sharing the meshes, the local blocks and the
+        # factors changes no number
+        problems = sweep_problems()
         shared = convergence_study(problems, kind, LEVELS, seed=seed)
         for problem, (rows, failures) in zip(problems, shared):
             assert failures == []
-            assert convergence_study([problem], kind, LEVELS, seed=seed) == [
-                (rows, [])]
+            [(single, failures)] = convergence_study([problem], kind, LEVELS,
+                                                     seed=seed)
+            assert failures == [] and hex_rows(single) == hex_rows(rows)
             fresh = []
             for level in LEVELS:
-                mesh = mesh_for_level(kind, level, seed=seed)
-                fresh.append(runner._study_row(
-                    mesh, problem, solve(assemble(mesh, problem)), level))
-            assert rows == fresh
+                system = assemble(mesh_for_level(kind, level, seed=seed),
+                                  problem)
+                fresh.append(runner._study_row(problem, system, solve(system),
+                                               level))
+            assert hex_rows(fresh) == hex_rows(rows)
+
+    @pytest.mark.parametrize("problem", [problem_test_a(), problem_test_b()],
+                             ids=["no-load", "load"])
+    def test_row_is_the_postproc_norms(self, problem):
+        # the row's shared evaluations give postproc's numbers bit for bit
+        mesh = mesh_for_level("poly_voronoi_random", 4)
+        system = assemble(mesh, problem)
+        solution = solve(system)
+        row = runner._study_row(problem, system, solution, 4)
+        f, exact = problem.body_force, problem.exact
+        pts, wts, _ = quadrature.mesh_polygon_quadrature(mesh)
+        fv = np.zeros_like(pts) if f is None else f(pts)
+        assert hex_rows([row]) == hex_rows([{
+            "level": 4, "h_bar": mesh.mean_edge_length,
+            "n_dof": solution.report.n_dof,
+            "equilibrium_max": float(postproc.equilibrium_residuals(
+                mesh, solution, f).max()),
+            "f_l2": float(np.sqrt(wts @ (fv**2).sum(axis=1))),
+            "E_sigma": postproc.error_sigma(mesh, solution, exact.stress,
+                                            problem.material),
+            "E_sigma_div": postproc.error_div(mesh, solution, f),
+            "E_u": postproc.error_u(mesh, solution, exact.displacement)}])
+
+    def test_load_evaluated_once_per_row(self):
+        # the load vector, f_l2, the equilibrium residuals and E_sigma_div
+        # share one evaluation; the exact bundle's check makes one more
+        problem = problem_test_b()
+        f, calls = problem.body_force, []
+        counted = dataclasses.replace(
+            problem, body_force=lambda p: calls.append(len(p)) or f(p))
+        [(rows, failures)] = convergence_study([counted], "quad_structured",
+                                               (2, 4))
+        assert len(rows) == 2 and failures == []
+        assert len(calls) == 3
+
+    def test_list_valued_load(self):
+        # a load that returns nested lists is read as floats once, and its
+        # rows are the array load's, bit for bit
+        problem = problem_test_b()
+        f = problem.body_force
+        listed = dataclasses.replace(problem,
+                                     body_force=lambda p: f(p).tolist())
+        [(rows, failures)] = convergence_study([listed], "quad_structured",
+                                               (2, 4))
+        [(ref, _)] = convergence_study([problem], "quad_structured", (2, 4))
+        assert failures == [] and hex_rows(rows) == hex_rows(ref)
+
+    def test_one_factor_per_key(self, monkeypatch):
+        # per level, test-a and test-b (one material, no fixed DOF) are
+        # solved from one factor, and each test-inc material has its own:
+        # 3 factors a level, not 4
+        factored = []
+        splu = assembly.spla.splu
+        monkeypatch.setattr(assembly.spla, "splu", lambda S, **kw:
+                            factored.append(S.shape) or splu(S, **kw))
+        results = convergence_study(sweep_problems(), "quad_structured",
+                                    (2, 4))
+        assert [(len(rows), failures) for rows, failures in results] == [
+            (2, [])] * 4
+        assert len(factored) == 6
 
     def test_study_builds_each_mesh_once(self, monkeypatch):
         # one generate_mesh call per study; every problem gets that mesh
@@ -369,8 +445,8 @@ class TestRunner:
         # no reference cycle keeps a level's mesh once the study returns
         meshes = []
 
-        def row(mesh, problem, solution, level):
-            meshes.append(weakref.ref(mesh))
+        def row(problem, system, solution, level):
+            meshes.append(weakref.ref(system.mesh))
             return level
 
         gc.collect()
