@@ -121,6 +121,13 @@ class GlobalSystem:
     def dofmap(self):
         return DofMap(self.mesh.n_edges, self.mesh.n_cells)
 
+    @property
+    def loads(self):
+        """The negated load rows of ``rhs``, (n_cells, 3): bit for bit
+        ``body_load_vector`` of the body force, None without one."""
+        if self.load_values is not None:
+            return -self.rhs[self.dofmap.n_stress:].reshape(-1, 3)
+
     @cached_property
     def matrix(self):
         return _scatter_blocks(self.mesh, self.blocks).tocsr()

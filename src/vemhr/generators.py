@@ -64,6 +64,7 @@ MESH_KINDS = (
 _JITTER = 0.2  # fraction of the grid step used by the unstructured kinds
 _LLOYD_ITERS = 50
 _NEIGHBOURS = 12  # first k of the nearest-neighbour query in _clip_sets
+_MIN_WIDTH = 1e-6  # least width of a domain over its diameter
 
 
 def generate_mesh(kind, resolution, domain=None, seed=0):
@@ -132,7 +133,18 @@ def _is_seed(n):
 
 def _convex_domain(domain):
     """The corners as floats, checked: an (n, 2) array of n >= 3 finite
-    corners, each a strict left turn, the turns adding up to one turn."""
+    corners, each a strict left turn, the turns adding up to one turn, and
+    a width (the least, over the sides, of the farthest corner's distance
+    from the side's line) of at least ``_MIN_WIDTH`` of the diameter.
+
+    The floor is three orders above the generators' tolerances: the seed
+    sampler keeps seeds farther than 1e-9 of the bounding box's diagonal
+    (at most sqrt(2) diameters) from every side, and ``_check_partition``
+    puts vertices within 1e-9 of the diameter on a side.  A convex domain's
+    inradius is at least a third of its width, so above the floor the
+    sampler's region keeps over 99 % of the domain's area and the bands
+    never cover it; a width near the tolerances leaves the sampler no
+    room, and it would draw forever."""
     domain = np.asarray(domain, dtype=float)
     if domain.ndim != 2 or domain.shape[1] != 2 or len(domain) < 3 \
             or not np.all(np.isfinite(domain)):
@@ -151,9 +163,24 @@ def _convex_domain(domain):
     elif not np.isclose(turns, 1.0):
         defect = f"its boundary winds {turns:.0f} times"
     else:
+        width = _side_distances(domain, domain).max(axis=0).min()
+        diameter = np.linalg.norm(domain[:, None] - domain, axis=-1).max()
+        if width < _MIN_WIDTH * diameter:
+            raise ValueError(f"domain is too thin: its width {width:.3g} is "
+                             f"below {_MIN_WIDTH:g} of its diameter "
+                             f"{diameter:.3g}")
         return domain
     raise ValueError(f"domain must be strictly convex and counterclockwise: "
                      f"{defect}")
+
+
+def _side_distances(points, domain):
+    """Signed distance of each point from each side's line of the CCW
+    ``domain``, positive inside; (n_points, n_sides)."""
+    side = np.roll(domain, -1, axis=0) - domain
+    rel = points[:, None, :] - domain
+    return ((side[:, 0] * rel[..., 1] - side[:, 1] * rel[..., 0])
+            / np.hypot(side[:, 0], side[:, 1]))
 
 
 def _check_partition(mesh, domain):
@@ -162,11 +189,7 @@ def _check_partition(mesh, domain):
     area, and both ends of every boundary edge lie on one of its sides.
     The cells are counterclockwise, so then they cover it exactly once (a
     hole or an overlap leaves boundary edges inside the domain)."""
-    side = np.roll(domain, -1, axis=0) - domain
-    rel = mesh.vertices[:, None, :] - domain
-    # distance of each vertex inside each side's line, negative outside
-    dist = ((side[:, 0] * rel[..., 1] - side[:, 1] * rel[..., 0])
-            / np.hypot(side[:, 0], side[:, 1]))
+    dist = _side_distances(mesh.vertices, domain)
     tol = 1e-9 * np.linalg.norm(domain[:, None] - domain, axis=-1).max()
     if np.any(dist < -tol):
         v = int(np.argmin(dist.min(axis=1)))
@@ -250,17 +273,15 @@ def _honeycomb_seeds(domain, n):
 
 
 def _sample_seeds(domain, count, rng):
+    """``count`` uniform seeds in the domain, each farther than 1e-9 of its
+    bounding box's diagonal from every side."""
     lo = domain.min(axis=0)
     hi = domain.max(axis=0)
     margin = 1e-9 * np.linalg.norm(hi - lo)
-    nxt = np.roll(domain, -1, axis=0)
-    tang = nxt - domain
     out = []
     while len(out) < count:
         pts = rng.uniform(lo, hi, size=(4 * (count - len(out)), 2))
-        rel = pts[:, None, :] - domain[None, :, :]
-        cross = tang[None, :, 0] * rel[:, :, 1] - tang[None, :, 1] * rel[:, :, 0]
-        inside = (cross > margin).all(axis=1)
+        inside = (_side_distances(pts, domain) > margin).all(axis=1)
         out.extend(pts[inside])
     return np.array(out[:count])
 

@@ -95,9 +95,9 @@ def from_young_poisson_plane_strain(young, nu) -> IsotropicMaterial:
                          f"got {young}")
     if not 0.0 <= nu < 0.5:
         raise ValueError(f"Poisson ratio must lie in [0, 0.5), got {nu}")
-    lam = young * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
-    mu = young / (2.0 * (1.0 + nu))
-    return IsotropicMaterial(lam=lam, mu=mu)
+    young, nu = float(young), float(nu)  # in double precision, as floats
+    return from_lame(young * nu / ((1.0 + nu) * (1.0 - 2.0 * nu)),
+                     young / (2.0 * (1.0 + nu)))
 
 
 def von_mises_plane_strain(sigma, mat: IsotropicMaterial):

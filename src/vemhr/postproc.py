@@ -28,6 +28,7 @@ __all__ = [
     "error_u",
     "rm_projection",
     "equilibrium_residuals",
+    "convergence_row",
     "convergence_rates",
     "least_squares_slope",
     "probe_displacement",
@@ -79,13 +80,6 @@ def _rigid_motion_l2_error(rule, motions, exact):
     return float(np.sqrt((wts * ((exact - approx) ** 2).sum(axis=1)).sum()))
 
 
-def _divergence_error(rule, divergence, load_values):
-    """``error_div`` from the divergence field and the body force's values
-    at the points of ``rule`` (None for a zero load)."""
-    return _rigid_motion_l2_error(
-        rule, divergence, 0.0 if load_values is None else -load_values)
-
-
 def _equilibrium_norms(mesh, divergence, loads):
     """``equilibrium_residuals`` from the divergence field and the loads
     against the rigid-motion bases (``body_load_vector``; None for a zero
@@ -112,9 +106,9 @@ def error_div(mesh, solution, f=None):
     stress DOFs."""
     _check_same_mesh(mesh, solution)
     rule = _rigid_motion_rule(mesh)
-    return _divergence_error(
+    return _rigid_motion_l2_error(
         rule, divergence_field(mesh, solution.edge_dofs),
-        None if f is None else _sample(f, rule[0]))
+        0.0 if f is None else -_sample(f, rule[0]))
 
 
 def error_u(mesh, solution, u_exact):
@@ -141,6 +135,41 @@ def equilibrium_residuals(mesh, solution, f=None):
     return _equilibrium_norms(
         mesh, divergence_field(mesh, solution.edge_dofs),
         None if f is None else body_load_vector(mesh, f))
+
+
+def convergence_row(problem, system, solution, level):
+    """One study row: level, h_bar, n_dof, the largest per-cell norm of
+    div sigma_h + Pi_RM f, the L2 norm of the load and, with an exact
+    bundle, E_sigma, E_sigma_div and E_u.
+
+    Each field is evaluated once: the body force and its loads are the
+    system's ``load_values`` and ``loads``; one divergence field serves the
+    equilibrium residuals and E_sigma_div, which shares the arms
+    perp(x - x_C) with E_u.  The numbers are those of
+    ``equilibrium_residuals``, ``error_div`` and ``error_u``, bit for bit."""
+    mesh, fv = system.mesh, system.load_values
+    _check_same_mesh(mesh, solution)
+    rule = _rigid_motion_rule(mesh)
+    pts, wts = rule[:2]
+    divergence = divergence_field(mesh, solution.edge_dofs)
+    row = {
+        "level": level,
+        "h_bar": mesh.mean_edge_length,
+        "n_dof": solution.report.n_dof,
+        "equilibrium_max": float(_equilibrium_norms(
+            mesh, divergence, system.loads).max()),
+        "f_l2": 0.0 if fv is None else float(
+            np.sqrt(wts @ (fv**2).sum(axis=1))),
+    }
+    if problem.exact is not None:
+        row["E_sigma"] = error_sigma(
+            mesh, solution, problem.exact.stress, problem.material)
+        row["E_sigma_div"] = _rigid_motion_l2_error(
+            rule, divergence, 0.0 if fv is None else -fv)
+        row["E_u"] = _rigid_motion_l2_error(
+            rule, solution.cell_motions,
+            _sample(problem.exact.displacement, pts))
+    return row
 
 
 def least_squares_slope(h, e):

@@ -7,14 +7,14 @@ edge lengths across families.  All runs are deterministic given the config
 """
 
 import numbers
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import postproc
 from .assembly import SOLVER_TOL, SolverError, assemble, solve
-from .element import STABILIZATIONS, _sample, divergence_field, \
-    projection_field
+from .element import STABILIZATIONS, projection_field
 from .generators import MESH_KINDS, _is_count, _is_seed, generate_mesh
 from .postproc import von_mises_field, write_vtk_polydata
 from .problems import COOK_PROBE_POINT, problem_cook, problem_test_a, \
@@ -85,6 +85,8 @@ class RunConfig:
             raise ValueError("cook_nus must be a non-empty tuple of distinct "
                              "Poisson ratios in [0, 0.5) that also differ in "
                              f"6 significant digits, not {self.cook_nus!r}")
+        # Python floats, so that the sidecar writes them as numbers
+        object.__setattr__(self, "cook_nus", tuple(map(float, self.cook_nus)))
         if not _is_seed(self.seed):
             raise ValueError("seed must be a non-negative integer, not "
                              f"{self.seed!r}")
@@ -124,49 +126,13 @@ def mesh_for_level(kind, level, domain=None, seed=0):
                          else levels[0], domain=domain, seed=seed)
 
 
-def _study_row(problem, system, solution, level):
-    """The error row: the error norms (with an exact bundle), the largest
-    per-cell norm of div sigma_h + Pi_RM f and the L2 norm of the load.
-
-    Each field is evaluated once: the body force is the system's
-    ``load_values`` and its loads are the load rows of the assembled rhs,
-    so neither is computed again.  The divergence field serves both the
-    equilibrium residuals and E_sigma_div, and E_sigma_div and E_u share
-    one gather of the arms perp(x - x_C).  The numbers are those of
-    ``postproc.equilibrium_residuals``, ``error_div`` and ``error_u``, bit
-    for bit."""
-    mesh, fv = system.mesh, system.load_values
-    rule = postproc._rigid_motion_rule(mesh)
-    pts, wts = rule[:2]
-    divergence = divergence_field(mesh, solution.edge_dofs)
-    loads = None
-    if fv is not None:
-        loads = -system.rhs[system.dofmap.n_stress:].reshape(-1, 3)
-    row = {
-        "level": level,
-        "h_bar": mesh.mean_edge_length,
-        "n_dof": solution.report.n_dof,
-        "equilibrium_max": float(postproc._equilibrium_norms(
-            mesh, divergence, loads).max()),
-        "f_l2": 0.0 if fv is None else float(
-            np.sqrt(wts @ (fv**2).sum(axis=1))),
-    }
-    if problem.exact is not None:
-        row["E_sigma"] = postproc.error_sigma(
-            mesh, solution, problem.exact.stress, problem.material)
-        row["E_sigma_div"] = postproc._divergence_error(rule, divergence, fv)
-        row["E_u"] = postproc._rigid_motion_l2_error(
-            rule, solution.cell_motions,
-            _sample(problem.exact.displacement, pts))
-    return row
-
-
 def convergence_study(problems, kind, levels, seed=0, stabilization="stab1",
-                      row=_study_row):
+                      row=postproc.convergence_row):
     """One refinement sweep of several problems on one mesh family; returns
     one ``(rows, failures)`` pair per problem, in order, each row built by
-    ``row(problem, system, solution, level)`` from the problem's assembled
-    system (whose ``mesh`` is the level's) and its solution.
+    ``row(problem, system, solution, level)`` (by default the error row
+    ``postproc.convergence_row``) from the problem's assembled system
+    (whose ``mesh`` is the level's) and its solution.
 
     All levels come from one :func:`mesh_for_level` call (the Voronoi kinds
     clip their levels together), and each level's mesh is shared by every
@@ -227,6 +193,7 @@ def run_convergence(config: RunConfig):
     the CSV.  It is the one-problem :func:`convergence_study`, so a singular
     system fails its level only; if every level fails, the first level's
     exception is raised and nothing is written."""
+    _check_directories(config.csv_path)
     problem = make_problem(config.problem)
     if problem.exact is None:
         raise ValueError(f"problem {config.problem} has no exact solution")
@@ -250,6 +217,7 @@ def run_cook(config: RunConfig):
     the probe row ``{kind, nu, level, h_bar, n_dof, v_A}``, so the rows come
     in (kind, nu as given, level) order.  A singular system fails the run
     with the solve's own exception, and no CSV is written."""
+    _check_directories(config.csv_path, config.vtk_path)
     problems = [problem_cook(nu) for nu in config.cook_nus]
     nus = {id(problem): nu for problem, nu in zip(problems, config.cook_nus)}
     rows = []
@@ -289,6 +257,14 @@ def cook_csv_text(rows) -> str:
         f"{r['n_dof']},{r['v_A']:.12e}\n" for r in rows)
 
 
+def _check_directories(*paths):
+    """A ValueError unless the directory of every given output path exists:
+    a run fails before its first mesh, not after its last solve."""
+    for path in paths:
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"the directory of {path!r} does not exist")
+
+
 def _suffixed(path, tag):
     if path.endswith(".vtk"):
         return f"{path[:-4]}_{tag}.vtk"
@@ -306,6 +282,5 @@ def _write_run(config: RunConfig, csv_text):
             for field in fields(config):
                 value = getattr(config, field.name)
                 if isinstance(value, tuple):
-                    value = ",".join(repr(v) if isinstance(v, float)
-                                     else str(v) for v in value)
+                    value = ",".join(map(str, value))
                 fh.write(f"{field.name} = {value}\n")

@@ -119,10 +119,12 @@ class TestAssemble:
         assert system.load_values.dtype == float
         assert (system.load_values.tobytes()
                 == problem.body_force(pts).tobytes())
-        loads = -system.rhs[system.dofmap.n_stress:].reshape(-1, 3)
-        assert (loads.tobytes()
+        assert (system.loads.tobytes()
                 == body_load_vector(mesh, problem.body_force).tobytes())
-        assert assemble(mesh, problem_test_a()).load_values is None
+        assert (system.loads.tobytes() == (-system.rhs[
+            system.dofmap.n_stress:]).tobytes())
+        unloaded = assemble(mesh, problem_test_a())
+        assert unloaded.load_values is None and unloaded.loads is None
 
 
 class TestSharedMemo:

@@ -207,6 +207,18 @@ class TestValidation:
         with pytest.raises(ValueError, match=match):
             generate_mesh("poly_voronoi_random", 4, domain=domain)
 
+    def test_thin_domain_rejected(self):
+        # no point of a triangle 1e-10 high lies 1e-9 of its bounding box's
+        # diagonal inside every side: the domain fails before the sampler
+        thin = [[0, 0], [1, 0], [0.5, 1e-10]]
+        with pytest.raises(ValueError, match="domain is too thin: its width "
+                           "1e-10 is below 1e-06 of its diameter 1"):
+            generators._convex_domain(thin)
+        with pytest.raises(ValueError, match="too thin"):
+            generate_mesh("poly_voronoi_random", 4, domain=thin)
+        generate_mesh("poly_voronoi_random", 4,
+                      domain=[[0, 0], [1, 0], [0.5, 2e-6]])
+
     @pytest.mark.parametrize("domain", [generators.UNIT_SQUARE.tolist(),
                                         cook_domain()], ids=["square", "cook"])
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -315,6 +327,22 @@ def _assert_matches_oracle(seeds, domain):
             assert np.abs(moment / area - ref_moment / ref_area).max() \
                 <= 1e-12 * scale
     return cells
+
+
+@pytest.mark.parametrize("domain", [generators.UNIT_SQUARE, cook_domain()],
+                         ids=["square", "cook"])
+def test_seeds_scale_with_the_domain(domain):
+    # the seeds' margin from the sides is a length: the seeds of s * domain
+    # are s times the domain's, tiny domains included
+    base = generators._sample_seeds(domain, 400, np.random.default_rng(5))
+    for s in (1e-8, 1e3):
+        scaled = generators._sample_seeds(s * domain, 400,
+                                          np.random.default_rng(5))
+        assert np.abs(scaled - s * base).max() \
+            <= 1e-15 * s * np.abs(domain).max()
+    mesh = generate_mesh("poly_voronoi_random", 16,
+                         domain=1e-9 * generators.UNIT_SQUARE)
+    assert_allclose(mesh.areas.sum(), 1e-18, rtol=1e-12)
 
 
 class TestVoronoiOracle:

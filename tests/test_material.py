@@ -98,6 +98,14 @@ class TestPlaneStrainConversion:
         with pytest.raises(ValueError):
             from_young_poisson_plane_strain(70.0, 0.5)
 
+    def test_numpy_ratio_in_double_precision(self):
+        # a float32 ratio gives the Python floats of the float64 formulas
+        mat = from_young_poisson_plane_strain(70.0, np.float32(0.499995))
+        ref = from_young_poisson_plane_strain(70.0,
+                                              float(np.float32(0.499995)))
+        assert type(mat.lam) is float and type(mat.mu) is float
+        assert (mat.lam, mat.mu) == (ref.lam, ref.mu)
+
 
 class TestNonFiniteRejected:
     # NaN passes every sign check, so without the finiteness test these

@@ -356,8 +356,8 @@ class TestRunner:
             for level in LEVELS:
                 system = assemble(mesh_for_level(kind, level, seed=seed),
                                   problem)
-                fresh.append(runner._study_row(problem, system, solve(system),
-                                               level))
+                fresh.append(postproc.convergence_row(
+                    problem, system, solve(system), level))
             assert hex_rows(fresh) == hex_rows(rows)
 
     @pytest.mark.parametrize("problem", [problem_test_a(), problem_test_b()],
@@ -367,7 +367,7 @@ class TestRunner:
         mesh = mesh_for_level("poly_voronoi_random", 4)
         system = assemble(mesh, problem)
         solution = solve(system)
-        row = runner._study_row(problem, system, solution, 4)
+        row = postproc.convergence_row(problem, system, solution, 4)
         f, exact = problem.body_force, problem.exact
         pts, wts, _ = quadrature.mesh_polygon_quadrature(mesh)
         fv = np.zeros_like(pts) if f is None else f(pts)
@@ -869,6 +869,41 @@ class TestCli:
         assert main(["cook", "--config", str(tmp_path / "k.csv.cfg")]) == 0
         assert {p.name: p.read_bytes() for p in tmp_path.glob("k*.*")
                 if p.suffix != ".cfg"} == first
+
+    def test_numpy_nus_sidecar_replays(self, tmp_path):
+        # numpy ratios are kept as Python floats, so the sidecar holds
+        # numbers, and a float32 ratio's material is computed in double
+        csv = tmp_path / "k.csv"
+        config = RunConfig(problem="cook", cook_kinds=("quad",), levels=(2,),
+                           cook_nus=(np.float64(0.3), np.float32(0.499995)),
+                           csv_path=str(csv))
+        assert [type(nu) for nu in config.cook_nus] == [float, float]
+        run_cook(config)
+        first = csv.read_bytes()
+        csv.unlink()
+        assert main(["cook", "--config", str(csv) + ".cfg"]) == 0
+        assert csv.read_bytes() == first
+
+    @pytest.mark.parametrize("argv", [
+        ["convergence", "--problem", "test-a", "--kind", "quad_structured",
+         "--levels", "2,4", "--csv", "nodir/c.csv"],
+        ["cook", "--kinds", "quad,rvor", "--levels", "2,4", "--nus", "0.3",
+         "--csv", "nodir/k.csv", "--vtk", "k.vtk"],
+        ["cook", "--kinds", "quad", "--levels", "2", "--nus", "0.3",
+         "--csv", "k.csv", "--vtk", "nodir/k.vtk"]],
+        ids=["convergence", "cook-csv", "cook-vtk"])
+    def test_missing_output_directory_writes_nothing(self, tmp_path,
+                                                     monkeypatch, capsys,
+                                                     argv):
+        # the run fails before its first mesh, and writes no file
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a mesh was built")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(runner, "generate_mesh", no_mesh)
+        assert main(argv) == 2
+        assert "nodir" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_sidecar_none_reads_as_none(self, tmp_path):
         csv = tmp_path / "k.csv"
